@@ -1,11 +1,11 @@
 """Serving-path benches: index open, worker hand-off, pool throughput.
 
 The zero-copy serving stack exists to kill two fixed costs the paper's
-host pipeline pays per process: deserialising the index archive on every
+host pipeline pays per process: rebuilding the index structure on every
 open, and re-shipping the whole structure to every worker.  These
-benches put numbers on both — flat ``mmap`` open vs ``.npz`` load,
-shared-memory attach vs pickle round-trip — and measure end-to-end pool
-throughput against the single-process mapper.
+benches put numbers on both — flat ``mmap`` open, shared-memory attach
+vs pickle round-trip — and measure end-to-end pool throughput against
+the single-process mapper.
 """
 
 import pickle
@@ -24,7 +24,6 @@ from repro.index.flat import (
     pack_flat_into,
     save_index_flat,
 )
-from repro.index.serialization import load_index, save_index
 from repro.io.readsim import simulate_reads
 from repro.mapper.batch import run_mapping_batch
 from repro.serving.pool import MapperPool
@@ -38,13 +37,10 @@ def serving_index():
 
 
 @pytest.fixture(scope="module")
-def saved_paths(serving_index, tmp_path_factory):
-    root = tmp_path_factory.mktemp("serving")
-    npz = root / "index.npz"
-    flat = root / "index.bwvr"
-    save_index(serving_index, npz)
+def flat_path(serving_index, tmp_path_factory):
+    flat = tmp_path_factory.mktemp("serving") / "index.bwvr"
     save_index_flat(serving_index, flat)
-    return npz, flat
+    return flat
 
 
 def _best_of(fn, repeats=5):
@@ -56,22 +52,13 @@ def _best_of(fn, repeats=5):
     return best
 
 
-def bench_open_npz(benchmark, saved_paths):
-    npz, _ = saved_paths
-    benchmark(lambda: load_index(npz))
+def bench_open_flat_mmap(benchmark, flat_path):
+    benchmark(lambda: load_index_flat(flat_path))
 
 
-def bench_open_flat_mmap(benchmark, saved_paths):
-    _, flat = saved_paths
-    benchmark(lambda: load_index_flat(flat))
-
-
-def bench_startup_report(save_report, record_trajectory, serving_index, saved_paths):
+def bench_startup_report(save_report, record_trajectory, serving_index, flat_path):
     """One table: open, hand-off, and throughput — with acceptance gates."""
-    npz, flat = saved_paths
-
-    t_npz = _best_of(lambda: load_index(npz))
-    t_flat = _best_of(lambda: load_index_flat(flat))
+    t_flat = _best_of(lambda: load_index_flat(flat_path))
 
     # Worker hand-off: pickle-ship the index arrays and rebuild a private
     # copy (what an initargs-style worker pays) vs shared-memory attach
@@ -110,8 +97,7 @@ def bench_startup_report(save_report, record_trajectory, serving_index, saved_pa
         return f"{t * 1e3:.3f} ms"
 
     rows = [
-        ["open .npz (np.load + rebuild)", ms(t_npz), "1.0x"],
-        ["open flat (mmap)", ms(t_flat), fmt_ratio(t_npz / t_flat)],
+        ["open flat (mmap)", ms(t_flat), ""],
         ["hand-off: pickle-ship + rebuild", ms(t_pickle), "1.0x"],
         ["hand-off: shm attach", ms(t_attach), fmt_ratio(t_pickle / t_attach)],
         [
@@ -124,8 +110,7 @@ def bench_startup_report(save_report, record_trajectory, serving_index, saved_pa
             ms(t_pool),
             f"{outcome.n_reads / t_pool:,.0f} reads/s",
         ],
-        ["index size (.npz, compressed)", fmt_bytes(npz.stat().st_size), ""],
-        ["index size (flat, raw)", fmt_bytes(flat.stat().st_size), ""],
+        ["index size (flat, raw)", fmt_bytes(flat_path.stat().st_size), ""],
     ]
     text = render_table(
         ["path", "best time", "speed-up / rate"],
@@ -137,9 +122,7 @@ def bench_startup_report(save_report, record_trajectory, serving_index, saved_pa
     record_trajectory(
         "serving_startup",
         {
-            "open_npz_ms": t_npz * 1e3,
             "open_flat_ms": t_flat * 1e3,
-            "open_speedup": t_npz / t_flat,
             "handoff_pickle_ms": t_pickle * 1e3,
             "handoff_attach_ms": t_attach * 1e3,
             "handoff_speedup": t_pickle / t_attach,
@@ -149,9 +132,9 @@ def bench_startup_report(save_report, record_trajectory, serving_index, saved_pa
         n_reads=len(reads),
     )
 
-    # Acceptance: mmap open is O(1) in index size — >=10x faster than the
-    # npz decompress-and-rebuild path, and attach beats pickle.
-    assert t_flat * 10 < t_npz, (t_flat, t_npz)
+    # Acceptance: opening the file in place beats shipping and rebuilding
+    # a private copy, and shared-memory attach beats pickle.
+    assert t_flat < t_pickle, (t_flat, t_pickle)
     assert t_attach < t_pickle, (t_attach, t_pickle)
     assert outcome.n_reads == solo.n_reads
     assert outcome.op_counts == solo.op_counts

@@ -30,7 +30,7 @@ Subpackages
     BWT, sampled suffix arrays.
 ``repro.index``
     FM-index (backward search, Eq. 4-5), the checkpointed-Occ baseline
-    backend, build pipeline, serialization.
+    backend, build pipeline, the flat on-disk index container.
 ``repro.mapper``
     Read mapping (both strands), 512-bit query packing, batching,
     mismatch extension, seed-and-extend.

@@ -4,11 +4,12 @@ Subcommands mirror the web workflow's stages plus the tooling a
 downstream user needs:
 
 ``index``
-    FASTA (plain/gzip) → persisted ``.npz`` index (steps 1 + 2).
+    FASTA (plain/gzip) → flat ``.bwvr`` index container (steps 1 + 2);
+    a multi-record FASTA builds a multi-reference index.
 ``map``
     index + FASTQ → hits TSV (step 3), on the CPU mapper or through the
     simulated FPGA for the modeled-time report; streaming, constant
-    memory.
+    memory.  The container's segment CRCs are verified before mapping.
 ``inspect``
     Print an index's parameters, sizes, and validation report.
 ``simulate``
@@ -44,7 +45,6 @@ from pathlib import Path
 def _cmd_index(args: argparse.Namespace) -> int:
     from .index.builder import build_index
     from .index.flat import save_index_flat, save_multiref_index_flat
-    from .index.serialization import save_index
     from .io.fasta import read_fasta
 
     records = read_fasta(args.fasta, on_invalid=args.on_invalid)
@@ -53,7 +53,6 @@ def _cmd_index(args: argparse.Namespace) -> int:
         return 2
     if len(records) > 1:
         from .index.multiref import MultiReferenceIndex
-        from .index.serialization import save_multiref_index
 
         if args.blockwise:
             print(
@@ -69,10 +68,7 @@ def _cmd_index(args: argparse.Namespace) -> int:
             records, b=args.block_size, sf=args.superblock_factor,
             backend=args.backend,
         )
-        if args.format == "flat":
-            save_multiref_index_flat(multi, args.output)
-        else:
-            save_multiref_index(multi, args.output)
+        save_multiref_index_flat(multi, args.output)
         report = multi.build_report
         print(
             f"built in {report.sa_bwt_seconds + report.encode_seconds:.2f}s; "
@@ -87,10 +83,6 @@ def _cmd_index(args: argparse.Namespace) -> int:
     if args.blockwise:
         from .index.build_stream import build_index_blockwise
 
-        if args.format != "flat":
-            print(
-                "note: --blockwise always writes the flat container format"
-            )
         report = build_index_blockwise(
             rec.sequence,
             args.output,
@@ -121,10 +113,7 @@ def _cmd_index(args: argparse.Namespace) -> int:
         locate=args.locate,
         ftab_k=args.ftab_k or None,
     )
-    if args.format == "flat":
-        save_index_flat(index, args.output)
-    else:
-        save_index(index, args.output)
+    save_index_flat(index, args.output)
     print(
         f"built in {report.sa_bwt_seconds + report.encode_seconds:.2f}s "
         f"(SA+BWT {report.sa_bwt_seconds:.2f}s, encode {report.encode_seconds:.3f}s)"
@@ -141,16 +130,30 @@ def _cmd_index(args: argparse.Namespace) -> int:
     return 0
 
 
+def _open_index(path: Path, verify: bool):
+    """Open a container for a CLI command, or print why not and return
+    ``None``."""
+    from .index.flat import IndexFormatError, load_any_index_auto
+
+    try:
+        return load_any_index_auto(path, verify=verify)
+    except IndexFormatError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
 def _cmd_map(args: argparse.Namespace) -> int:
-    from .index.flat import load_any_index_auto
     from .index.multiref import MultiReferenceIndex
     from .io.fasta import _open_text
     from .io.fastq import parse_fastq
     from .mapper.stream import map_fastq_to_tsv
 
-    # Sniff the container format (.npz or flat) and the reference kind;
-    # multi-reference archives route through the multiref mapper.
-    loaded = load_any_index_auto(args.index)
+    # Check every segment CRC before mapping, so a corrupt index fails
+    # here instead of mapping from bad data; multi-reference containers
+    # route through the multiref mapper.
+    loaded = _open_index(args.index, verify=True)
+    if loaded is None:
+        return 2
     if isinstance(loaded, MultiReferenceIndex):
         return _map_multiref(args, loaded)
     index = loaded
@@ -239,7 +242,6 @@ def _map_pooled(args: argparse.Namespace, index) -> int:
     """Map through a persistent worker pool sharing one index copy."""
     import time
 
-    from .index.flat import detect_index_format
     from .io.fasta import _open_text
     from .io.fastq import parse_fastq
     from .mapper.results import write_hits_tsv
@@ -253,14 +255,10 @@ def _map_pooled(args: argparse.Namespace, index) -> int:
         return 2
     with _open_text(args.fastq) as fh:
         reads = [r.sequence for r in parse_fastq(fh)]
-    # A flat container can be served in place (workers mmap the file);
-    # an .npz index is published to shared memory first.  With --no-ftab
-    # the stripped in-memory index is published instead of the file, so
-    # workers never see the container's ftab segment.
-    if detect_index_format(args.index) == "flat" and not args.no_ftab:
-        pool_args = {"flat_path": args.index}
-    else:
-        pool_args = {"index": index}
+    # Workers mmap the container in place.  With --no-ftab the stripped
+    # in-memory index is published to shared memory instead, so workers
+    # never see the container's ftab segment.
+    pool_args = {"index": index} if args.no_ftab else {"flat_path": args.index}
     t0 = time.perf_counter()
     with MapperPool(workers=args.pool, **pool_args) as pool:
         results = pool.map_reads(reads, locate=True)
@@ -278,7 +276,7 @@ def _map_pooled(args: argparse.Namespace, index) -> int:
 
 
 def _map_multiref(args: argparse.Namespace, multi) -> int:
-    """Map against a multi-sequence archive (per-chromosome coordinates)."""
+    """Map against a multi-reference index (per-sequence coordinates)."""
     from .io.fasta import _open_text
     from .io.fastq import parse_fastq
     from .mapper.sam import write_sam_multiref
@@ -313,14 +311,18 @@ def _map_multiref(args: argparse.Namespace, multi) -> int:
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
     from .core.bwt_structure import BWTStructure
-    from .index.flat import detect_index_format, load_index_auto, verify_flat_index
-    from .index.serialization import IndexFormatError
+    from .index.flat import IndexFormatError, verify_flat_index
+    from .index.multiref import MultiReferenceIndex
     from .index.validate import IndexValidationError, validate_index
 
-    index = load_index_auto(args.index)
-    backend = index.backend
+    index = _open_index(args.index, verify=False)
+    if index is None:
+        return 2
     print(f"index: {args.index}")
-    print(f"  format: {detect_index_format(args.index)}")
+    if isinstance(index, MultiReferenceIndex):
+        print(f"  sequences: {index.n_sequences}")
+        index = index.index
+    backend = index.backend
     print(f"  backend: {type(backend).__name__}")
     print(f"  matrix rows: {backend.n_rows:,} (text {backend.n_rows - 1:,} bp)")
     if isinstance(backend, BWTStructure):
@@ -338,13 +340,12 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
             f"({len(index.ftab.lo):,} entries)"
         )
     if args.validate:
-        if detect_index_format(args.index) == "flat":
-            try:
-                names = verify_flat_index(args.index)
-            except IndexFormatError as exc:
-                print(f"  VALIDATION FAILED: {exc}", file=sys.stderr)
-                return 1
-            print(f"  checksums: OK ({len(names)} segments)")
+        try:
+            names = verify_flat_index(args.index)
+        except IndexFormatError as exc:
+            print(f"  VALIDATION FAILED: {exc}", file=sys.stderr)
+            return 1
+        print(f"  checksums: OK ({len(names)} segments)")
         try:
             report = validate_index(index, samples=args.samples)
         except IndexValidationError as exc:
@@ -580,15 +581,15 @@ def build_parser() -> argparse.ArgumentParser:
         "single-reference indexes only)",
     )
     p.add_argument(
-        "--format", choices=["npz", "flat"], default="npz",
-        help="index container: 'npz' (compressed archive, re-encoded on "
-        "load) or 'flat' (zero-copy binary, O(1) mmap open)",
+        "--format", choices=["flat"], default="flat",
+        help="index container: 'flat' (zero-copy binary, O(1) mmap open) "
+        "is the only format",
     )
     p.add_argument("--on-invalid", choices=["error", "skip", "random"], default="error")
     p.add_argument(
         "--blockwise", action="store_true",
-        help="out-of-core build with bounded memory (single-reference, "
-        "flat format; resumable via --resume)",
+        help="out-of-core build with bounded memory (single-reference; "
+        "resumable via --resume)",
     )
     p.add_argument(
         "--block-mb", type=float, default=64.0, metavar="MB",

@@ -185,9 +185,9 @@ class BWTStructure:
     def export_arrays(self) -> tuple[dict, dict[str, np.ndarray]]:
         """The *encoded* structure as (metadata, named arrays).
 
-        Unlike the ``.npz`` path — which stores the raw BWT and re-encodes
-        the wavelet tree on every load — this exports the finished
-        succinct layout (every node's classes/partial sums/offset stream),
+        Rather than the raw BWT — which would need the wavelet tree
+        re-encoded on every load — this exports the finished succinct
+        layout (every node's classes/partial sums/offset stream),
         so :meth:`from_arrays` re-attaches in O(1) without re-encoding.
         The BWT itself is not included; pass it separately (the flat
         container stores its codes and suffix array as shared segments).

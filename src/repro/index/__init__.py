@@ -10,10 +10,9 @@ from .builder import BuildReport, build_index, encode_existing_bwt
 from .extract import TextExtractor
 from .flat import (
     FlatWriter,
+    IndexFormatError,
     attach_index_from_buffer,
-    detect_index_format,
     load_any_index_auto,
-    load_index_auto,
     load_index_flat,
     load_multiref_index_flat,
     save_index_flat,
@@ -25,14 +24,12 @@ from .ftab import DEFAULT_FTAB_K, Ftab, build_ftab
 from .multiref import MultiReferenceIndex, MultiRefMapping, ReferenceHit
 from .occ_table import OccTable, pack_2bit, unpack_2bit
 from .partitioned import Chunk, PartitionedIndex
-from .serialization import (
-    IndexFormatError,
-    load_index,
-    load_multiref_index,
-    save_index,
-    save_multiref_index,
-)
 from .validate import IndexValidationError, ValidationReport, validate_index
+
+# The public persistence names: the flat container is the one on-disk format.
+# ``load_index`` opens lazily; pass ``verify=True`` to check segment CRCs.
+save_index = save_index_flat
+load_index = load_index_flat
 
 __all__ = [
     "BiInterval",
@@ -59,18 +56,14 @@ __all__ = [
     "build_ftab",
     "build_index",
     "build_index_blockwise",
-    "detect_index_format",
     "encode_existing_bwt",
     "load_any_index_auto",
     "load_index",
-    "load_index_auto",
     "load_index_flat",
-    "load_multiref_index",
     "load_multiref_index_flat",
     "pack_2bit",
     "save_index",
     "save_index_flat",
-    "save_multiref_index",
     "save_multiref_index_flat",
     "unpack_2bit",
     "validate_index",

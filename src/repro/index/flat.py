@@ -1,17 +1,15 @@
 """Flat zero-copy index container: build once, map everywhere, copy never.
 
-The ``.npz`` path in :mod:`repro.index.serialization` stores the *raw*
-BWT and re-encodes the succinct structure on every load — robust, but it
-decompresses and copies every array and pays the full wavelet-tree
-encoding cost per process.  This module provides the production-serving
-alternative BWaveR's architecture implies: the index is a shared,
-read-only artifact, so the *encoded* layout (every RRR node's classes,
-partial sums and offset stream, the C array, the packed Occ words, the
-suffix array) is written to a versioned binary container whose array
-segments are 64-byte aligned.  Opening the container is ``np.memmap``
-plus a JSON manifest read — O(1) in the index size — and the arrays page
-in lazily from the OS page cache, so N processes mapping the same file
-share one physical copy.
+BWaveR builds the BWT and suffix array once per reference and keeps them
+"in a file" so that later mapping jobs skip suffix sorting.  This module
+is that file's one format and its one reader and writer.  The index is a
+shared, read-only artifact, so the *encoded* layout (every RRR node's
+classes, partial sums and offset stream, the C array, the packed Occ
+words, the suffix array) is written to a versioned binary container
+whose array segments are 64-byte aligned.  Opening the container is
+``np.memmap`` plus a JSON manifest read — O(1) in the index size — and
+the arrays page in lazily from the OS page cache, so N processes mapping
+the same file share one physical copy.
 
 Container layout (little-endian)::
 
@@ -24,12 +22,11 @@ Container layout (little-endian)::
 
 Each manifest segment entry records ``name``, ``dtype`` (numpy dtype
 string), ``shape``, ``offset`` (relative to ``data_start``), ``nbytes``
-and ``crc32`` — the same per-array checksum scheme the fault framework
-uses for the ``.npz`` archives.  Checksums are verified on demand
-(``verify=True`` or :func:`verify_flat_index`), not on open: touching
-every page on open would defeat the O(1) attach that is the point of the
-format.  All structural failures raise
-:class:`~repro.index.serialization.IndexFormatError`.
+and ``crc32``.  Checksums are verified on demand (``verify=True`` or
+:func:`verify_flat_index`), not on open: touching every page on open
+would defeat the O(1) attach that is the point of the format.  Every
+failure to map, parse or verify a container raises
+:class:`IndexFormatError`.
 """
 
 from __future__ import annotations
@@ -40,6 +37,7 @@ import shutil
 import struct
 import time
 import zlib
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -52,12 +50,16 @@ from ..telemetry import get_telemetry
 from .fm_index import FMIndex
 from .ftab import Ftab
 from .occ_table import OccTable
-from .serialization import IndexFormatError, load_index, load_multiref_index
 
 MAGIC = b"BWVRFLT1"
 FLAT_VERSION = 1
 ALIGN = 64
 _HEADER = struct.Struct("<8sIIQ")  # magic, version, manifest_len, data_start
+
+
+class IndexFormatError(ValueError):
+    """Raised when a container cannot be mapped, is missing fields, is
+    version-incompatible or truncated, or fails its checksum verification."""
 
 
 def _align_up(n: int, align: int = ALIGN) -> int:
@@ -213,17 +215,15 @@ _STREAM_CHUNK = 1 << 20
 class FlatWriter:
     """Append/finalize writer producing a flat container incrementally.
 
-    The one-shot :func:`_write_container` needed every segment in memory
-    at once (and ``arr.tobytes()`` doubled each one transiently).  The
-    blockwise builder instead appends segments *as their arrays finish*
-    — typically ``np.memmap`` views over spill files — and each
-    :meth:`add_segment` streams the bytes to a temporary data file in
-    ≤ 8 MB slices with a rolling CRC32, so peak RSS stays O(chunk).
+    Every on-disk container is written through this class.  Segments are
+    appended *as their arrays finish* — the blockwise builder passes
+    ``np.memmap`` views over spill files — and each :meth:`add_segment`
+    streams the bytes to a temporary data file in ``_STREAM_CHUNK``
+    (1 MiB) slices with a rolling CRC32, so peak RSS stays O(chunk).
 
     ``finalize(meta)`` writes header + manifest + the accumulated data
-    region to ``path`` atomically (temp file + rename).  The output is
-    byte-identical to the one-shot path for the same segment sequence:
-    same alignment rule, same manifest JSON, same CRCs.
+    region to ``path`` atomically (temp file + rename), with the same
+    alignment rule, manifest JSON and CRCs as :func:`pack_flat_into`.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -305,7 +305,8 @@ def _write_container(meta: dict, segments: dict[str, np.ndarray], path: str | Pa
 
 
 def save_multiref_index_flat(multi, path: str | Path) -> int:
-    """Flat-format counterpart of ``save_multiref_index``."""
+    """Write a :class:`~repro.index.multiref.MultiReferenceIndex`: the inner
+    index plus its sequence names (meta) and lengths (a segment)."""
     from .multiref import MultiReferenceIndex
 
     if not isinstance(multi, MultiReferenceIndex):
@@ -334,6 +335,11 @@ def read_flat_manifest(buf: np.ndarray) -> tuple[dict, list[dict], int]:
         buf[: _HEADER.size].tobytes()
     )
     if magic != MAGIC:
+        if magic[:2] == b"PK":
+            raise IndexFormatError(
+                ".npz index archives are no longer read; rebuild the index "
+                "with `bwaver-repro index`"
+            )
         raise IndexFormatError(
             f"not a flat index container (bad magic {magic!r})"
         )
@@ -368,7 +374,9 @@ def _segment_views(
         start = data_start + entry["offset"]
         raw = buf[start : start + entry["nbytes"]]
         if verify:
-            if (zlib.crc32(raw.tobytes()) & 0xFFFFFFFF) != entry["crc32"]:
+            # CRC the mapped bytes in place: a tobytes() copy would add
+            # the largest segment to peak RSS.
+            if (zlib.crc32(raw) & 0xFFFFFFFF) != entry["crc32"]:
                 raise IndexFormatError(
                     f"checksum mismatch for segment {entry['name']!r}: "
                     f"container is corrupted"
@@ -459,116 +467,116 @@ def attach_index_from_buffer(
     return _rehydrate(meta, views, counters)
 
 
-def load_index_flat(
-    path: str | Path,
-    counters: OpCounters | None = None,
-    verify: bool = False,
-) -> FMIndex:
-    """Memory-map a flat container and attach to it — O(1) in index size.
+def _attach(meta: dict, views: dict[str, np.ndarray], counters: OpCounters | None):
+    """Rehydrate an ``FMIndex``, wrapped as a ``MultiReferenceIndex``
+    when the manifest carries a sequence table."""
+    index = _rehydrate(meta, views, counters)
+    if not meta.get("multiref"):
+        return index
+    from .multiref import MultiReferenceIndex
 
-    With ``verify=False`` (the default) no array data is read at open
-    time; pages fault in lazily as queries touch them.  ``verify=True``
-    checks every segment CRC up front (reads the whole file once).
+    try:
+        names = meta["multiref"]["names"]
+        lengths = np.asarray(views["seq_lengths"], dtype=np.int64)
+    except (KeyError, TypeError) as exc:
+        raise IndexFormatError(f"flat container missing field: {exc}") from exc
+    multi = MultiReferenceIndex.__new__(MultiReferenceIndex)
+    multi.names = tuple(names)
+    multi.ordinals = {n: i for i, n in enumerate(multi.names)}
+    multi.lengths = lengths
+    multi.offsets = np.concatenate(([0], np.cumsum(lengths)))
+    multi.index = index
+    multi.build_report = None
+    return multi
+
+
+def map_flat_file(path: str | Path) -> np.memmap:
+    """Memory-map ``path`` read-only; failures (missing file, directory,
+    empty file) raise :class:`IndexFormatError`."""
+    try:
+        return np.memmap(path, dtype=np.uint8, mode="r")
+    except (OSError, ValueError) as exc:
+        raise IndexFormatError(
+            f"cannot map flat index {path}: {type(exc).__name__}: {exc}"
+        ) from exc
+
+
+@contextmanager
+def _mapped(path: str | Path, verify: bool):
+    """Map ``path`` once and parse it — the opener behind every loader.
+
+    Yields ``(meta, segment views)``.  Mapping failures (missing file,
+    directory, empty file) surface as :class:`IndexFormatError`, and each
+    completed open is recorded under the ``index.load_flat`` span and the
+    ``index_flat_*`` metrics.
     """
-    path = Path(path)
     tel = get_telemetry()
     with tel.span("index.load_flat", path=str(path)):
         t0 = time.perf_counter()
-        try:
-            mm = np.memmap(path, dtype=np.uint8, mode="r")
-        except (OSError, ValueError) as exc:
-            raise IndexFormatError(
-                f"cannot map flat index {path}: {type(exc).__name__}: {exc}"
-            ) from exc
+        mm = map_flat_file(path)
         meta, entries, data_start = read_flat_manifest(mm)
-        if meta.get("multiref"):
-            raise IndexFormatError(
-                "container holds a multi-reference index; use load_multiref_index_flat"
-            )
-        views = _segment_views(mm, entries, data_start, verify=verify)
-        index = _rehydrate(meta, views, counters)
+        yield meta, _segment_views(mm, entries, data_start, verify=verify)
         tel.metrics.counter(
             "index_flat_loads_total", "Flat (mmap) index attaches"
         ).inc()
         tel.metrics.histogram(
             "index_flat_open_seconds", "Wall seconds to open+attach a flat index"
         ).observe(time.perf_counter() - t0)
-    return index
+
+
+def _load(path, counters, verify: bool, multiref: bool | None):
+    """Open ``path``; ``multiref`` True/False demands that kind of index."""
+    with _mapped(path, verify) as (meta, views):
+        if multiref is not None and bool(meta.get("multiref")) != multiref:
+            if multiref:
+                raise IndexFormatError(
+                    "container holds a single-reference index; use load_index_flat"
+                )
+            raise IndexFormatError(
+                "container holds a multi-reference index; use load_multiref_index_flat"
+            )
+        return _attach(meta, views, counters)
+
+
+def load_any_index_auto(
+    path: str | Path, counters: OpCounters | None = None, verify: bool = False
+):
+    """Open a container of either kind: returns an :class:`FMIndex`, or a
+    :class:`~repro.index.multiref.MultiReferenceIndex` when the manifest
+    holds a sequence table.
+
+    With ``verify=False`` (the default) no array data is read at open
+    time — O(1) in the index size; pages fault in lazily as queries touch
+    them.  ``verify=True`` checks every segment CRC up front (reads the
+    whole file once).
+    """
+    return _load(path, counters, verify, multiref=None)
+
+
+def load_index_flat(
+    path: str | Path,
+    counters: OpCounters | None = None,
+    verify: bool = False,
+) -> FMIndex:
+    """:func:`load_any_index_auto` for single-reference containers only.
+
+    Also bound as the public ``repro.load_index``.  Integrity checking is
+    opt-in: segment CRCs are checked only with ``verify=True``.
+    """
+    return _load(path, counters, verify, multiref=False)
 
 
 def load_multiref_index_flat(path: str | Path, counters: OpCounters | None = None):
-    """Load a container written by :func:`save_multiref_index_flat`."""
-    from .multiref import MultiReferenceIndex
-
-    mm = np.memmap(Path(path), dtype=np.uint8, mode="r")
-    meta, entries, data_start = read_flat_manifest(mm)
-    if not meta.get("multiref"):
-        raise IndexFormatError(
-            "container holds a single-reference index; use load_index_flat"
-        )
-    views = _segment_views(mm, entries, data_start, verify=False)
-    inner = _rehydrate(meta, views, counters)
-    lengths = np.asarray(views["seq_lengths"], dtype=np.int64)
-    multi = MultiReferenceIndex.__new__(MultiReferenceIndex)
-    multi.names = tuple(meta["multiref"]["names"])
-    multi.ordinals = {n: i for i, n in enumerate(multi.names)}
-    multi.lengths = lengths
-    multi.offsets = np.concatenate(([0], np.cumsum(lengths)))
-    multi.index = inner
-    multi.build_report = None
-    return multi
+    """:func:`load_any_index_auto` for containers written by
+    :func:`save_multiref_index_flat` only (lazy: no CRC pass)."""
+    return _load(path, counters, False, multiref=True)
 
 
 def verify_flat_index(path: str | Path) -> list[str]:
     """Check every segment CRC of a container; returns verified names.
 
     Raises :class:`IndexFormatError` on the first mismatch.  This is the
-    explicit integrity pass the lazy ``load_index_flat`` default skips.
+    explicit integrity pass the lazy loaders skip by default.
     """
-    mm = np.memmap(Path(path), dtype=np.uint8, mode="r")
-    meta, entries, data_start = read_flat_manifest(mm)
-    views = _segment_views(mm, entries, data_start, verify=True)
-    return sorted(views)
-
-
-# --------------------------------------------------------------------------
-# Format sniffing
-# --------------------------------------------------------------------------
-
-
-def detect_index_format(path: str | Path) -> str:
-    """``"flat"`` or ``"npz"``, by magic bytes."""
-    with open(path, "rb") as fh:
-        head = fh.read(8)
-    if head == MAGIC:
-        return "flat"
-    if head[:2] == b"PK":
-        return "npz"
-    raise IndexFormatError(
-        f"{path} is neither a flat container nor an .npz index archive"
-    )
-
-
-def load_index_auto(path: str | Path, counters: OpCounters | None = None) -> FMIndex:
-    """Load either format by sniffing the file's magic bytes."""
-    if detect_index_format(path) == "flat":
-        return load_index_flat(path, counters=counters)
-    return load_index(path, counters=counters)
-
-
-def load_any_index_auto(path: str | Path, counters: OpCounters | None = None):
-    """Like :func:`load_index_auto` but also dispatches multi-reference
-    archives (returns ``FMIndex`` or ``MultiReferenceIndex``)."""
-    if detect_index_format(path) == "flat":
-        mm_meta = read_flat_manifest(np.memmap(Path(path), dtype=np.uint8, mode="r"))[0]
-        if mm_meta.get("multiref"):
-            return load_multiref_index_flat(path, counters=counters)
-        return load_index_flat(path, counters=counters)
-    import zipfile
-
-    with zipfile.ZipFile(path) as zf, zf.open("meta_json.npy") as fh:
-        blob = fh.read()
-    # .npy payload: JSON bytes follow the numpy header.
-    if b"multiref" in blob:
-        return load_multiref_index(path, counters=counters)
-    return load_index(path, counters=counters)
+    with _mapped(path, verify=True) as (_, views):
+        return sorted(views)

@@ -31,11 +31,12 @@ import numpy as np
 from ..core.counters import OpCounters
 from ..index.flat import (
     attach_index_from_buffer,
-    detect_index_format,
     export_index,
     flat_container_size,
     load_index_flat,
+    map_flat_file,
     pack_flat_into,
+    read_flat_manifest,
     save_index_flat,
 )
 from ..index.fm_index import FMIndex
@@ -163,10 +164,7 @@ class FlatFileBlock:
     def __init__(self, path: str | Path, owns_file: bool = False):
         self.path = str(path)
         self.owns_file = bool(owns_file)
-        if detect_index_format(self.path) != "flat":
-            raise ValueError(
-                f"{self.path} is not a flat container; convert with save_index_flat"
-            )
+        read_flat_manifest(map_flat_file(self.path))
         self.size = os.path.getsize(self.path)
 
     @classmethod

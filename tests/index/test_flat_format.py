@@ -1,4 +1,4 @@
-"""Flat zero-copy container: equivalence with .npz, integrity, zero copies."""
+"""Flat zero-copy container: round trips, integrity, zero copies."""
 
 import json
 import struct
@@ -11,12 +11,11 @@ from repro.index.builder import build_index
 from repro.index.flat import (
     ALIGN,
     MAGIC,
+    IndexFormatError,
     attach_index_from_buffer,
-    detect_index_format,
     export_index,
     flat_container_size,
     load_any_index_auto,
-    load_index_auto,
     load_index_flat,
     load_multiref_index_flat,
     pack_flat_into,
@@ -26,7 +25,7 @@ from repro.index.flat import (
     verify_flat_index,
 )
 from repro.index.multiref import MultiReferenceIndex
-from repro.index.serialization import IndexFormatError, load_index, save_index
+from repro.serving.shared import FlatFileBlock
 
 PATTERNS = ["ACG", "ACGT" * 10, "TTTTTTTT"]
 
@@ -52,23 +51,23 @@ class TestRoundTrip:
             if locate != "none":
                 assert loaded.locate(pat).tolist() == index.locate(pat).tolist()
 
-    def test_matches_npz_bit_for_bit(self, small_text, flat_path, tmp_path):
-        """Flat and .npz loads answer identically and report the same size."""
+    def test_file_and_buffer_attach_match_bit_for_bit(self, small_text, flat_path):
+        """A mapped file and the same bytes attached from memory answer
+        identically and report the same size."""
         index, _ = build_index(small_text, b=15, sf=8)
         save_index_flat(index, flat_path)
-        save_index(index, tmp_path / "index.npz")
         flat = load_index_flat(flat_path)
-        npz = load_index(tmp_path / "index.npz")
+        mem = attach_index_from_buffer(flat_path.read_bytes(), verify=True)
         for pat in PATTERNS + [small_text[i : i + 30] for i in range(0, 300, 97)]:
-            fa, na = flat.search(pat), npz.search(pat)
-            assert (fa.start, fa.end) == (na.start, na.end)
-            assert flat.locate(pat).tolist() == npz.locate(pat).tolist()
+            fa, ma = flat.search(pat), mem.search(pat)
+            assert (fa.start, fa.end) == (ma.start, ma.end)
+            assert flat.locate(pat).tolist() == mem.locate(pat).tolist()
         lo1, hi1, st1 = flat.search_batch(PATTERNS)
-        lo2, hi2, st2 = npz.search_batch(PATTERNS)
+        lo2, hi2, st2 = mem.search_batch(PATTERNS)
         assert lo1.tolist() == lo2.tolist()
         assert hi1.tolist() == hi2.tolist()
         assert st1.tolist() == st2.tolist()
-        assert flat.size_in_bytes() == npz.size_in_bytes() == index.size_in_bytes()
+        assert flat.size_in_bytes() == mem.size_in_bytes() == index.size_in_bytes()
 
     def test_parameters_preserved(self, small_text, flat_path):
         index, _ = build_index(small_text, b=10, sf=12)
@@ -193,6 +192,28 @@ class TestIntegrity:
         with pytest.raises(IndexFormatError):
             load_index_flat(flat_path)
 
+    @pytest.mark.parametrize(
+        "loader",
+        [
+            load_index_flat,
+            load_multiref_index_flat,
+            load_any_index_auto,
+            verify_flat_index,
+            FlatFileBlock,
+        ],
+        ids=lambda f: f.__name__,
+    )
+    @pytest.mark.parametrize("kind", ["empty", "directory", "eight_bytes"])
+    def test_unmappable_path_rejected(self, tmp_path, kind, loader):
+        """Every opener turns mapping failures into IndexFormatError."""
+        path = tmp_path / "idx.bwvr"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"" if kind == "empty" else MAGIC)
+        with pytest.raises(IndexFormatError):
+            loader(path)
+
     def test_manifest_crcs_present(self, small_text, flat_path):
         index, _ = build_index(small_text, sf=8)
         save_index_flat(index, flat_path)
@@ -208,26 +229,31 @@ class TestIntegrity:
 
 class TestDetection:
     def test_detect_both_formats(self, small_text, tmp_path):
+        """Flat containers open; a legacy .npz (zip) archive is refused with
+        a rebuild hint."""
         index, _ = build_index(small_text, sf=8)
         save_index_flat(index, tmp_path / "a.bwvr")
-        save_index(index, tmp_path / "a.npz")
-        assert detect_index_format(tmp_path / "a.bwvr") == "flat"
-        assert detect_index_format(tmp_path / "a.npz") == "npz"
         assert (tmp_path / "a.bwvr").read_bytes()[:8] == MAGIC
+        assert load_any_index_auto(tmp_path / "a.bwvr").n_rows == index.n_rows
+        zipped = tmp_path / "a.npz"
+        np.savez_compressed(zipped, bwt_codes=np.zeros(4, dtype=np.uint8))
+        with pytest.raises(IndexFormatError, match="no longer read.*bwaver-repro index"):
+            load_any_index_auto(zipped)
 
     def test_detect_garbage(self, tmp_path):
         p = tmp_path / "junk"
-        p.write_bytes(b"garbage!")
-        with pytest.raises(IndexFormatError):
-            detect_index_format(p)
+        p.write_bytes(b"garbage!" * 8)
+        with pytest.raises(IndexFormatError, match="magic"):
+            load_any_index_auto(p)
 
     def test_auto_load_both(self, small_text, tmp_path):
+        """Lazy and verified opens answer alike."""
         index, _ = build_index(small_text, sf=8)
         save_index_flat(index, tmp_path / "a.bwvr")
-        save_index(index, tmp_path / "a.npz")
         pat = small_text[10:40]
-        assert load_index_auto(tmp_path / "a.bwvr").count(pat) == index.count(pat)
-        assert load_index_auto(tmp_path / "a.npz").count(pat) == index.count(pat)
+        for verify in (False, True):
+            loaded = load_any_index_auto(tmp_path / "a.bwvr", verify=verify)
+            assert loaded.count(pat) == index.count(pat)
 
 
 class TestMultiRef:
@@ -254,6 +280,23 @@ class TestMultiRef:
         save_index_flat(index, spath)
         with pytest.raises(IndexFormatError, match="single-reference"):
             load_multiref_index_flat(spath)
+
+    def test_every_open_is_recorded(self, small_text, tmp_path):
+        """Multi-reference opens share the span and metrics of single ones."""
+        from repro.telemetry import Telemetry, set_telemetry
+
+        save_multiref_index_flat(
+            MultiReferenceIndex([("c1", "ACGT" * 30)], sf=8), tmp_path / "m.bwvr"
+        )
+        tel = set_telemetry(Telemetry(enabled=True))
+        try:
+            load_multiref_index_flat(tmp_path / "m.bwvr")
+            load_any_index_auto(tmp_path / "m.bwvr")
+        finally:
+            set_telemetry(Telemetry(enabled=False))
+        assert tel.metrics.counter("index_flat_loads_total").value() == 2
+        spans = [e for e in tel.tracer.chrome_events() if e.get("ph") == "X"]
+        assert [e["name"] for e in spans] == ["index.load_flat"] * 2
 
     def test_auto_dispatch(self, small_text, tmp_path):
         multi = MultiReferenceIndex([("c1", "ACGT" * 30)], sf=8)

@@ -22,7 +22,6 @@ from repro.index.flat import (
     verify_flat_index,
 )
 from repro.index.ftab import FTAB_FORMAT_VERSION, MAX_FTAB_K
-from repro.index.serialization import load_index, save_index
 from repro.mapper.mapper import Mapper
 from repro.mapper.results import REASON_INVALID_BASE
 from repro.sequence.alphabet import encode
@@ -215,25 +214,6 @@ class TestMapperParity:
 
 
 class TestPersistence:
-    def test_npz_roundtrip(self, pair, small_text, tmp_path):
-        _, primed = pair
-        path = tmp_path / "primed.npz"
-        save_index(primed, path)
-        loaded = load_index(path)
-        assert loaded.ftab is not None and loaded.ftab.k == K
-        assert np.array_equal(loaded.ftab.lo, primed.ftab.lo)
-        assert np.array_equal(loaded.ftab.hi, primed.ftab.hi)
-        assert np.array_equal(loaded.ftab.steps, primed.ftab.steps)
-        for pat in battery(small_text):
-            a, b = primed.search(pat), loaded.search(pat)
-            assert (a.start, a.end, a.steps) == (b.start, b.end, b.steps)
-
-    def test_npz_without_ftab(self, pair, tmp_path):
-        plain, _ = pair
-        path = tmp_path / "plain.npz"
-        save_index(plain, path)
-        assert load_index(path).ftab is None
-
     def test_flat_roundtrip_with_ftab(self, pair, small_text, tmp_path):
         _, primed = pair
         path = tmp_path / "primed.bwvr"
@@ -242,6 +222,9 @@ class TestPersistence:
         assert {"ftab/lo", "ftab/hi", "ftab/steps"} <= set(names)
         loaded = load_index_flat(path, verify=True)
         assert loaded.ftab is not None and loaded.ftab.k == K
+        assert np.array_equal(loaded.ftab.lo, primed.ftab.lo)
+        assert np.array_equal(loaded.ftab.hi, primed.ftab.hi)
+        assert np.array_equal(loaded.ftab.steps, primed.ftab.steps)
         # Zero-copy attach: the table is a view into the mapping, not a copy.
         assert not loaded.ftab.lo.flags["OWNDATA"]
         for pat in battery(small_text):

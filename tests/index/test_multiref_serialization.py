@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.index.multiref import MultiReferenceIndex
-from repro.index.serialization import (
+from repro.index.flat import (
     IndexFormatError,
-    load_index,
-    load_multiref_index,
-    save_index,
-    save_multiref_index,
+    load_multiref_index_flat,
+    save_index_flat,
+    save_multiref_index_flat,
 )
+from repro.index.multiref import MultiReferenceIndex
 
 
 def make_seq(n, seed):
@@ -30,9 +29,9 @@ def multi(refs):
 
 class TestMultirefSerialization:
     def test_roundtrip_queries(self, refs, multi, tmp_path):
-        path = tmp_path / "m.npz"
-        save_multiref_index(multi, path)
-        loaded = load_multiref_index(path)
+        path = tmp_path / "m.bwvr"
+        save_multiref_index_flat(multi, path)
+        loaded = load_multiref_index_flat(path)
         assert loaded.names == multi.names
         assert np.array_equal(loaded.lengths, multi.lengths)
         for name, seq in refs:
@@ -40,16 +39,16 @@ class TestMultirefSerialization:
             assert loaded.locate(pat) == multi.locate(pat)
 
     def test_boundary_filtering_preserved(self, refs, multi, tmp_path):
-        path = tmp_path / "m.npz"
-        save_multiref_index(multi, path)
-        loaded = load_multiref_index(path)
+        path = tmp_path / "m.bwvr"
+        save_multiref_index_flat(multi, path)
+        loaded = load_multiref_index_flat(path)
         spanning = refs[0][1][-10:] + refs[1][1][:10]
         assert loaded.count(spanning) == 0
 
     def test_map_read_after_load(self, refs, multi, tmp_path):
-        path = tmp_path / "m.npz"
-        save_multiref_index(multi, path)
-        loaded = load_multiref_index(path)
+        path = tmp_path / "m.bwvr"
+        save_multiref_index_flat(multi, path)
+        loaded = load_multiref_index_flat(path)
         read = refs[1][1][200:240]
         mapping = loaded.map_read(read)
         assert any(h.name == "chrB" and h.position == 200 for h in mapping.hits)
@@ -58,22 +57,14 @@ class TestMultirefSerialization:
         from repro import build_index
 
         index, _ = build_index(make_seq(300, 183), sf=8)
-        path = tmp_path / "s.npz"
-        save_index(index, path)
+        path = tmp_path / "s.bwvr"
+        save_index_flat(index, path)
         with pytest.raises(IndexFormatError, match="single-reference"):
-            load_multiref_index(path)
+            load_multiref_index_flat(path)
 
     def test_rejects_wrong_type(self, tmp_path):
         with pytest.raises(IndexFormatError, match="MultiReferenceIndex"):
-            save_multiref_index(object(), tmp_path / "x.npz")
-
-    def test_single_loader_still_reads_inner(self, multi, tmp_path):
-        # The archive is a superset of the single format: load_index gets
-        # the concatenation index (global coordinates).
-        path = tmp_path / "m.npz"
-        save_multiref_index(multi, path)
-        inner = load_index(path)
-        assert inner.n_rows == multi.index.n_rows
+            save_multiref_index_flat(object(), tmp_path / "x.bwvr")
 
 
 class TestMultirefCli:
@@ -89,7 +80,7 @@ class TestMultirefCli:
         write_fastq(
             [FastqRecord(f"r{i}", s, "I" * len(s)) for i, s in enumerate(reads)], fq
         )
-        idx = tmp_path / "m.npz"
+        idx = tmp_path / "m.bwvr"
         assert main(["index", str(fa), "-o", str(idx), "-s", "8"]) == 0
         out = tmp_path / "hits.tsv"
         assert main(["map", str(idx), str(fq), "-o", str(out)]) == 0

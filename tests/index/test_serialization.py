@@ -1,31 +1,43 @@
-"""Unit tests for index save/load."""
+"""Unit tests for the public ``save_index``/``load_index`` persistence API.
+
+Both names are bound to the flat container writer and loader.
+"""
 
 import numpy as np
 import pytest
 
+from repro import load_index, save_index
 from repro.index.builder import build_index
-from repro.index.serialization import IndexFormatError, load_index, save_index
+from repro.index.flat import (
+    MAGIC,
+    FlatWriter,
+    IndexFormatError,
+    export_index,
+    read_flat_manifest,
+)
 
 
 @pytest.fixture()
 def tmp_index_path(tmp_path):
-    return tmp_path / "index.npz"
+    return tmp_path / "index.bwvr"
 
 
 class TestRoundTrip:
     def test_rrr_backend(self, small_text, tmp_index_path):
         index, _ = build_index(small_text, b=15, sf=8)
         save_index(index, tmp_index_path)
+        assert tmp_index_path.read_bytes()[: len(MAGIC)] == MAGIC
         loaded = load_index(tmp_index_path)
         for pat in ["ACG", small_text[100:130], "ACGT" * 10]:
             assert loaded.count(pat) == index.count(pat)
             assert loaded.locate(pat).tolist() == index.locate(pat).tolist()
 
     def test_occ_backend(self, small_text, tmp_index_path):
-        index, _ = build_index(small_text, backend="occ")
+        index, _ = build_index(small_text, backend="occ", locate="none")
         save_index(index, tmp_index_path)
         loaded = load_index(tmp_index_path)
         assert loaded.count(small_text[5:25]) == index.count(small_text[5:25])
+        assert loaded.locate_structure is None
 
     def test_sampled_locate(self, small_text, tmp_index_path):
         index, _ = build_index(small_text, locate="sampled", sa_sample_rate=8, sf=8)
@@ -54,40 +66,23 @@ class TestRoundTrip:
         assert loaded.backend.store_sentinel_in_tree is True
 
 
-def _rewrite_zip_member(path, member, mutate):
-    """Rewrite one raw member of the .npz (zip) archive through ``mutate``."""
-    import zipfile
-
-    with zipfile.ZipFile(path) as z:
-        blobs = {n: z.read(n) for n in z.namelist()}
-    blobs[member] = mutate(blobs[member])
-    with zipfile.ZipFile(path, "w") as z:
-        for name, blob in blobs.items():
-            z.writestr(name, blob)
-
-
 class TestIntegrity:
     def test_archives_carry_checksums(self, small_text, tmp_index_path):
-        import json
-
         index, _ = build_index(small_text, sf=8)
         save_index(index, tmp_index_path)
-        with np.load(tmp_index_path) as data:
-            meta = json.loads(bytes(data["meta_json"]).decode())
-        assert set(meta["array_crc32"]) == {"bwt_codes", "dollar_pos", "sa"}
+        mm = np.memmap(tmp_index_path, dtype=np.uint8, mode="r")
+        _, entries, _ = read_flat_manifest(mm)
+        assert {"bwt_codes", "sa"} <= {e["name"] for e in entries}
+        assert all(isinstance(e["crc32"], int) for e in entries)
 
     def test_bit_flip_detected(self, small_text, tmp_index_path):
         index, _ = build_index(small_text, sf=8)
         save_index(index, tmp_index_path)
-
-        def flip(blob):
-            raw = bytearray(blob)
-            raw[-5] ^= 0xFF  # payload byte, past the .npy header
-            return bytes(raw)
-
-        _rewrite_zip_member(tmp_index_path, "sa.npy", flip)
+        raw = bytearray(tmp_index_path.read_bytes())
+        raw[-5] ^= 0xFF  # payload byte inside the last segment
+        tmp_index_path.write_bytes(bytes(raw))
         with pytest.raises(IndexFormatError, match="checksum mismatch"):
-            load_index(tmp_index_path)
+            load_index(tmp_index_path, verify=True)
 
     def test_truncated_file_raises_format_error(self, small_text, tmp_index_path):
         index, _ = build_index(small_text, sf=8)
@@ -98,44 +93,31 @@ class TestIntegrity:
             load_index(tmp_index_path)
 
     def test_garbage_file_raises_format_error(self, tmp_index_path):
-        tmp_index_path.write_bytes(b"not a zip archive at all")
+        tmp_index_path.write_bytes(b"not a flat index container at all")
         with pytest.raises(IndexFormatError):
             load_index(tmp_index_path)
 
-    def test_legacy_archive_without_checksums_loads(self, small_text, tmp_index_path):
-        import json
-
-        index, _ = build_index(small_text, sf=8)
-        save_index(index, tmp_index_path)
-        with np.load(tmp_index_path) as data:
-            arrays = dict(data)
-        meta = json.loads(bytes(arrays["meta_json"]).decode())
-        del meta["array_crc32"]
-        arrays["meta_json"] = np.frombuffer(
-            json.dumps(meta).encode(), dtype=np.uint8
-        ).copy()
-        np.savez(tmp_index_path, **arrays)
-        loaded = load_index(tmp_index_path)
-        assert loaded.count(small_text[10:30]) == index.count(small_text[10:30])
-
 
 class TestErrors:
-    def test_missing_field(self, tmp_index_path):
-        np.savez(tmp_index_path, bogus=np.zeros(3))
+    def test_missing_field(self, small_text, tmp_index_path):
+        index, _ = build_index(small_text, sf=8)
+        meta, segments = export_index(index)
+        with FlatWriter(tmp_index_path) as writer:
+            for name, arr in segments.items():
+                if name != "sa":
+                    writer.add_segment(name, arr)
+            writer.finalize(meta)
         with pytest.raises(IndexFormatError, match="missing field"):
             load_index(tmp_index_path)
 
     def test_bad_version(self, small_text, tmp_index_path):
-        import json
+        import struct
 
         index, _ = build_index(small_text, sf=8)
         save_index(index, tmp_index_path)
-        with np.load(tmp_index_path) as data:
-            arrays = dict(data)
-        meta = json.loads(bytes(arrays["meta_json"]).decode())
-        meta["version"] = 999
-        arrays["meta_json"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8).copy()
-        np.savez(tmp_index_path, **arrays)
+        raw = bytearray(tmp_index_path.read_bytes())
+        raw[8:12] = struct.pack("<I", 999)
+        tmp_index_path.write_bytes(bytes(raw))
         with pytest.raises(IndexFormatError, match="version"):
             load_index(tmp_index_path)
 
@@ -145,5 +127,5 @@ class TestErrors:
         class FakeBackend:
             n_rows = 1
 
-        with pytest.raises(IndexFormatError, match="cannot serialize"):
+        with pytest.raises(IndexFormatError, match="cannot export"):
             save_index(FMIndex(FakeBackend(), locate_structure=None), tmp_index_path)

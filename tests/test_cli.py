@@ -29,9 +29,9 @@ def workspace(tmp_path):
 class TestIndexCommand:
     def test_builds_and_reports(self, workspace, capsys):
         tmp, ref, fasta, fastq, reads = workspace
-        out = tmp / "ref.npz"
+        out = tmp / "ref.bwvr"
         assert main(["index", str(fasta), "-o", str(out), "-s", "8"]) == 0
-        assert out.exists()
+        assert out.read_bytes()[:8] == b"BWVRFLT1"
         captured = capsys.readouterr().out
         assert "3,000 bp" in captured
         assert "structure" in captured
@@ -40,7 +40,7 @@ class TestIndexCommand:
         tmp, ref, fasta, _, _ = workspace
         gz = tmp_path / "ref.fa.gz"
         gz.write_bytes(gzip.compress(fasta.read_bytes()))
-        out = tmp_path / "ref.npz"
+        out = tmp_path / "ref.bwvr"
         assert main(["index", str(gz), "-o", str(out)]) == 0
 
     def test_multirecord_builds_multiref(self, tmp_path, capsys):
@@ -49,32 +49,32 @@ class TestIndexCommand:
             [FastaRecord("a", "", "ACGTACGT" * 10), FastaRecord("b", "", "GGTTCCAA" * 10)],
             fasta,
         )
-        out = tmp_path / "x.npz"
+        out = tmp_path / "x.bwvr"
         rc = main(["index", str(fasta), "-o", str(out), "-s", "4"])
         assert rc == 0
         assert "multi-sequence reference: 2 records" in capsys.readouterr().out
-        from repro.index.serialization import load_multiref_index
+        from repro.index.flat import load_multiref_index_flat
 
-        loaded = load_multiref_index(out)
+        loaded = load_multiref_index_flat(out)
         assert loaded.names == ("a", "b")
 
     def test_empty_fasta_rejected(self, tmp_path, capsys):
         fasta = tmp_path / "empty.fa"
         fasta.write_text(">only_header\n")
-        rc = main(["index", str(fasta), "-o", str(tmp_path / "x.npz")])
+        rc = main(["index", str(fasta), "-o", str(tmp_path / "x.bwvr")])
         assert rc == 2
         assert "empty sequence" in capsys.readouterr().err
 
     def test_occ_backend(self, workspace):
         tmp, _, fasta, _, _ = workspace
-        out = tmp / "occ.npz"
+        out = tmp / "occ.bwvr"
         assert main(["index", str(fasta), "-o", str(out), "--backend", "occ"]) == 0
 
 
 class TestMapCommand:
     def test_cpu_mapping(self, workspace, capsys):
         tmp, ref, fasta, fastq, reads = workspace
-        idx = tmp / "ref.npz"
+        idx = tmp / "ref.bwvr"
         main(["index", str(fasta), "-o", str(idx), "-s", "8"])
         out = tmp / "hits.tsv"
         assert main(["map", str(idx), str(fastq), "-o", str(out)]) == 0
@@ -84,7 +84,7 @@ class TestMapCommand:
 
     def test_sam_output(self, workspace):
         tmp, ref, fasta, fastq, reads = workspace
-        idx = tmp / "ref.npz"
+        idx = tmp / "ref.bwvr"
         main(["index", str(fasta), "-o", str(idx), "-s", "8"])
         out = tmp / "hits.sam"
         assert main(
@@ -102,7 +102,7 @@ class TestMapCommand:
 
     def test_fpga_mapping(self, workspace, capsys):
         tmp, ref, fasta, fastq, reads = workspace
-        idx = tmp / "ref.npz"
+        idx = tmp / "ref.bwvr"
         main(["index", str(fasta), "-o", str(idx), "-s", "8"])
         out = tmp / "hits_fpga.tsv"
         assert main(["map", str(idx), str(fastq), "-o", str(out), "--device", "fpga"]) == 0
@@ -115,12 +115,65 @@ class TestMapCommand:
 class TestInspectCommand:
     def test_prints_and_validates(self, workspace, capsys):
         tmp, _, fasta, _, _ = workspace
-        idx = tmp / "ref.npz"
+        idx = tmp / "ref.bwvr"
         main(["index", str(fasta), "-o", str(idx), "-s", "8"])
         assert main(["inspect", str(idx), "--validate"]) == 0
         captured = capsys.readouterr().out
         assert "b=15, sf=8" in captured
+        assert "checksums: OK" in captured
         assert "validation: OK" in captured
+
+    def test_multirecord_index(self, tmp_path, capsys):
+        fasta = tmp_path / "multi.fa"
+        write_fasta(
+            [FastaRecord("a", "", "ACGTTGCA" * 40), FastaRecord("b", "", "GGATCCAT" * 30)],
+            fasta,
+        )
+        idx = tmp_path / "multi.bwvr"
+        assert main(["index", str(fasta), "-o", str(idx), "-s", "8"]) == 0
+        assert main(["inspect", str(idx), "--validate"]) == 0
+        captured = capsys.readouterr().out
+        assert "sequences: 2" in captured
+        assert "checksums: OK" in captured
+        assert "validation: OK" in captured
+
+
+class TestUnreadableIndex:
+    """``map`` and ``inspect`` refuse a bad container with one error line."""
+
+    def _flipped(self, workspace):
+        tmp, _, fasta, _, _ = workspace
+        idx = tmp / "ref.bwvr"
+        assert main(["index", str(fasta), "-o", str(idx), "-s", "8"]) == 0
+        raw = bytearray(idx.read_bytes())
+        raw[-3] ^= 0x01  # one data byte inside the last segment
+        idx.write_bytes(bytes(raw))
+        return idx
+
+    def test_map_rejects_flipped_byte(self, workspace, capsys):
+        idx = self._flipped(workspace)
+        capsys.readouterr()
+        out = workspace[0] / "hits.tsv"
+        assert main(["map", str(idx), str(workspace[3]), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: checksum mismatch")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["map", "inspect"])
+    def test_zip_archive_names_the_rebuild(self, workspace, tmp_path, capsys, command):
+        import numpy as np
+
+        archive = tmp_path / "old.npz"
+        np.savez_compressed(archive, bwt_codes=np.zeros(8, dtype=np.uint8))
+        argv = [command, str(archive)]
+        if command == "map":
+            argv += [str(workspace[3]), "-o", str(tmp_path / "hits.tsv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert ".npz index archives are no longer read" in err
+        assert "bwaver-repro index" in err
 
 
 class TestSimulateCommand:
@@ -171,7 +224,7 @@ class TestEndToEndCli:
     def test_simulate_index_map_pipeline(self, tmp_path, capsys):
         ref = tmp_path / "r.fa"
         reads = tmp_path / "r.fq"
-        idx = tmp_path / "r.npz"
+        idx = tmp_path / "r.bwvr"
         hits = tmp_path / "r.tsv"
         assert main(["simulate", "--reference-out", str(ref), "--reads-out", str(reads),
                      "--scale", "0.001", "--n-reads", "30", "--read-length", "40",
@@ -185,7 +238,7 @@ class TestEndToEndCli:
 class TestTelemetryFlags:
     def _build(self, workspace, tmp_path):
         tmp, ref, fasta, fastq, reads = workspace
-        idx = tmp_path / "t.npz"
+        idx = tmp_path / "t.bwvr"
         assert main(["index", str(fasta), "-o", str(idx), "-s", "8"]) == 0
         return idx, fastq
 
@@ -219,7 +272,7 @@ class TestTelemetryFlags:
 
     def test_index_metrics_out(self, workspace, tmp_path):
         tmp, ref, fasta, fastq, reads = workspace
-        idx = tmp_path / "i.npz"
+        idx = tmp_path / "i.bwvr"
         metrics = tmp_path / "i.prom"
         assert main(["index", str(fasta), "-o", str(idx), "-s", "8",
                      "--metrics-out", str(metrics)]) == 0

@@ -65,24 +65,24 @@ class TestDeviceCapacity:
 
 
 class TestCorruptArchives:
-    def test_truncated_npz(self, setup, tmp_path):
-        from repro.index.serialization import save_index, load_index
+    def test_truncated_container(self, setup, tmp_path):
+        from repro.index.flat import IndexFormatError, load_index_flat, save_index_flat
 
         _, index = setup
-        path = tmp_path / "idx.npz"
-        save_index(index, path)
+        path = tmp_path / "idx.bwvr"
+        save_index_flat(index, path)
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
-        with pytest.raises(Exception):  # zipfile/numpy surface varies
-            load_index(path)
+        with pytest.raises(IndexFormatError, match="truncated"):
+            load_index_flat(path)
 
     def test_wrong_file_type(self, tmp_path):
-        from repro.index.serialization import load_index
+        from repro.index.flat import IndexFormatError, load_index_flat
 
-        path = tmp_path / "not_an_index.npz"
-        path.write_text("this is not a numpy archive")
-        with pytest.raises(Exception):
-            load_index(path)
+        path = tmp_path / "not_an_index.bwvr"
+        path.write_text("this is not a flat index container")
+        with pytest.raises(IndexFormatError):
+            load_index_flat(path)
 
 
 class TestDegenerateInputs:

@@ -109,7 +109,7 @@ class TestCrossEngineAgreement:
 class TestPersistenceWorkflow:
     def test_save_load_map(self, pipeline, tmp_path):
         ref, index, _, rs = pipeline
-        path = tmp_path / "ref.idx.npz"
+        path = tmp_path / "ref.bwvr"
         save_index(index, path)
         loaded = load_index(path)
         a = Mapper(index, locate=False).map_reads(rs.reads[:20])
