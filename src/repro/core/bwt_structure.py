@@ -106,31 +106,44 @@ class BWTStructure:
         j = i - 1 if i > self.dollar_pos else i
         return self.tree.rank(symbol, j)
 
-    def occ_many(self, symbol: int, positions: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`occ` for batch backward search."""
+    def _tree_symbols(self, symbols) -> np.ndarray:
+        """Symbol codes as the wavelet tree stores them."""
+        sym = np.asarray(symbols, dtype=np.int64)
+        return sym + 1 if self.store_sentinel_in_tree else sym
+
+    def _tree_positions(self, positions) -> np.ndarray:
+        """Row positions shifted past the sentinel slot the tree omits."""
         p = np.asarray(positions, dtype=np.int64)
         if self.store_sentinel_in_tree:
-            return self.tree.rank_many(symbol + 1, p)
-        j = np.where(p > self.dollar_pos, p - 1, p)
-        return self.tree.rank_many(symbol, j)
+            return p
+        return np.where(p > self.dollar_pos, p - 1, p)
+
+    def occ_many(self, symbols, positions: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`occ` for batch backward search.
+
+        ``symbols`` is one symbol or an array with one symbol per
+        position; either way the batch is one wavelet descent.
+        """
+        return self.tree.rank_many(
+            self._tree_symbols(symbols), self._tree_positions(positions)
+        )
 
     def occ2_many(
-        self, symbol: int, lo_positions: np.ndarray, hi_positions: np.ndarray
+        self, symbols, lo_positions: np.ndarray, hi_positions: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Fused :meth:`occ_many` at both interval boundaries.
 
         Backward search updates ``lo`` and ``hi`` with the same symbol
-        every step; one fused wavelet descent answers both bound sets
-        while sharing every node's decode work.  Results and counter
-        charges are identical to two :meth:`occ_many` calls.
+        every step; one wavelet descent answers both bound sets of every
+        interval, each with its own symbol, while sharing every node's
+        decode work.  Results and counter charges are identical to two
+        per-symbol :meth:`occ_many` calls per symbol present.
         """
-        plo = np.asarray(lo_positions, dtype=np.int64)
-        phi = np.asarray(hi_positions, dtype=np.int64)
-        if self.store_sentinel_in_tree:
-            return self.tree.rank2_many(symbol + 1, plo, phi)
-        jlo = np.where(plo > self.dollar_pos, plo - 1, plo)
-        jhi = np.where(phi > self.dollar_pos, phi - 1, phi)
-        return self.tree.rank2_many(symbol, jlo, jhi)
+        return self.tree.rank2_many(
+            self._tree_symbols(symbols),
+            self._tree_positions(lo_positions),
+            self._tree_positions(hi_positions),
+        )
 
     def count_smaller(self, symbol: int) -> int:
         """``C(a)``: text symbols (plus sentinel) smaller than ``symbol``."""
@@ -157,15 +170,12 @@ class BWTStructure:
     def lf_many(self, rows: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`lf` over an array of rows.
 
-        Batches the symbol gather and one :meth:`occ_many` call per
-        distinct symbol instead of a full wavelet descent per row —
-        the kernel behind the batched LF-walk of
-        :meth:`repro.sequence.sampled_sa.SampledSA.locate_range`.
+        One symbol gather plus one :meth:`occ_many` call over every
+        non-sentinel row — the kernel behind the shared LF walk of
+        :meth:`repro.sequence.sampled_sa.SampledSA.locate_batch`.
         Results are identical to the scalar :meth:`lf`.
         """
         rows = np.asarray(rows, dtype=np.int64)
-        if rows.size == 0:
-            return np.zeros(0, dtype=np.int64)
         if self.bwt is not None and not self.store_sentinel_in_tree:
             # Fast path: read the BWT symbols straight from the raw codes
             # (the placeholder at the sentinel slot is masked below).
@@ -173,11 +183,11 @@ class BWTStructure:
             syms[rows == self.dollar_pos] = -1
         else:
             syms = np.array([self.access(int(r)) for r in rows], dtype=np.int64)
-        out = np.zeros(rows.size, dtype=np.int64)
-        for a in range(SIGMA):
-            m = syms == a
-            if np.any(m):
-                out[m] = int(self.C[a]) + self.occ_many(a, rows[m])
+        out = np.zeros(rows.size, dtype=np.int64)  # the sentinel maps to row 0
+        real = np.flatnonzero(syms >= 0)
+        if real.size:
+            s = syms[real]
+            out[real] = self.C[s] + self.occ_many(s, rows[real])
         return out
 
     # -- zero-copy rehydration ----------------------------------------------

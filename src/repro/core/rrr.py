@@ -389,24 +389,6 @@ class RRRVector:
             counts[partial] += inblock
         return counts.astype(np.int64)
 
-    def rank2_many(
-        self, lo_positions: np.ndarray, hi_positions: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Fused rank at paired interval boundaries.
-
-        Backward search needs ``rank1`` at *both* bounds of every live
-        interval each step.  Answering the two bound sets in one
-        vectorized pass shares all per-call work — the memoized prefix
-        arrays, the single ``read_fields`` offset-stream gather, and the
-        Global Rank Table lookups — instead of running the batch kernel
-        twice.  Results and counter charges are identical to two
-        :meth:`rank1_many` calls over the same positions.
-        """
-        lo = np.asarray(lo_positions, dtype=np.int64)
-        hi = np.asarray(hi_positions, dtype=np.int64)
-        counts = self.rank1_many(np.concatenate([lo, hi]))
-        return counts[: lo.size], counts[lo.size :]
-
     # -- select ------------------------------------------------------------------
 
     def select1(self, k: int) -> int:

@@ -259,22 +259,22 @@ class WaveletTree:
                 return 0
         return p
 
-    def rank_many(self, symbol: int, positions: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`rank` for a batch of positions."""
-        if not 0 <= symbol < self.sigma:
-            raise ValueError(f"symbol {symbol} outside alphabet [0, {self.sigma})")
-        p = np.asarray(positions, dtype=np.int64)
-        self.counters.wt_ranks += int(p.size)
-        for node, side in self._paths[symbol]:
-            if hasattr(node.bits, "rank1_many"):
-                r1 = node.bits.rank1_many(p)
-            else:
-                r1 = np.array([node.bits.rank1(int(x)) for x in p], dtype=np.int64)
-            p = p - r1 if side == 0 else r1
-        return p
+    def rank_many(self, symbols, positions: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`rank` for a batch of positions.
+
+        ``symbols`` is one symbol for the whole batch or an array with one
+        symbol per position.  Either way the batch takes a single descent
+        that calls ``rank1_many`` once per node it visits, over every
+        position routed through that node — three calls on the
+        four-symbol tree, whatever the symbol mix.  Results and counter
+        charges equal per-symbol calls over the same positions.
+        """
+        return self._descend(
+            np.asarray(symbols, dtype=np.int64), np.array(positions, dtype=np.int64)
+        )
 
     def rank2_many(
-        self, symbol: int, lo_positions: np.ndarray, hi_positions: np.ndarray
+        self, symbols, lo_positions: np.ndarray, hi_positions: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Fused :meth:`rank_many` at paired interval boundaries.
 
@@ -282,23 +282,57 @@ class WaveletTree:
         ``rank1_many`` over the concatenated positions, so the per-node
         decode work (prefix arrays, offset-stream gather, rank-table
         lookups) is shared between ``lo`` and ``hi`` instead of being
-        paid twice.  Results and counter charges match two separate
-        :meth:`rank_many` calls.
+        paid twice.  ``symbols`` is one symbol or one per interval.
+        Results and counter charges match two separate :meth:`rank_many`
+        calls.
         """
-        if not 0 <= symbol < self.sigma:
-            raise ValueError(f"symbol {symbol} outside alphabet [0, {self.sigma})")
         lo = np.asarray(lo_positions, dtype=np.int64)
+        sym = np.asarray(symbols, dtype=np.int64)
+        both = sym if sym.ndim == 0 else np.concatenate([sym, sym])
         hi = np.asarray(hi_positions, dtype=np.int64)
-        n_lo = lo.size
-        p = np.concatenate([lo, hi])
+        p = self._descend(both, np.concatenate([lo, hi]))
+        return p[: lo.size], p[lo.size :]
+
+    def _descend(self, sym: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """Ranks of ``sym`` (0-d or one per position) at positions ``p``.
+
+        ``p`` is scratch that callers allocate for this call: the
+        one-symbol descent overwrites it node by node instead of keeping
+        one position array per level alive, which matters on the largest
+        batches (the ftab build).
+        """
+        if sym.size and (sym.min() < 0 or sym.max() >= self.sigma):
+            raise ValueError(f"symbol outside alphabet [0, {self.sigma})")
         self.counters.wt_ranks += int(p.size)
-        for node, side in self._paths[symbol]:
-            if hasattr(node.bits, "rank1_many"):
+        if sym.ndim == 0:
+            for node, side in self._paths[int(sym)]:
                 r1 = node.bits.rank1_many(p)
-            else:
-                r1 = np.array([node.bits.rank1(int(x)) for x in p], dtype=np.int64)
-            p = p - r1 if side == 0 else r1
-        return p[:n_lo], p[n_lo:]
+                if side == 0:
+                    p -= r1
+                else:
+                    p[...] = r1
+            return p
+        if sym.shape != p.shape:
+            raise ValueError("symbols and positions must have the same shape")
+        out = np.empty_like(p)
+        # (node, batch indices, positions at this node, their symbols)
+        pending = [(self.root, np.arange(p.size), p, sym)]
+        while pending:
+            node, idx, pos, s = pending.pop()
+            r1 = node.bits.rank1_many(pos)
+            # Node alphabets are contiguous code ranges split in half.
+            right = s >= node.alphabet1[0]
+            for mask, child, nxt in (
+                (~right, node.child0, pos - r1),
+                (right, node.child1, r1),
+            ):
+                if not mask.any():
+                    continue
+                if child is None:
+                    out[idx[mask]] = nxt[mask]
+                else:
+                    pending.append((child, idx[mask], nxt[mask], s[mask]))
+        return out
 
     def access(self, i: int) -> int:
         """Symbol code at position ``i``."""

@@ -209,7 +209,10 @@ class BidirectionalFMIndex:
         if iv.empty:
             return np.zeros(0, dtype=np.int64)
         loc = self.fwd.locate_structure
-        return np.sort(loc.locate_range(iv.lo, iv.hi, lf=self.fwd.backend.lf))
+        backend = self.fwd.backend
+        return np.sort(
+            loc.locate_range(iv.lo, iv.hi, lf=backend.lf, lf_many=backend.lf_many)
+        )
 
     # -- pigeonhole 1-mismatch search ------------------------------------------------
 

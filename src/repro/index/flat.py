@@ -5,11 +5,11 @@ BWaveR builds the BWT and suffix array once per reference and keeps them
 is that file's one format and its one reader and writer.  The index is a
 shared, read-only artifact, so the *encoded* layout (every RRR node's
 classes, partial sums and offset stream, the C array, the packed Occ
-words, the suffix array) is written to a versioned binary container
-whose array segments are 64-byte aligned.  Opening the container is
-``np.memmap`` plus a JSON manifest read — O(1) in the index size — and
-the arrays page in lazily from the OS page cache, so N processes mapping
-the same file share one physical copy.
+words, the full or sampled suffix array) is written to a versioned
+binary container whose array segments are 64-byte aligned.  Opening the
+container is ``np.memmap`` plus a JSON manifest read — O(1) in the index
+size — and the arrays page in lazily from the OS page cache, so N
+processes mapping the same file share one physical copy.
 
 Container layout (little-endian)::
 
@@ -74,9 +74,10 @@ def _align_up(n: int, align: int = ALIGN) -> int:
 def export_index(index: FMIndex) -> tuple[dict, dict[str, np.ndarray]]:
     """Decompose ``index`` into a JSON-able meta dict and named arrays.
 
-    Segment names: ``bwt_codes`` and ``sa`` (the raw transform, shared
-    with locate), ``backend/...`` (the encoded succinct layout),
-    ``locate/...`` for locate structures with their own storage, and
+    Segment names: ``bwt_codes`` (the raw transform), ``sa`` (the full
+    suffix array, written only for full-SA locate, which wraps it),
+    ``backend/...`` (the encoded succinct layout), ``locate/...`` for
+    locate structures with their own storage, and
     ``ftab/...`` for the optional k-mer jump-start table (a versioned
     optional segment group — containers written without it load fine,
     and readers predating it ignore unknown ``meta`` keys).
@@ -97,17 +98,16 @@ def export_index(index: FMIndex) -> tuple[dict, dict[str, np.ndarray]]:
         )
     backend_meta, backend_arrays = backend.export_arrays()
     segments: dict[str, np.ndarray] = {
-        "bwt_codes": np.ascontiguousarray(bwt.codes, dtype=np.uint8),
-        "sa": np.ascontiguousarray(bwt.sa, dtype=np.int64),
+        "bwt_codes": np.ascontiguousarray(bwt.codes, dtype=np.uint8)
     }
+    loc = index.locate_structure
+    if isinstance(loc, FullSA):
+        segments["sa"] = np.ascontiguousarray(loc.sa, dtype=np.int64)
     for name, arr in backend_arrays.items():
         segments[f"backend/{name}"] = arr
-    loc = index.locate_structure
     if loc is None:
         locate_kind, locate_meta = "none", {}
     elif isinstance(loc, FullSA):
-        # FullSA wraps the suffix array already stored as the "sa"
-        # segment; no extra storage.
         locate_kind, locate_meta = "full", {}
     elif isinstance(loc, SampledSA):
         locate_kind, locate_meta = "sampled", loc.export_arrays()[0]
@@ -394,10 +394,12 @@ def _rehydrate(
         raise IndexFormatError(f"unknown container kind {meta.get('kind')!r}")
     bm = meta["backend_meta"]
     try:
+        # Only full-SA containers carry the suffix array (older
+        # containers always did; it is ignored unless locate is full).
         bwt = BWT(
             codes=views["bwt_codes"],
             dollar_pos=int(bm["dollar_pos"]),
-            sa=views["sa"],
+            sa=views.get("sa"),
         )
         backend_views = {
             name.removeprefix("backend/"): arr

@@ -45,18 +45,23 @@ SIGMA = 4
 class RankBackend(Protocol):
     """What a rank structure must provide to drive backward search.
 
-    ``occ2_many`` — the fused boundary-pair rank — is looked up with
-    ``getattr`` at query time, so backends without it still work (the
-    search falls back to two ``occ_many`` calls per symbol).
+    The batch kernels take ``symbols`` as one symbol or an array with one
+    symbol per position: ``occ2_many`` (the fused boundary-pair rank)
+    answers one search step of every in-flight pattern in a single call,
+    and ``lf_many`` one step of every in-flight LF walk.
     """
 
     n_rows: int
     counters: OpCounters
 
     def occ(self, symbol: int, i: int) -> int: ...
-    def occ_many(self, symbol: int, positions: np.ndarray) -> np.ndarray: ...
+    def occ_many(self, symbols, positions: np.ndarray) -> np.ndarray: ...
+    def occ2_many(
+        self, symbols, lo_positions: np.ndarray, hi_positions: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]: ...
     def count_smaller(self, symbol: int) -> int: ...
     def lf(self, i: int) -> int: ...
+    def lf_many(self, rows: np.ndarray) -> np.ndarray: ...
     def size_in_bytes(self, include_shared: bool = True) -> int: ...
 
 
@@ -196,11 +201,8 @@ class FMIndex:
         res = self.search(pattern)
         if not res.found:
             return np.zeros(0, dtype=np.int64)
-        positions = self.locate_structure.locate_range(
-            res.start,
-            res.end,
-            lf=self.backend.lf,
-            lf_many=getattr(self.backend, "lf_many", None),
+        positions, _ = self.locate_structure.locate_batch(
+            [res.start], [res.end], lf_many=self.backend.lf_many
         )
         return np.sort(positions)
 
@@ -215,10 +217,11 @@ class FMIndex:
         its own symbols run out or its interval empties.  Returns
         ``(starts, ends, steps)`` arrays.  Results are identical to
         calling :meth:`search` per pattern (tests enforce this); the
-        batching exists because grouping the ``Occ`` queries of all live
-        patterns by symbol turns the inner loop into a handful of
-        vectorized rank calls per step — the idiomatic numpy shape of the
-        FPGA's many-queries-in-flight pipeline.
+        batching exists because each step answers the ``Occ`` queries of
+        every in-flight pattern, whatever its symbol, in one fused rank
+        call — the idiomatic numpy shape of the FPGA's
+        many-queries-in-flight pipeline, where every slot does one rank
+        per cycle.
         """
         code_list = [self._codes(p) for p in patterns]
         nq = len(code_list)
@@ -262,39 +265,30 @@ class FMIndex:
         csmall = np.array(
             [backend.count_smaller(a) for a in range(SIGMA)], dtype=np.int64
         )
-        occ2 = getattr(backend, "occ2_many", None)
         executed = 0
-        t_begin = int(start_col[active].min()) if np.any(active) else 0
-        for t in range(t_begin, max_len):
-            remaining = active & (t < lengths)
-            if not np.any(remaining):
+        # In-flight patterns, compacted as they finish: each step makes
+        # one fused rank call over all of them, each with its own symbol.
+        live = np.flatnonzero(active)
+        t = int(start_col[live].min()) if live.size else max_len
+        while t < max_len:
+            live = live[(lengths[live] > t) & (lo[live] < hi[live])]
+            if not live.size:
                 break
-            cur = remaining & (start_col <= t)
-            if not np.any(cur):
-                continue
-            col = mat[:, t]
-            for a in range(SIGMA):
-                sel = cur & (col == a)
-                if not np.any(sel):
-                    continue
-                idx = np.flatnonzero(sel)
-                ca = csmall[a]
-                if occ2 is not None:
-                    # Fused kernel: both boundary ranks in one pass.
-                    rlo, rhi = occ2(a, lo[idx], hi[idx])
-                    lo[idx] = ca + rlo
-                    hi[idx] = ca + rhi
-                else:
-                    lo[idx] = ca + backend.occ_many(a, lo[idx])
-                    hi[idx] = ca + backend.occ_many(a, hi[idx])
-            steps[cur] += 1
-            n_cur = int(np.count_nonzero(cur))
-            executed += n_cur
-            if track_steps:
-                self.counters.bs_steps += n_cur
-            emptied = cur & (lo >= hi)
-            hi[emptied] = lo[emptied]
-            active &= ~emptied
+            cur = live[start_col[live] <= t]
+            if cur.size:
+                a = mat[cur, t]
+                rlo, rhi = backend.occ2_many(a, lo[cur], hi[cur])
+                new_lo = csmall[a] + rlo
+                new_hi = csmall[a] + rhi
+                emptied = new_lo >= new_hi
+                new_hi[emptied] = new_lo[emptied]
+                lo[cur] = new_lo
+                hi[cur] = new_hi
+                steps[cur] += 1
+                executed += int(cur.size)
+                if track_steps:
+                    self.counters.bs_steps += int(cur.size)
+            t += 1
         tel = get_telemetry()
         if tel.enabled:
             m = tel.metrics

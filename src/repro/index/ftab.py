@@ -89,11 +89,10 @@ class Ftab:
     def build(cls, backend, k: int = DEFAULT_FTAB_K) -> "Ftab":
         """Precompute every k-mer's interval bottom-up in O(4^k).
 
-        ``backend`` is any rank backend (``occ_many``/``count_smaller``/
-        ``n_rows``); the fused ``occ2_many`` kernel is used when the
-        backend provides it.  Each level issues four fused rank calls
-        over all intervals of the previous level — never one search per
-        k-mer.
+        ``backend`` is any rank backend (``occ_many``/``occ2_many``/
+        ``count_smaller``/``n_rows``).  Each level issues four fused
+        ``occ2_many`` calls over all intervals of the previous level —
+        never one search per k-mer.
         """
         if not 1 <= k <= MAX_FTAB_K:
             raise ValueError(f"ftab k must lie in [1, {MAX_FTAB_K}], got {k}")
@@ -101,7 +100,6 @@ class Ftab:
         C = np.array(
             [backend.count_smaller(a) for a in range(SIGMA)], dtype=np.int64
         )
-        occ2 = getattr(backend, "occ2_many", None)
         # Level 1: the interval of each single symbol from [0, n_rows).
         top = np.full(SIGMA, n_rows, dtype=np.int64)
         occ_top = np.array(
@@ -122,11 +120,7 @@ class Ftab:
             new_steps = np.empty(SIGMA * size, dtype=np.uint8)
             alive = lo < hi
             for a in range(SIGMA):
-                if occ2 is not None:
-                    olo, ohi = occ2(a, lo, hi)
-                else:
-                    olo = backend.occ_many(a, lo)
-                    ohi = backend.occ_many(a, hi)
+                olo, ohi = backend.occ2_many(a, lo, hi)
                 elo = C[a] + olo
                 ehi = C[a] + ohi
                 # Emptied-now entries record the emptying lo on both

@@ -150,14 +150,20 @@ class OccTable:
             count += count_symbol_prefix(self.words[word_idx], symbol, remaining)
         return count
 
-    def occ_many(self, symbol: int, positions: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`occ`."""
+    def occ_many(self, symbols, positions: np.ndarray) -> np.ndarray:
+        """Vectorized :meth:`occ`.
+
+        ``symbols`` is one symbol or an array with one symbol per
+        position: the checkpoint gather and the XOR pattern are taken per
+        element, so a mixed-symbol batch is still one pass.
+        """
         p = np.asarray(positions, dtype=np.int64)
         if p.size == 0:
             return np.zeros(0, dtype=np.int64)
+        sym = np.asarray(symbols, dtype=np.int64)
         j = np.where(p > self.dollar_pos, p - 1, p)
         cp = j // self.d_rows
-        counts = self.checkpoints[cp, symbol].astype(np.int64)
+        counts = self.checkpoints[cp, sym].astype(np.int64)
         base = cp * self.d_rows
         # Charge counters exactly as the scalar path would.
         self.counters.occ_checkpoint_ranks += int(p.size)
@@ -166,7 +172,7 @@ class OccTable:
         # checkpoint-local words.  Queries share few distinct (cp, span)
         # combos; handle by looping over word offsets within a checkpoint
         # (bounded by checkpoint_words, a small constant).
-        pattern = _SYMBOL_PATTERNS[symbol]
+        pattern = np.broadcast_to(_SYMBOL_PATTERNS[sym], p.shape)
         padded_words = np.concatenate([self.words, np.zeros(1, dtype=np.uint64)])
         for w in range(self.checkpoint_words):
             word_start = base + w * BASES_PER_WORD
@@ -175,7 +181,7 @@ class OccTable:
             if not np.any(active):
                 break
             widx = np.minimum(cp[active] * self.checkpoint_words + w, self.words.size)
-            y = padded_words[widx] ^ pattern
+            y = padded_words[widx] ^ pattern[active]
             ny = ~y
             hits = ny & (ny >> np.uint64(1)) & _LOW_PAIR_MASK
             partial = upto[active] < BASES_PER_WORD
@@ -188,18 +194,20 @@ class OccTable:
         return counts
 
     def occ2_many(
-        self, symbol: int, lo_positions: np.ndarray, hi_positions: np.ndarray
+        self, symbols, lo_positions: np.ndarray, hi_positions: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Fused :meth:`occ_many` at both interval boundaries.
 
-        A single vectorized pass serves the concatenated bound sets, so
-        the checkpoint gather and the per-word popcount scan are shared
-        between ``lo`` and ``hi`` instead of running twice.  Results and
-        counter charges match two :meth:`occ_many` calls.
+        A single vectorized pass serves the concatenated bound sets (one
+        symbol, or one per interval), so the checkpoint gather and the
+        per-word popcount scan are shared between ``lo`` and ``hi``
+        instead of running twice.  Results and counter charges match
+        per-symbol :meth:`occ_many` calls.
         """
         plo = np.asarray(lo_positions, dtype=np.int64)
-        phi = np.asarray(hi_positions, dtype=np.int64)
-        counts = self.occ_many(symbol, np.concatenate([plo, phi]))
+        sym = np.asarray(symbols, dtype=np.int64)
+        both = sym if sym.ndim == 0 else np.concatenate([sym, sym])
+        counts = self.occ_many(both, np.concatenate([plo, hi_positions]))
         return counts[: plo.size], counts[plo.size :]
 
     def count_smaller(self, symbol: int) -> int:
@@ -262,11 +270,9 @@ class OccTable:
 
     def lf_many(self, rows: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`lf`: one 2-bit gather plus one
-        :meth:`occ_many` per distinct symbol.  Identical to the scalar
-        path row by row."""
+        :meth:`occ_many` call over every non-sentinel row.  Identical to
+        the scalar path row by row."""
         rows = np.asarray(rows, dtype=np.int64)
-        if rows.size == 0:
-            return np.zeros(0, dtype=np.int64)
         j = np.where(rows > self.dollar_pos, rows - 1, rows)
         if self.words.size:
             words = self.words[j // BASES_PER_WORD]
@@ -274,12 +280,11 @@ class OccTable:
             syms = ((words >> shifts) & np.uint64(3)).astype(np.int64)
         else:
             syms = np.zeros(rows.size, dtype=np.int64)
-        syms[rows == self.dollar_pos] = -1
-        out = np.zeros(rows.size, dtype=np.int64)
-        for a in range(SIGMA):
-            m = syms == a
-            if np.any(m):
-                out[m] = int(self.C[a]) + self.occ_many(a, rows[m])
+        out = np.zeros(rows.size, dtype=np.int64)  # the sentinel maps to row 0
+        real = np.flatnonzero(rows != self.dollar_pos)
+        if real.size:
+            s = syms[real]
+            out[real] = self.C[s] + self.occ_many(s, rows[real])
         return out
 
     def size_in_bytes(self, include_shared: bool = True) -> int:

@@ -49,14 +49,27 @@ class Mapper:
                 "build with locate='full' or 'sampled', or pass locate=False"
             )
 
-    def _positions(self, res: SearchResult) -> np.ndarray | None:
+    def _positions(self, starts: np.ndarray, ends: np.ndarray) -> list:
+        """Sorted text positions of every ``[starts[i], ends[i])`` row
+        interval (``None`` each when not locating), resolved with one
+        batch locate: one gather for a full SA, one shared LF walk for a
+        sampled one."""
         if not self.locate:
-            return None
-        if not res.found:
-            return np.zeros(0, dtype=np.int64)
+            return [None] * len(starts)
         loc = self.index.locate_structure
         assert loc is not None
-        return np.sort(loc.locate_range(res.start, res.end, lf=self.index.backend.lf))
+        starts = np.asarray(starts, dtype=np.int64)
+        ends = np.maximum(starts, ends)  # empty intervals locate nothing
+        pos, offsets = loc.locate_batch(starts, ends, lf_many=self.index.backend.lf_many)
+        # One sort for all intervals: interval i's positions (all below
+        # n_rows) are shifted into [i * n_rows, (i + 1) * n_rows), so they
+        # sort among themselves and stay in their own slice.
+        band = np.repeat(
+            np.arange(starts.size, dtype=np.int64) * self.index.n_rows,
+            np.diff(offsets),
+        )
+        pos = np.sort(pos + band) - band
+        return np.split(pos, offsets[1:-1])
 
     def _invalid_result(
         self, sequence: str, read_id: int, read_name: str | None
@@ -88,12 +101,15 @@ class Mapper:
             rc = self.index.search(reverse_complement(sequence))
         except AlphabetError:
             return self._invalid_result(sequence, read_id, read_name)
+        fwd_pos, rc_pos = self._positions(
+            np.array([fwd.start, rc.start]), np.array([fwd.end, rc.end])
+        )
         return MappingResult(
             read_id=read_id,
             read_name=read_name if read_name is not None else f"read{read_id}",
             length=len(sequence),
-            forward=StrandHit(fwd, self._positions(fwd)),
-            reverse=StrandHit(rc, self._positions(rc)),
+            forward=StrandHit(fwd, fwd_pos),
+            reverse=StrandHit(rc, rc_pos),
         )
 
     def map_reads(
@@ -125,6 +141,7 @@ class Mapper:
             seqs = [all_seqs[i] for i in valid_idx]
             rcs = [reverse_complement(s) for s in seqs]
             lo, hi, steps = self.index.search_batch(seqs + rcs)
+            positions = self._positions(lo, hi)
             n = len(seqs)
             out: list[MappingResult | None] = [None] * len(all_seqs)
             for j, i in enumerate(valid_idx):
@@ -136,8 +153,8 @@ class Mapper:
                     read_id=i,
                     read_name=names[i] if names else f"read{i}",
                     length=len(all_seqs[i]),
-                    forward=StrandHit(fwd, self._positions(fwd)),
-                    reverse=StrandHit(rc, self._positions(rc)),
+                    forward=StrandHit(fwd, positions[j]),
+                    reverse=StrandHit(rc, positions[n + j]),
                 )
             for i, r in enumerate(out):
                 if r is None:

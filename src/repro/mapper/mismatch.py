@@ -106,7 +106,7 @@ def locate_with_mismatches(index: FMIndex, pattern, k: int) -> list[tuple[int, i
     out: list[tuple[int, int]] = []
     for hit in search_with_mismatches(index, pattern, k):
         positions = index.locate_structure.locate_range(
-            hit.start, hit.end, lf=index.backend.lf
+            hit.start, hit.end, lf=index.backend.lf, lf_many=index.backend.lf_many
         )
         out.extend((int(p), hit.mismatches) for p in positions)
     return sorted(out)
@@ -147,7 +147,10 @@ def map_with_rescue(index: FMIndex, reads, k: int = 2) -> list[RescueResult | No
                     sorted(
                         int(p)
                         for p in index.locate_structure.locate_range(
-                            top.start, top.end, lf=index.backend.lf
+                            top.start,
+                            top.end,
+                            lf=index.backend.lf,
+                            lf_many=index.backend.lf_many,
                         )
                     )
                 )

@@ -94,7 +94,10 @@ class SeedExtendAligner:
                 # Over-repetitive seeds are discarded, as real seeders do.
                 continue
             positions = self.index.locate_structure.locate_range(
-                res.start, res.end, lf=self.index.backend.lf
+                res.start,
+                res.end,
+                lf=self.index.backend.lf,
+                lf_many=self.index.backend.lf_many,
             )
             for p in positions.tolist():
                 votes[int(p) - off] += 1

@@ -39,12 +39,14 @@ class BWT:
         (i.e. the position of the sentinel within the BWT string).
     sa:
         The suffix array the transform was derived from (length ``n + 1``),
-        kept for locate queries.
+        kept for building locate structures; ``None`` on a transform
+        attached from a container that does not store it (sampled or no
+        locate).
     """
 
     codes: np.ndarray
     dollar_pos: int
-    sa: np.ndarray
+    sa: np.ndarray | None = None
 
     @property
     def length(self) -> int:

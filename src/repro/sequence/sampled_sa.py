@@ -10,11 +10,35 @@ Production FM-index mappers (BWA, Bowtie2) instead keep every ``k``-th SA
 entry and recover the rest by LF-walking to the nearest sampled row —
 trading locate time for memory.  :class:`SampledSA` implements that
 scheme; it backs the Bowtie2-like baseline and the memory/time ablation.
+
+Both expose ``locate_batch(starts, ends, lf_many)``, which resolves every
+``[start, end)`` row interval of a batch at once and returns the
+positions of all intervals back to back plus per-interval offsets.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def _interval_rows(starts, ends, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of every ``[start, end)`` interval back to back, and the
+    ``len(starts) + 1`` offsets delimiting each interval's rows."""
+    starts = np.asarray(starts, dtype=np.int64)
+    ends = np.asarray(ends, dtype=np.int64)
+    if starts.shape != ends.shape or starts.ndim != 1:
+        raise ValueError("starts and ends must be 1-D arrays of equal length")
+    if starts.size and (
+        starts.min() < 0 or ends.max() > n_rows or np.any(starts > ends)
+    ):
+        raise IndexError("row range out of bounds")
+    counts = ends - starts
+    offsets = np.zeros(starts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    rows = np.arange(offsets[-1], dtype=np.int64) + np.repeat(
+        starts - offsets[:-1], counts
+    )
+    return rows, offsets
 
 
 class FullSA:
@@ -35,6 +59,13 @@ class FullSA:
             raise IndexError("row range out of bounds")
         return self.sa[start:end].copy()
 
+    def locate_batch(self, starts, ends, lf_many=None) -> tuple[np.ndarray, np.ndarray]:
+        """Positions of every interval ``[starts[i], ends[i])`` with one
+        gather; interval ``i``'s are ``positions[offsets[i]:offsets[i + 1]]``
+        in row order."""
+        rows, offsets = _interval_rows(starts, ends, self.sa.size)
+        return self.sa[rows], offsets
+
     def size_in_bytes(self) -> int:
         return self.sa.nbytes
 
@@ -50,7 +81,14 @@ class FullSA:
 
 
 class SampledSA:
-    """Every-``k``-th-row SA sample with LF-walk recovery.
+    """SA samples at every row divisible by ``k``, with LF-walk recovery.
+
+    Sampling is by *row*, not by text position, so the LF walk from an
+    unsampled row to a sampled one has no upper bound: its length is
+    roughly geometric with mean ``k`` (a walk of a few times ``k`` steps
+    is routine on a real reference).  Batch locate therefore walks all
+    rows of a batch together and pays one ``lf_many`` call per step of
+    the *longest* walk, not one per row.
 
     Parameters
     ----------
@@ -58,7 +96,7 @@ class SampledSA:
         The full suffix array (consumed at build time; only rows where
         ``row % k == 0`` are retained).
     k:
-        Sampling rate; locate costs at most ``k - 1`` LF steps.
+        Sampling rate: ``1 / k`` of the rows keep their SA entry.
     """
 
     def __init__(self, sa: np.ndarray, k: int = 32):
@@ -70,16 +108,16 @@ class SampledSA:
         self.samples = sa[::k].copy()
 
     def locate(self, row: int, lf) -> int:
-        """Text position of the suffix at ``row``.
+        """Text position of the suffix at ``row`` by a scalar LF walk.
 
         ``lf`` is a callable mapping a row to its last-first image (e.g.
-        :meth:`repro.core.bwt_structure.BWTStructure.lf`).  Each LF step
-        moves to the row of the one-character-longer suffix, i.e. the
-        suffix position decreases... — concretely: if ``row`` holds the
-        suffix starting at text position ``p``, then ``lf(row)`` holds the
-        suffix starting at ``p - 1`` (indices wrap through the sentinel),
-        so after ``s`` steps landing on a sampled row holding position
-        ``q``, the answer is ``q + s`` (mod the text+sentinel length).
+        :meth:`repro.core.bwt_structure.BWTStructure.lf`).  If ``row``
+        holds the suffix starting at text position ``p``, then ``lf(row)``
+        holds the suffix starting at ``p - 1`` (indices wrap through the
+        sentinel), so after ``s`` steps landing on a sampled row holding
+        position ``q``, the answer is ``q + s`` (mod the text+sentinel
+        length).  This is the differential oracle for
+        :meth:`locate_batch`.
         """
         if not 0 <= row < self.n_rows:
             raise IndexError(f"row {row} out of range [0, {self.n_rows})")
@@ -94,12 +132,9 @@ class SampledSA:
         """Text positions for rows ``[start, end)``.
 
         With ``lf_many`` (a vectorized LF kernel such as
-        ``BWTStructure.lf_many``) all rows in the interval walk toward
-        their sampled ancestors *together*: each iteration advances only
-        the still-unsampled rows in one batched LF call, so an interval
-        of ``m`` occurrences costs at most ``k - 1`` batch steps instead
-        of ``m`` independent scalar walks.  Without it, the scalar
-        per-row path is used (and remains the differential oracle).
+        ``BWTStructure.lf_many``) this is :meth:`locate_batch` over the
+        one interval; without it, each row takes its own scalar
+        :meth:`locate` walk (the differential oracle).
         """
         if not 0 <= start <= end <= self.n_rows:
             raise IndexError("row range out of bounds")
@@ -107,15 +142,33 @@ class SampledSA:
             return np.array(
                 [self.locate(r, lf) for r in range(start, end)], dtype=np.int64
             )
-        rows = np.arange(start, end, dtype=np.int64)
+        return self.locate_batch([start], [end], lf_many)[0]
+
+    def locate_batch(self, starts, ends, lf_many) -> tuple[np.ndarray, np.ndarray]:
+        """Positions of every interval ``[starts[i], ends[i])`` of a batch.
+
+        All rows of all intervals walk toward their sampled rows together:
+        each iteration advances the still-unsampled rows with one
+        ``lf_many`` call, and rows drop out as they land, so a batch costs
+        as many calls as its longest walk has steps.  Interval ``i``'s
+        positions are ``positions[offsets[i]:offsets[i + 1]]``, in row
+        order — identical to :meth:`locate` row by row.
+        """
+        rows, offsets = _interval_rows(starts, ends, self.n_rows)
         steps = np.zeros(rows.size, dtype=np.int64)
-        active = rows % self.k != 0
-        while np.any(active):
-            rows[active] = lf_many(rows[active])
-            steps[active] += 1
-            active = rows % self.k != 0
-        pos = self.samples[rows // self.k].astype(np.int64) + steps
-        return pos % self.n_rows
+        walking = np.flatnonzero(rows % self.k != 0)
+        cur = rows[walking]
+        n_steps = 0
+        while walking.size:
+            cur = lf_many(cur)
+            n_steps += 1
+            landed = cur % self.k == 0
+            rows[walking[landed]] = cur[landed]
+            steps[walking[landed]] = n_steps
+            walking = walking[~landed]
+            cur = cur[~landed]
+        pos = self.samples[rows // self.k] + steps
+        return pos % self.n_rows, offsets
 
     def size_in_bytes(self) -> int:
         return self.samples.nbytes

@@ -17,6 +17,7 @@ under ``fork`` and ``spawn`` start methods (tests run both).
 from __future__ import annotations
 
 import queue as _queue
+import signal
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -76,6 +77,9 @@ def _pool_worker(worker_id: int, generation: int, spec: dict, task_q, result_q) 
     ``("error", task_id, None, message)`` per task.  Stop sentinels from
     an older generation are dropped, not obeyed.
     """
+    # A forked worker inherits the server's SIGTERM-as-interrupt handler,
+    # but the pool's last-resort stop (terminate()) must simply end it.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     handle = None
     try:
         counters = OpCounters()

@@ -31,6 +31,9 @@ import base64
 import gzip
 import json
 import re
+import signal
+import threading
+from contextlib import ExitStack, contextmanager
 from typing import Callable, Iterable
 
 from ..faults import FaultPlan, RetryPolicy
@@ -723,11 +726,32 @@ def serve(
     )
     with make_server(
         host, port, app, server_class=_ThreadingWSGIServer
-    ) as httpd:
+    ) as httpd, ExitStack() as cleanup:
         print(f"BWaveR web app listening on http://{host}:{port}/")
-        try:
-            httpd.serve_forever()
-        finally:
-            app.jobs.shutdown()
-            if router_service is not None:
-                router_service.close()
+        # Unwound last-in first-out, each step even if an earlier one
+        # raised: jobs, then the /map service, then the catalog.
+        for service in (router_service, mapping_service):
+            if service is not None:
+                cleanup.callback(service.close)
+        cleanup.callback(app.jobs.shutdown)
+        cleanup.enter_context(_sigterm_as_sigint())
+        httpd.serve_forever()
+
+
+@contextmanager
+def _sigterm_as_sigint():
+    """Make SIGTERM stop the server the way SIGINT does.
+
+    Both raise ``KeyboardInterrupt`` out of ``serve_forever``, so either
+    signal runs the clean-up that stops pool workers and unlinks their
+    shared-memory segments.  Signal handlers can only be installed from
+    the main thread; elsewhere this is a no-op.
+    """
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
+    try:
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, previous)

@@ -11,6 +11,7 @@ from repro.index.builder import build_index
 from repro.index.flat import (
     ALIGN,
     MAGIC,
+    FlatWriter,
     IndexFormatError,
     attach_index_from_buffer,
     export_index,
@@ -25,6 +26,7 @@ from repro.index.flat import (
     verify_flat_index,
 )
 from repro.index.multiref import MultiReferenceIndex
+from repro.mapper.mapper import Mapper
 from repro.serving.shared import FlatFileBlock
 
 PATTERNS = ["ACG", "ACGT" * 10, "TTTTTTTT"]
@@ -91,6 +93,62 @@ class TestRoundTrip:
         loaded = load_index_flat(flat_path)
         save_index_flat(loaded, tmp_path / "again.bwvr")
         assert (tmp_path / "again.bwvr").read_bytes() == flat_path.read_bytes()
+
+
+class TestSuffixArraySegment:
+    """Only full-SA locate stores the suffix array; sampled and no-locate
+    containers leave it out, and containers that carry it anyway (as
+    every container once did) still load."""
+
+    def _names(self, path):
+        return {e["name"] for e in read_flat_manifest(np.memmap(path, dtype=np.uint8, mode="r"))[1]}
+
+    @pytest.mark.parametrize("locate", ["sampled", "none"])
+    def test_written_only_for_full_locate(self, small_text, tmp_path, locate):
+        full, _ = build_index(small_text, sf=8, locate="full")
+        index, _ = build_index(small_text, sf=8, locate=locate, sa_sample_rate=8)
+        save_index_flat(full, tmp_path / "full.bwvr")
+        save_index_flat(index, tmp_path / "x.bwvr")
+        assert "sa" in self._names(tmp_path / "full.bwvr")
+        assert "sa" not in self._names(tmp_path / "x.bwvr")
+        saved = (tmp_path / "full.bwvr").stat().st_size - (tmp_path / "x.bwvr").stat().st_size
+        assert saved > full.locate_structure.sa.nbytes // 2
+        loaded = load_index_flat(tmp_path / "x.bwvr", verify=True)
+        assert loaded.backend.bwt.sa is None
+        reads = [small_text[i : i + 30] for i in range(0, 1500, 97)] + ["ACGTNA"]
+        want = Mapper(index, locate=locate != "none").map_reads(reads)
+        got = Mapper(loaded, locate=locate != "none").map_reads(reads)
+        for g, w in zip(got, want):
+            assert g.forward.interval == w.forward.interval
+            assert g.reverse.interval == w.reverse.interval
+            if locate == "sampled":
+                assert g.forward.positions.tolist() == w.forward.positions.tolist()
+                assert g.reverse.positions.tolist() == w.reverse.positions.tolist()
+
+    def test_sampled_container_with_sa_still_loads(self, small_text, flat_path):
+        index, _ = build_index(small_text, sf=8, locate="sampled", sa_sample_rate=8)
+        meta, segments = export_index(index)
+        sa = build_index(small_text, sf=8)[0].locate_structure.sa
+        with FlatWriter(flat_path) as writer:
+            writer.add_segment("bwt_codes", segments.pop("bwt_codes"))
+            writer.add_segment("sa", sa)
+            for name, arr in segments.items():
+                writer.add_segment(name, arr)
+            writer.finalize(meta)
+        loaded = load_index_flat(flat_path, verify=True)
+        pat = small_text[300:320]
+        assert loaded.locate(pat).tolist() == index.locate(pat).tolist()
+
+    def test_full_locate_without_sa_rejected(self, small_text, flat_path):
+        index, _ = build_index(small_text, sf=8, locate="full")
+        meta, segments = export_index(index)
+        del segments["sa"]
+        with FlatWriter(flat_path) as writer:
+            for name, arr in segments.items():
+                writer.add_segment(name, arr)
+            writer.finalize(meta)
+        with pytest.raises(IndexFormatError, match="missing field"):
+            load_index_flat(flat_path)
 
 
 class TestZeroCopy:
