@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..sequence.alphabet import decode
+from ..sequence.alphabet import decode, reverse_complement
 
 #: Characters outside the strict alphabet that real FASTQ files contain.
 IUPAC_EXTRA = "NRYSWKMBDHVn"
@@ -154,12 +154,17 @@ def gen_pattern_corpus(
 
 def gen_read_corpus(rng: np.random.Generator, text: str, n: int) -> list[str]:
     """A read corpus for mapper/kernel checks (capped at 176 bases so the
-    same reads can go through the FPGA record packing)."""
+    same reads can go through the FPGA record packing).
+
+    Always contains a ``U``-spelled read from the reverse strand, so the
+    both-strand paths see a ``U`` whose complement (``A``) they search.
+    """
     reads = [
         "",
         _substring(rng, text, max_len=176).lower(),
         text[:176],
         _inject_invalid(rng, _substring(rng, text, max_len=40)),
+        reverse_complement(_substring(rng, text, max_len=176)).replace("T", "U"),
     ]
     if len(text) <= 172:
         reads.append(text + "ACGT")  # longer than the reference, still packable
@@ -169,4 +174,4 @@ def gen_read_corpus(rng: np.random.Generator, text: str, n: int) -> list[str]:
             reads.append(_substring(rng, text, max_len=176))
         else:
             reads.append(_mutate(rng, _substring(rng, text, max_len=176)))
-    return reads[:max(n, 5)]
+    return reads[:max(n, 6)]

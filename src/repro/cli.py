@@ -220,7 +220,7 @@ def _cmd_map(args: argparse.Namespace) -> int:
                 results, reads, out, reference_name=args.reference_name,
                 reference_length=index.n_rows - 1,
             )
-        n_mapped = sum(1 for r in results if r.mapped)
+        n_mapped = results.n_mapped
         n_reads = len(reads)
     else:
         with open(args.output, "w") as out, _open_text(args.fastq) as fh:
@@ -266,7 +266,7 @@ def _map_pooled(args: argparse.Namespace, index) -> int:
     wall = time.perf_counter() - t0
     with open(args.output, "w") as out:
         write_hits_tsv(results, out)
-    n_mapped = sum(1 for r in results if r.mapped)
+    n_mapped = results.n_mapped
     print(f"pool: {args.pool} workers attached in [{attach_ms}]")
     print(
         f"mapped {n_mapped}/{len(reads)} reads "

@@ -74,15 +74,21 @@ def read_fields(words: np.ndarray, start_bits: np.ndarray, widths: np.ndarray) -
     # the gather below stays in bounds even when their nominal start sits
     # exactly at the end of the stream.
     w, r = np.divmod(np.where(widths > 0, start_bits, 0), WORD_BITS)
-    # Guard: a field ending at the stream's last bit still gathers w+1
-    # (np.where evaluates both branches), and an all-zero-width stream has
-    # no words at all; two zero pad words make every gather defined.
-    padded = np.concatenate([words, np.zeros(2, dtype=np.uint64)])
+    # A plain view: gathers from a np.memmap would wrap every result in a
+    # memmap object.
+    words = np.asarray(words)
+    n_words = words.size
+    if n_words == 0:  # all-zero-width stream: every field reads 0
+        return np.zeros(start_bits.shape, dtype=np.int64)
     r_u = r.astype(np.uint64)
-    lo = padded[w] >> r_u
-    got = (WORD_BITS - r).astype(np.int64)
-    hi_shift = np.minimum(got, 63).astype(np.uint64)
-    hi = np.where(got < 64, padded[w + 1] << hi_shift, np.uint64(0))
+    lo = words[w] >> r_u
+    # The spill-over bits come from word w+1, shifted left by 64 - r (two
+    # shifts, so r == 0 shifts everything out instead of overflowing).  A
+    # field in the stream's last word has no w+1: the clamped gather
+    # re-reads that word, whose shifted bits all lie above the field's
+    # width and are masked off below — no padded copy of the stream.
+    nxt = words[np.minimum(w + 1, n_words - 1)]
+    hi = (nxt << (np.uint64(63) - r_u)) << _U64_ONE
     raw = lo | hi
     mask = np.where(
         widths > 0,

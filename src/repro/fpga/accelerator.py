@@ -43,11 +43,11 @@ from ..faults import (
 from ..index.fm_index import FMIndex
 from ..index.ftab import Ftab
 from ..mapper.query import pack_queries
-from ..sequence.alphabet import is_valid, reverse_complement
+from ..sequence.alphabet import encode_batch
 from ..telemetry import correlate, get_telemetry, new_run_id
 from .cost_model import DEFAULT_COST_MODEL, FPGACostModel
 from .device import ALVEO_U200, DeviceHealth, DeviceSpec
-from .kernel import BackwardSearchKernel, KernelRun, QueryOutcome, executed_steps
+from .kernel import BackwardSearchKernel, KernelRun, QueryOutcome, batch_outcomes
 from .opencl import CommandQueue, Context
 from .power import DEFAULT_POWER_MODEL, PowerModel
 
@@ -307,7 +307,7 @@ class FPGAAccelerator:
         and are reported as unmapped outcomes — the accelerator-side half
         of the mapper's N-policy (DESIGN.md §9).
         """
-        valid_idx = [i for i, s in enumerate(chunk) if is_valid(s)]
+        valid_idx = np.flatnonzero(encode_batch(chunk).valid).tolist()
         if len(valid_idx) == len(chunk):
             if device_ok:
                 return self._run_batch_with_recovery(queue, chunk, start)
@@ -503,35 +503,15 @@ class FPGAAccelerator:
     def _cpu_pass(self, chunk: list[str], start_id: int) -> KernelRun:
         """The degradation rung: the same search on the CPU.
 
-        This is literally the same :class:`FMIndex` batch search the
-        kernel model executes, so intervals are bit-identical to a clean
-        device run — degradation trades modeled speed, never answers.
+        This is literally the same batch mapping the kernel model
+        executes, so intervals are bit-identical to a clean device run —
+        degradation trades modeled speed, never answers.
         """
-        seqs = list(chunk)
-        rcs = [reverse_complement(s) for s in seqs]
-        lo, hi, steps = self.kernel._index.search_batch(seqs + rcs)
-        n = len(seqs)
-        ftab = self.kernel.ftab
-        outcomes = []
-        hw_total = 0
-        sw_total = 0
-        for i in range(n):
-            f_steps = int(steps[i])
-            r_steps = int(steps[n + i])
-            out = QueryOutcome(
-                query_id=start_id + i,
-                fwd_start=int(lo[i]),
-                fwd_end=int(hi[i]),
-                rc_start=int(lo[n + i]),
-                rc_end=int(hi[n + i]),
-                fwd_steps=f_steps,
-                rc_steps=r_steps,
-                fwd_exec_steps=executed_steps(ftab, len(seqs[i]), f_steps),
-                rc_exec_steps=executed_steps(ftab, len(rcs[i]), r_steps),
-            )
-            outcomes.append(out)
-            hw_total += out.hw_steps
-            sw_total += out.fwd_steps + out.rc_steps
+        outcomes, hw_total, sw_total = batch_outcomes(
+            self.kernel.mapper.map_reads(chunk),
+            range(start_id, start_id + len(chunk)),
+            self.kernel.ftab,
+        )
         return KernelRun(
             outcomes=outcomes,
             hw_steps_total=hw_total,

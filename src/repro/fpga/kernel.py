@@ -27,8 +27,9 @@ from ..core.rrr import RRRVector
 from ..faults import FaultInjector, KernelHangError
 from ..index.fm_index import FMIndex
 from ..index.ftab import Ftab
+from ..mapper.mapper import Mapper
 from ..mapper.query import unpack_queries
-from ..sequence.alphabet import reverse_complement
+from ..mapper.results import MappedBatch
 from ..telemetry import get_telemetry
 from .bram import BramModel
 from .device import ALVEO_U200, DeviceSpec
@@ -95,16 +96,31 @@ class KernelRun:
         ).reshape(-1, 4)
 
 
-def executed_steps(ftab: Ftab | None, seq_len: int, steps: int) -> int:
-    """Pipeline slots one strand occupies for ``steps`` logical steps.
+def executed_steps(ftab: Ftab | None, seq_len, steps):
+    """Pipeline slots one strand occupies for ``steps`` logical steps
+    (scalars or arrays, elementwise).
 
     With an ftab, a query of length >= k replaces its first k iterations
     with one LUT burst (one step-equivalent); entries that emptied inside
     the seed region (steps < k) also cost exactly the one burst.
     """
-    if ftab is None or seq_len < ftab.k:
+    if ftab is None:
         return steps
-    return max(steps - (ftab.k - 1), 1)
+    return np.where(seq_len < ftab.k, steps, np.maximum(steps - (ftab.k - 1), 1))
+
+
+def batch_outcomes(
+    batch: MappedBatch, query_ids, ftab: Ftab | None
+) -> tuple[list[QueryOutcome], int, int]:
+    """Device outcomes of a mapped batch, one per query id, with the
+    batch's hardware (slower strand per record) and software step totals."""
+    exec_steps = executed_steps(ftab, batch.lengths[:, None], batch.steps)
+    rows = np.column_stack(
+        [batch.lo[:, 0], batch.hi[:, 0], batch.lo[:, 1], batch.hi[:, 1],
+         batch.steps, exec_steps]
+    ).tolist()
+    outcomes = [QueryOutcome(qid, *row) for qid, row in zip(query_ids, rows)]
+    return outcomes, int(exec_steps.max(axis=1, initial=0).sum()), int(batch.steps.sum())
 
 
 class BackwardSearchKernel:
@@ -146,6 +162,7 @@ class BackwardSearchKernel:
         self.bram = BramModel(spec=spec)
         self._place_structure()
         self._index = FMIndex(structure, locate_structure=None, ftab=ftab)
+        self.mapper = Mapper(self._index, locate=False)
 
     def _place_structure(self) -> None:
         """Allocate one bank per logical array of the structure.
@@ -202,11 +219,12 @@ class BackwardSearchKernel:
     def execute(self, records: np.ndarray) -> KernelRun:
         """Process a buffer of packed 512-bit query records.
 
-        Decodes the records (as the device does), derives each reverse
-        complement, and runs both strands' backward searches.  The batch
-        path and the scalar dual-pipeline path produce identical results;
-        this method uses the vectorized search for speed and charges BRAM
-        traffic from the rank structures' operation counters.
+        Decodes the records (as the device does) and runs both strands'
+        backward searches through the same batch contract as the CPU
+        mapper (:meth:`~repro.mapper.mapper.Mapper.map_reads`; the reverse
+        complement is derived from the codes, as the device derives it on
+        the fly), then charges BRAM traffic from the rank structures'
+        operation counters.
         """
         if self.injector is not None and self.injector.hang_kernel():
             raise KernelHangError(
@@ -218,32 +236,12 @@ class BackwardSearchKernel:
         # interval leaves the device.
         self.bram.verify_integrity()
         queries = unpack_queries(records)
-        seqs = [q.sequence for q in queries]
-        rcs = [reverse_complement(s) for s in seqs]
         counters = self.structure.counters
         with CounterScope(counters) as scope:
-            lo, hi, steps = self._index.search_batch(seqs + rcs)
-        n = len(seqs)
-        outcomes: list[QueryOutcome] = []
-        hw_total = 0
-        sw_total = 0
-        for i, q in enumerate(queries):
-            f_steps = int(steps[i])
-            r_steps = int(steps[n + i])
-            out = QueryOutcome(
-                query_id=q.query_id,
-                fwd_start=int(lo[i]),
-                fwd_end=int(hi[i]),
-                rc_start=int(lo[n + i]),
-                rc_end=int(hi[n + i]),
-                fwd_steps=f_steps,
-                rc_steps=r_steps,
-                fwd_exec_steps=executed_steps(self.ftab, len(seqs[i]), f_steps),
-                rc_exec_steps=executed_steps(self.ftab, len(rcs[i]), r_steps),
-            )
-            outcomes.append(out)
-            hw_total += out.hw_steps
-            sw_total += out.fwd_steps + out.rc_steps
+            batch = self.mapper.map_reads([q.sequence for q in queries])
+        outcomes, hw_total, sw_total = batch_outcomes(
+            batch, [q.query_id for q in queries], self.ftab
+        )
         if self.injector is not None:
             gi = self.injector.garble_index(len(outcomes))
             if gi is not None:

@@ -34,7 +34,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from ..core.counters import GLOBAL_COUNTERS, OpCounters
-from ..sequence.alphabet import encode
+from ..sequence.alphabet import AlphabetError, EncodedBatch, encode, encode_batch
 from ..sequence.sampled_sa import FullSA, SampledSA
 from ..telemetry import get_telemetry
 from .ftab import Ftab
@@ -140,6 +140,26 @@ class FMIndex:
             raise ValueError("pattern codes must lie in [0, 4)")
         return arr.astype(np.uint8)
 
+    @classmethod
+    def _encode_patterns(cls, patterns: Sequence) -> EncodedBatch:
+        """Encode a pattern list once (strings through one table lookup;
+        code arrays, if any, validated one by one)."""
+        patterns = list(patterns)
+        if all(isinstance(p, str) for p in patterns):
+            batch = encode_batch(patterns)
+            if not batch.valid.all():
+                encode(patterns[int(np.argmin(batch.valid))])  # raises with position
+            return batch
+        code_list = [cls._codes(p) for p in patterns]
+        offsets = np.zeros(len(code_list) + 1, dtype=np.int64)
+        np.cumsum([c.size for c in code_list], out=offsets[1:])
+        codes = np.concatenate(code_list) if code_list else np.zeros(0, np.uint8)
+        return EncodedBatch(
+            codes=codes.astype(np.int8),
+            offsets=offsets,
+            valid=np.ones(len(code_list), dtype=bool),
+        )
+
     # -- core queries ---------------------------------------------------------------
 
     def search(self, pattern) -> SearchResult:
@@ -209,10 +229,13 @@ class FMIndex:
     # -- batch (vectorized) search -------------------------------------------------
 
     def search_batch(
-        self, patterns: Sequence, track_steps: bool = True
+        self, patterns: Sequence | EncodedBatch, track_steps: bool = True
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Backward search over many patterns with per-step vectorization.
 
+        ``patterns`` is a list (strings or code arrays) or an
+        :class:`~repro.sequence.alphabet.EncodedBatch` — the mapper's
+        batch, encoded once and optionally standing for both strands.
         Patterns may have different lengths; each query is advanced until
         its own symbols run out or its interval empties.  Returns
         ``(starts, ends, steps)`` arrays.  Results are identical to
@@ -223,17 +246,21 @@ class FMIndex:
         many-queries-in-flight pipeline, where every slot does one rank
         per cycle.
         """
-        code_list = [self._codes(p) for p in patterns]
-        nq = len(code_list)
-        self.counters.queries += nq
-        lengths = np.array([c.size for c in code_list], dtype=np.int64)
-        max_len = int(lengths.max()) if nq else 0
+        if isinstance(patterns, EncodedBatch):
+            batch = patterns
+            if not batch.valid.all():
+                raise AlphabetError(
+                    f"pattern {int(np.argmin(batch.valid))} has a character "
+                    "outside the alphabet"
+                )
+        else:
+            batch = self._encode_patterns(patterns)
         # Right-aligned code matrix: column t holds the symbol consumed at
         # step t (patterns are consumed right to left).
-        mat = np.full((nq, max_len), -1, dtype=np.int64)
-        for i, c in enumerate(code_list):
-            if c.size:
-                mat[i, : c.size] = c[::-1].astype(np.int64)
+        mat, lengths = batch.step_matrix()
+        nq = lengths.size
+        self.counters.queries += nq
+        max_len = mat.shape[1]
         lo = np.zeros(nq, dtype=np.int64)
         hi = np.full(nq, self.n_rows, dtype=np.int64)
         # Empty patterns resolve immediately to the sentinel-free interval
@@ -276,7 +303,7 @@ class FMIndex:
                 break
             cur = live[start_col[live] <= t]
             if cur.size:
-                a = mat[cur, t]
+                a = mat[cur, t].astype(np.int64)
                 rlo, rhi = backend.occ2_many(a, lo[cur], hi[cur])
                 new_lo = csmall[a] + rlo
                 new_hi = csmall[a] + rhi
@@ -301,12 +328,10 @@ class FMIndex:
                 m.counter(
                     "ftab_hits_total", "Queries jump-started from the k-mer table"
                 ).inc(int(ftab_steps.size))
-                hist = m.histogram(
+                m.histogram(
                     "ftab_steps_saved",
                     "Backward-search steps resolved per k-mer table hit",
-                )
-                for v in ftab_steps:
-                    hist.observe(float(v))
+                ).observe_many(ftab_steps)
         return lo, hi, steps
 
     def count_batch(self, patterns: Sequence) -> np.ndarray:

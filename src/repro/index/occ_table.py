@@ -273,18 +273,16 @@ class OccTable:
         :meth:`occ_many` call over every non-sentinel row.  Identical to
         the scalar path row by row."""
         rows = np.asarray(rows, dtype=np.int64)
-        j = np.where(rows > self.dollar_pos, rows - 1, rows)
-        if self.words.size:
-            words = self.words[j // BASES_PER_WORD]
-            shifts = (2 * (j % BASES_PER_WORD)).astype(np.uint64)
-            syms = ((words >> shifts) & np.uint64(3)).astype(np.int64)
-        else:
-            syms = np.zeros(rows.size, dtype=np.int64)
         out = np.zeros(rows.size, dtype=np.int64)  # the sentinel maps to row 0
+        # Only non-sentinel rows gather a symbol: the sentinel row may sit
+        # one past the last packed base (a whole-word BWT ending in $).
         real = np.flatnonzero(rows != self.dollar_pos)
         if real.size:
-            s = syms[real]
-            out[real] = self.C[s] + self.occ_many(s, rows[real])
+            r = rows[real]
+            j = np.where(r > self.dollar_pos, r - 1, r)
+            shifts = (2 * (j % BASES_PER_WORD)).astype(np.uint64)
+            s = ((self.words[j // BASES_PER_WORD] >> shifts) & np.uint64(3)).astype(np.int64)
+            out[real] = self.C[s] + self.occ_many(s, r)
         return out
 
     def size_in_bytes(self, include_shared: bool = True) -> int:

@@ -28,7 +28,14 @@ from .query import (
     unpack_queries,
     unpack_query,
 )
-from .results import MappingResult, StrandHit, mapping_ratio, to_sam_lines, write_hits_tsv
+from .results import (
+    MappedBatch,
+    MappingResult,
+    StrandHit,
+    mapping_ratio,
+    to_sam_lines,
+    write_hits_tsv,
+)
 from .sam import paired_end_records, write_sam_multiref, write_sam_single
 from .seed_extend import SeedExtendAligner, SeedExtendConfig, SeedExtendHit
 from .smith_waterman import Alignment, ScoringScheme, smith_waterman, sw_score_only
@@ -48,6 +55,7 @@ __all__ = [
     "write_sam_multiref",
     "write_sam_single",
     "MAX_QUERY_BASES",
+    "MappedBatch",
     "Mapper",
     "MappingResult",
     "QUERY_BITS",

@@ -4,9 +4,10 @@ For every read :math:`\\mathcal{X}`, BWaveR maps both :math:`\\mathcal{X}`
 and its reverse complement :math:`\\overline{\\mathcal{X}}` onto the
 reference and reports the SA intervals of both strands; positions are
 resolved on the host from the suffix array.  :class:`Mapper` implements
-that contract on the software side — the FPGA kernel in
-:mod:`repro.fpga.kernel` implements the same contract and the tests assert
-bit-identical intervals between the two.
+that contract once, for a whole batch (DESIGN.md §15): every CPU path and
+the FPGA functional model in :mod:`repro.fpga.kernel` map through
+:meth:`Mapper.map_reads`, with :meth:`Mapper.map_read` as the scalar
+oracle the tests compare it against.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from typing import Sequence
 import numpy as np
 
 from ..index.fm_index import FMIndex, SearchResult
-from ..sequence.alphabet import AlphabetError, is_valid, reverse_complement
+from ..sequence.alphabet import AlphabetError, encode_batch, is_valid, reverse_complement
 from ..telemetry import get_telemetry
-from .results import REASON_INVALID_BASE, MappingResult, StrandHit
+from .results import REASON_INVALID_BASE, MappedBatch, MappingResult, StrandHit
 
 
 class Mapper:
@@ -49,13 +50,14 @@ class Mapper:
                 "build with locate='full' or 'sampled', or pass locate=False"
             )
 
-    def _positions(self, starts: np.ndarray, ends: np.ndarray) -> list:
+    def _positions(
+        self, starts: np.ndarray, ends: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Sorted text positions of every ``[starts[i], ends[i])`` row
-        interval (``None`` each when not locating), resolved with one
-        batch locate: one gather for a full SA, one shared LF walk for a
+        interval, flat with offsets (interval ``i``'s positions are
+        ``pos[offsets[i]:offsets[i + 1]]``), resolved with one batch
+        locate: one gather for a full SA, one shared LF walk for a
         sampled one."""
-        if not self.locate:
-            return [None] * len(starts)
         loc = self.index.locate_structure
         assert loc is not None
         starts = np.asarray(starts, dtype=np.int64)
@@ -68,48 +70,42 @@ class Mapper:
             np.arange(starts.size, dtype=np.int64) * self.index.n_rows,
             np.diff(offsets),
         )
-        pos = np.sort(pos + band) - band
-        return np.split(pos, offsets[1:-1])
+        return np.sort(pos + band) - band, offsets
 
-    def _invalid_result(
-        self, sequence: str, read_id: int, read_name: str | None
-    ) -> MappingResult:
-        """The N-policy outcome: unmapped, with a reason code."""
-        self.index.counters.reads_invalid += 1
+    def _count_invalid(self, n: int) -> None:
+        """The N-policy's bookkeeping for ``n`` refused reads."""
+        self.index.counters.reads_invalid += n
         tel = get_telemetry()
         if tel.enabled:
             tel.metrics.counter(
                 "reads_invalid_total",
                 "Reads rejected by the alphabet policy (reported unmapped)",
                 labelnames=("path",),
-            ).inc(path="mapper")
-        empty = SearchResult(start=0, end=0, steps=0)
-        pos = np.zeros(0, dtype=np.int64) if self.locate else None
-        return MappingResult(
-            read_id=read_id,
-            read_name=read_name if read_name is not None else f"read{read_id}",
-            length=len(sequence),
-            forward=StrandHit(empty, pos),
-            reverse=StrandHit(empty, pos),
-            reason=REASON_INVALID_BASE,
-        )
+            ).inc(n, path="mapper")
 
     def map_read(self, sequence: str, read_id: int = 0, read_name: str | None = None) -> MappingResult:
-        """Map one read and its reverse complement."""
-        try:
+        """Map one read and its reverse complement (the scalar oracle of
+        :meth:`map_reads`)."""
+        valid = is_valid(sequence)
+        if valid:
             fwd = self.index.search(sequence)
             rc = self.index.search(reverse_complement(sequence))
-        except AlphabetError:
-            return self._invalid_result(sequence, read_id, read_name)
-        fwd_pos, rc_pos = self._positions(
-            np.array([fwd.start, rc.start]), np.array([fwd.end, rc.end])
-        )
+        else:
+            self._count_invalid(1)
+            fwd = rc = SearchResult(start=0, end=0, steps=0)
+        hits = [None, None]
+        if self.locate:
+            pos, off = self._positions(
+                np.array([fwd.start, rc.start]), np.array([fwd.end, rc.end])
+            )
+            hits = [pos[off[0] : off[1]], pos[off[1] : off[2]]]
         return MappingResult(
             read_id=read_id,
             read_name=read_name if read_name is not None else f"read{read_id}",
             length=len(sequence),
-            forward=StrandHit(fwd, fwd_pos),
-            reverse=StrandHit(rc, rc_pos),
+            forward=StrandHit(fwd, hits[0]),
+            reverse=StrandHit(rc, hits[1]),
+            reason=None if valid else REASON_INVALID_BASE,
         )
 
     def map_reads(
@@ -117,13 +113,16 @@ class Mapper:
         sequences: Sequence[str],
         names: Sequence[str] | None = None,
         batch: bool = True,
-    ) -> list[MappingResult]:
-        """Map many reads; ``batch=True`` uses the vectorized search path.
+    ) -> MappedBatch | list[MappingResult]:
+        """Map many reads; ``batch=True`` uses the columnar path.
 
-        Results are identical either way (tests enforce it); the batched
-        path groups the per-step rank queries of all live reads, which is
-        how the numpy implementation approximates the FPGA's
-        many-in-flight execution.
+        Results are identical either way (tests enforce it).  The batch
+        is encoded once; the valid reads and their reverse complements
+        (whose step matrix is ``3 - codes``, no complement strings) go
+        through one :meth:`FMIndex.search_batch` and one batch locate,
+        and come back as a :class:`MappedBatch` whose per-read objects
+        are only built on demand.  ``batch=False`` is the scalar oracle:
+        one :meth:`map_read` per read.
         """
         if names is not None and len(names) != len(sequences):
             raise ValueError("names must match sequences in length")
@@ -134,43 +133,38 @@ class Mapper:
             ]
         tel = get_telemetry()
         with tel.span("mapper.map_reads", cat="mapper", n_reads=len(sequences)):
-            all_seqs = list(sequences)
+            enc = encode_batch(list(sequences))
+            n = len(enc)
+            lo = np.zeros((n, 2), dtype=np.int64)
+            hi = np.zeros((n, 2), dtype=np.int64)
+            steps = np.zeros((n, 2), dtype=np.int64)
             # Alphabet screen: invalid reads skip the search entirely and
             # come back unmapped with a reason code (never an exception).
-            valid_idx = [i for i, s in enumerate(all_seqs) if is_valid(s)]
-            seqs = [all_seqs[i] for i in valid_idx]
-            rcs = [reverse_complement(s) for s in seqs]
-            lo, hi, steps = self.index.search_batch(seqs + rcs)
-            positions = self._positions(lo, hi)
-            n = len(seqs)
-            out: list[MappingResult | None] = [None] * len(all_seqs)
-            for j, i in enumerate(valid_idx):
-                fwd = SearchResult(start=int(lo[j]), end=int(hi[j]), steps=int(steps[j]))
-                rc = SearchResult(
-                    start=int(lo[n + j]), end=int(hi[n + j]), steps=int(steps[n + j])
-                )
-                out[i] = MappingResult(
-                    read_id=i,
-                    read_name=names[i] if names else f"read{i}",
-                    length=len(all_seqs[i]),
-                    forward=StrandHit(fwd, positions[j]),
-                    reverse=StrandHit(rc, positions[n + j]),
-                )
-            for i, r in enumerate(out):
-                if r is None:
-                    out[i] = self._invalid_result(
-                        all_seqs[i], i, names[i] if names else None
-                    )
-        results = [r for r in out if r is not None]
+            rows = np.flatnonzero(enc.valid)
+            searched = enc if rows.size == n else enc.take(rows)
+            s_lo, s_hi, s_steps = self.index.search_batch(
+                searched.with_reverse_complements()
+            )
+            # search_batch returns the reads' strand, then their complements'.
+            lo[rows] = s_lo.reshape(2, -1).T
+            hi[rows] = s_hi.reshape(2, -1).T
+            steps[rows] = s_steps.reshape(2, -1).T
+            if rows.size < n:
+                self._count_invalid(n - rows.size)
+            positions = offsets = None
+            if self.locate:
+                # Read-major intervals: read i's strands are 2i and 2i + 1.
+                positions, offsets = self._positions(lo.ravel(), hi.ravel())
+            result = MappedBatch(
+                enc.lengths, enc.valid, lo, hi, steps, positions, offsets, names=names
+            )
         if tel.enabled:
             m = tel.metrics
-            m.counter("mapper_reads_total", "Reads mapped (both strands)").inc(
-                len(all_seqs)
-            )
+            m.counter("mapper_reads_total", "Reads mapped (both strands)").inc(n)
             m.counter("mapper_mapped_reads_total", "Reads with at least one hit").inc(
-                sum(1 for r in results if r.mapped)
+                result.n_mapped
             )
-        return results
+        return result
 
     def count_occurrences(self, sequence: str) -> int:
         """Total exact occurrences on both strands (0 for invalid reads)."""

@@ -24,6 +24,9 @@ it is needed internally, builders use ``-1`` or ``sigma`` explicitly.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, replace
+from typing import Sequence
+
 import numpy as np
 
 #: The DNA alphabet in lexicographic (= code) order.
@@ -47,8 +50,8 @@ _CODE_TO_CHAR = np.frombuffer(b"ACGT", dtype=np.uint8)
 COMPLEMENT_CODE = np.array([3, 2, 1, 0], dtype=np.uint8)
 
 _COMPLEMENT_CHAR = np.arange(256, dtype=np.uint8)
-for _a, _b in (("A", "T"), ("C", "G"), ("G", "C"), ("T", "A"),
-               ("a", "t"), ("c", "g"), ("g", "c"), ("t", "a")):
+for _a, _b in (("A", "T"), ("C", "G"), ("G", "C"), ("T", "A"), ("U", "A"),
+               ("a", "t"), ("c", "g"), ("g", "c"), ("t", "a"), ("u", "a")):
     _COMPLEMENT_CHAR[ord(_a)] = ord(_b)
 
 
@@ -88,7 +91,11 @@ def decode(codes: np.ndarray) -> str:
 
 
 def reverse_complement(seq: str) -> str:
-    """Reverse complement of a DNA string (the strand the paper also maps)."""
+    """Reverse complement of a DNA string (the strand the paper also maps).
+
+    ``U`` complements to ``A`` like ``T`` does, so a U-spelled read's
+    reverse strand is the same pattern as its T-spelled twin's.
+    """
     raw = np.frombuffer(seq.encode("ascii"), dtype=np.uint8)
     comp = _COMPLEMENT_CHAR[raw]
     bad = comp == raw
@@ -103,6 +110,91 @@ def reverse_complement_codes(codes: np.ndarray) -> np.ndarray:
     """Reverse complement on 2-bit code arrays (vectorized)."""
     codes = np.asarray(codes, dtype=np.uint8)
     return COMPLEMENT_CODE[codes][::-1].copy()
+
+
+@dataclass(frozen=True)
+class EncodedBatch:
+    """A batch of DNA strings encoded with one lookup.
+
+    ``codes`` holds every string's codes back to back (``-1`` where a
+    character is outside the alphabet); string ``i`` is
+    ``codes[offsets[i]:offsets[i + 1]]`` and ``valid[i]`` says whether it
+    encoded cleanly.  With ``both_strands`` the batch stands for its
+    strings followed by their reverse complements — the mapper's
+    two-strand query set — without building a single complement string.
+    """
+
+    codes: np.ndarray
+    offsets: np.ndarray
+    valid: np.ndarray
+    both_strands: bool = False
+
+    def __len__(self) -> int:
+        return self.valid.size
+
+    @property
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    def with_reverse_complements(self) -> "EncodedBatch":
+        return replace(self, both_strands=True)
+
+    def take(self, rows: np.ndarray) -> "EncodedBatch":
+        """The strings at ``rows``, re-packed back to back."""
+        codes, offsets = take_segments(self.codes, self.offsets, rows)
+        return replace(self, codes=codes, offsets=offsets, valid=self.valid[rows])
+
+    def step_matrix(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(mat, lengths)`` for backward search, one row per pattern.
+
+        Column ``t`` of a row is the code consumed at search step ``t``
+        (patterns are consumed right to left), ``-1`` past the pattern's
+        end.  A reverse complement consumes ``3 - code`` of its string's
+        codes left to right, so its rows read the same codes unreversed.
+        """
+        lengths = self.lengths
+        width = int(lengths.max(initial=0))
+        t = np.arange(width, dtype=np.int64)
+        live = t < lengths[:, None]
+        starts = self.offsets[:-1, None]
+        fwd = np.where(live, starts + lengths[:, None] - 1 - t, 0)
+        mat = np.where(live, self.codes[fwd], -1)
+        if not self.both_strands:
+            return mat, lengths
+        rc = np.where(live, 3 - self.codes[np.where(live, starts + t, 0)], -1)
+        return np.concatenate([mat, rc]), np.concatenate([lengths, lengths])
+
+
+def take_segments(
+    values: np.ndarray, offsets: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gather segments ``rows`` of a flat array with ``offsets``.
+
+    Segment ``i`` of ``values`` is ``values[offsets[i]:offsets[i + 1]]``;
+    returns the chosen segments back to back and their new offsets.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    lengths = offsets[rows + 1] - offsets[rows]
+    new_offsets = np.zeros(rows.size + 1, dtype=np.int64)
+    np.cumsum(lengths, out=new_offsets[1:])
+    src = np.arange(new_offsets[-1], dtype=np.int64) + np.repeat(
+        offsets[rows] - new_offsets[:-1], lengths
+    )
+    return values[src], new_offsets
+
+
+def encode_batch(seqs: Sequence[str]) -> EncodedBatch:
+    """Encode many strings at once: one join, one table lookup, and
+    per-string validity from one segmented count of the bad codes."""
+    n = len(seqs)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, seqs), dtype=np.int64, count=n), out=offsets[1:])
+    raw = "".join(seqs).encode("ascii", errors="replace")
+    codes = _CHAR_TO_CODE[np.frombuffer(raw, dtype=np.uint8)]
+    bad = np.zeros(codes.size + 1, dtype=np.int64)
+    np.cumsum(codes < 0, out=bad[1:])
+    valid = bad[offsets[1:]] == bad[offsets[:-1]]
+    return EncodedBatch(codes=codes, offsets=offsets, valid=valid)
 
 
 def is_valid(seq: str) -> bool:

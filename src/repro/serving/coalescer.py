@@ -46,7 +46,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
-from ..mapper.results import MappingResult
+from ..mapper.results import MappedBatch, MappingResult, renumbered
 from ..telemetry import get_telemetry
 
 #: Batch-size histogram buckets (reads per merged batch).
@@ -168,31 +168,21 @@ class CoalescedRequest:
         self._event.set()
 
 
-def _renumber(results: Sequence, offset: int) -> list:
+def _renumber(results: Sequence, offset: int) -> Sequence:
     """Slice-local renumbering: what independent execution would produce.
 
-    Handles :class:`MappingResult` (single-index dispatch) and any other
-    frozen result dataclass keyed only by ``read_id`` — e.g. the shard
-    router's :class:`~repro.index.multiref.MultiRefMapping`.
+    Handles :class:`MappingResult` sequences (single-index dispatch; a
+    :class:`MappedBatch` slice stays columnar) and any other frozen
+    result dataclass keyed only by ``read_id`` — e.g. the shard router's
+    :class:`~repro.index.multiref.MultiRefMapping`.
     """
+    if isinstance(results, MappedBatch) or (
+        results and isinstance(results[0], MappingResult)
+    ):
+        return renumbered(results, -offset)
     if offset == 0:
         return list(results)
-    out: list = []
-    for r in results:
-        if isinstance(r, MappingResult):
-            out.append(
-                MappingResult(
-                    read_id=r.read_id - offset,
-                    read_name=f"read{r.read_id - offset}",
-                    length=r.length,
-                    forward=r.forward,
-                    reverse=r.reverse,
-                    reason=r.reason,
-                )
-            )
-        else:
-            out.append(dataclasses.replace(r, read_id=r.read_id - offset))
-    return out
+    return [dataclasses.replace(r, read_id=r.read_id - offset) for r in results]
 
 
 class RequestCoalescer:

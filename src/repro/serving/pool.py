@@ -28,7 +28,7 @@ import numpy as np
 from ..core.counters import CounterScope, OpCounters
 from ..index.fm_index import FMIndex
 from ..mapper.mapper import Mapper
-from ..mapper.results import MappingResult
+from ..mapper.results import MappedBatch, MappingResult
 from ..telemetry import get_telemetry
 from .shared import FlatFileBlock, attach_index, publish_index, release_attachment
 
@@ -101,8 +101,9 @@ def _pool_worker(worker_id: int, generation: int, spec: dict, task_q, result_q) 
                 mapper = Mapper(index, locate=locate)
                 with CounterScope(counters) as scope:
                     results = mapper.map_reads(reads)
-                mapped = sum(1 for r in results if r.mapped)
-                payload = (mapped, scope.delta, results if ship_results else None)
+                # A MappedBatch pickles as its columns: the reply ships
+                # arrays, never per-read objects.
+                payload = (results.n_mapped, scope.delta, results if ship_results else None)
                 result_q.put(("done", task_id, payload, None))
             except Exception as exc:
                 result_q.put(("error", task_id, None, f"{type(exc).__name__}: {exc}"))
@@ -370,45 +371,41 @@ class MapperPool:
             op_counts=merged.snapshot(),
         )
 
-    def map_reads(self, reads: Sequence[str], locate: bool = False) -> list[MappingResult]:
+    def map_reads(self, reads: Sequence[str], locate: bool = False) -> MappedBatch:
         """Map ``reads`` across the pool and return per-read results.
 
         Results come back in input order with input-relative ``read_id``s
-        (workers number reads within their shard; the pool renumbers).
+        (workers number reads within their shard; the pool reorders the
+        shards' columns back into one :class:`MappedBatch`).
         """
         if self._closed:
             raise RuntimeError("pool is closed")
         reads = list(reads)
         if not reads:
-            return []
+            return MappedBatch.concat([])
         shards = self._shard(reads)
         replies = self._submit(shards, locate, ship=True)
-        out: list[MappingResult | None] = [None] * len(reads)
+        parts = []
         for shard_idx, (shard, payload) in enumerate(zip(shards, replies.values())):
-            _, _, results = payload
+            results = payload[2]
             if len(results) != len(shard):
+                # Never silently truncate: a shorter result list desyncs
+                # every downstream read_id-based demux (coalescer, router,
+                # web tier).
                 raise RuntimeError(
                     f"pool shard {shard_idx} returned {len(results)} results "
                     f"for {len(shard)} reads"
                 )
-            for j, res in enumerate(results):
-                orig = shard_idx + j * self.workers  # inverse of reads[i::workers]
-                out[orig] = MappingResult(
-                    read_id=orig,
-                    read_name=f"read{orig}",
-                    length=res.length,
-                    forward=res.forward,
-                    reverse=res.reverse,
-                    reason=res.reason,
-                )
-        missing = [i for i, r in enumerate(out) if r is None]
-        if missing:
-            # Never silently truncate: a shorter result list desyncs every
-            # downstream read_id-based demux (coalescer, router, web tier).
-            raise RuntimeError(
-                f"pool returned {len(reads) - len(missing)} results for "
-                f"{len(reads)} reads; missing read indices {missing[:8]}"
-            )
+            parts.append(results)
+        # Shard i holds reads[i::workers]: concatenated row k is read
+        # order[k], so one take of the inverse permutation restores input
+        # order.
+        order = np.concatenate(
+            [np.arange(i, len(reads), self.workers) for i in range(len(shards))]
+        )
+        inverse = np.empty_like(order)
+        inverse[order] = np.arange(order.size)
+        out = MappedBatch.concat(parts).take(inverse)
         get_telemetry().metrics.counter(
             "mapper_pool_tasks_total", "Read batches served by mapper pools"
         ).inc()

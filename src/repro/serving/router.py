@@ -40,6 +40,7 @@ from pathlib import Path
 from typing import Sequence
 
 from ..index.multiref import MultiRefMapping, ReferenceHit
+from ..mapper.results import MappedBatch
 from ..telemetry import get_telemetry
 
 #: Shard lifecycle states.
@@ -502,7 +503,7 @@ class ShardRouter:
             return []
         tel = get_telemetry()
         t0 = time.perf_counter()
-        per_shard: dict[str, list] = {}
+        per_shard: dict[str, MappedBatch] = {}
         for wave in self.catalog.plan_waves(names):
             acquired = self.catalog.acquire(wave)
             try:
@@ -542,21 +543,24 @@ class ShardRouter:
             raise RouterError(f"shard {name!r} failed: {exc}") from exc
 
     def _merge(
-        self, reads: list[str], names: list[str], per_shard: dict[str, list]
+        self, reads: list[str], names: list[str], per_shard: dict[str, MappedBatch]
     ) -> list[MultiRefMapping]:
         ordinals = self.catalog.ordinals
+        # Positions straight from each shard's columns: read i's strands
+        # are intervals 2i (+) and 2i + 1 (-).
+        located = [
+            (name, batch.positions.tolist(), batch.offsets.tolist())
+            for name, batch in ((n, per_shard[n]) for n in names)
+            if batch.positions is not None and batch.offsets is not None
+        ]
         merged: list[MultiRefMapping] = []
         for i in range(len(reads)):
-            hits: list[ReferenceHit] = []
-            for name in names:
-                res = per_shard[name][i]
-                for strand, side in (("+", res.forward), ("-", res.reverse)):
-                    if side.positions is None:
-                        continue
-                    for p in side.positions.tolist():
-                        hits.append(
-                            ReferenceHit(name=name, position=int(p), strand=strand)
-                        )
+            hits = [
+                ReferenceHit(name=name, position=p, strand=strand)
+                for name, pos, off in located
+                for s, strand in ((0, "+"), (1, "-"))
+                for p in pos[off[2 * i + s] : off[2 * i + s + 1]]
+            ]
             hits.sort(key=lambda h: (ordinals[h.name], h.position, h.strand))
             merged.append(MultiRefMapping(read_id=i, hits=tuple(hits)))
         return merged

@@ -1,4 +1,4 @@
-"""Dependency-free metrics registry: counters, gauges, histograms.
+"""Self-contained metrics registry: counters, gauges, histograms.
 
 The registry mirrors the Prometheus client-library data model at the
 scale this project needs: named metrics with fixed label names, families
@@ -7,16 +7,19 @@ for programmatic consumption, and :meth:`MetricsRegistry.prometheus_text`
 emitting the text exposition format served by ``GET /metrics``.
 
 Everything is thread-safe (web jobs run on daemon threads) and pure
-stdlib.  The null twins at the bottom (:data:`NULL_REGISTRY` and friends)
-are what disabled telemetry hands out: every mutation is a no-op on a
-shared singleton, so the instrumented hot paths cost one attribute call
-when telemetry is off.
+stdlib apart from numpy, which :meth:`Histogram.observe_many` uses to
+bucket a whole array at once.  The null twins at the bottom
+(:data:`NULL_REGISTRY` and friends) are what disabled telemetry hands
+out: every mutation is a no-op on a shared singleton, so the
+instrumented hot paths cost one attribute call when telemetry is off.
 """
 
 from __future__ import annotations
 
 import threading
 from collections.abc import Iterable, Mapping, Sequence
+
+import numpy as np
 
 #: Default histogram buckets, in seconds (the common unit here).
 DEFAULT_BUCKETS: tuple[float, ...] = (
@@ -172,6 +175,19 @@ class _HistogramValue:
                     return
             self.bucket_counts[-1] += 1
 
+    def observe_many(self, values: np.ndarray) -> None:
+        # Bucket i holds values in (buckets[i-1], buckets[i]]: exactly the
+        # first bound >= value, as in observe(); the tail lands in +Inf.
+        idx = np.searchsorted(self.buckets, values, side="left")
+        counts = np.bincount(idx, minlength=len(self.bucket_counts)).tolist()
+        with self._lock:
+            # cumsum adds in order, so the total is bit-identical to one
+            # `total += value` per observation.
+            self.total = float(np.cumsum(np.append(self.total, values))[-1])
+            self.count += len(values)
+            for i, c in enumerate(counts):
+                self.bucket_counts[i] += c
+
     def cumulative(self) -> list[int]:
         """Bucket counts as Prometheus wants them (cumulative, incl +Inf)."""
         out: list[int] = []
@@ -205,6 +221,13 @@ class Histogram(_Metric):
     def observe(self, value: float, **labels: object) -> None:
         cell: _HistogramValue = self._child(labels)  # type: ignore[assignment]
         cell.observe(float(value))
+
+    def observe_many(self, values: Iterable[float], **labels: object) -> None:
+        """Record every value of ``values`` under one lock acquisition;
+        the exposition is that of one :meth:`observe` per value."""
+        arr = np.asarray(values, dtype=np.float64).ravel()
+        cell: _HistogramValue = self._child(labels)  # type: ignore[assignment]
+        cell.observe_many(arr)
 
 
 class MetricsRegistry:
@@ -342,6 +365,9 @@ class _NullChildOps:
         pass
 
     def observe(self, value: float, **labels: object) -> None:
+        pass
+
+    def observe_many(self, values: Iterable[float], **labels: object) -> None:
         pass
 
     def value(self, **labels: object) -> float:

@@ -423,7 +423,8 @@ class BWaveRApp:
         import io as _io
 
         from ..io.fastq import parse_fastq_chunks
-        from ..mapper.stream import _write_rows, map_stream_coalesced
+        from ..mapper.results import HITS_TSV_HEADER, write_hits_tsv
+        from ..mapper.stream import map_stream_coalesced
 
         def _seqs():
             for chunk in parse_fastq_chunks(_io.StringIO(fastq_text), 256):
@@ -431,13 +432,11 @@ class BWaveRApp:
                     yield rec.sequence
 
         out = _io.StringIO()
-        out.write(
-            "read\tlength\tfwd_count\trc_count\tfwd_positions\trc_positions\n"
-        )
+        out.write(HITS_TSV_HEADER)
         for results in map_stream_coalesced(
             service.coalescer, _seqs(), chunk_size=256, tenant=tenant
         ):
-            _write_rows(results, out)
+            write_hits_tsv(results, out, header=False)
         return (
             "200 OK",
             [("Content-Type", "text/tab-separated-values; charset=utf-8")],

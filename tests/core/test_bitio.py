@@ -197,3 +197,51 @@ class TestIncrementalBitPacker:
         got_words, got_bits = packer.finalize()
         assert got_bits == want_bits
         assert np.array_equal(got_words, want_words)
+
+
+class TestReadFieldsAllocation:
+    def test_rank_batch_allocates_o_batch_not_o_stream(self):
+        """A small rank batch must not copy the offset stream (it used to
+        pad a full copy per call, touching every page of a mmapped one)."""
+        import tracemalloc
+
+        from repro.core.rrr import RRRVector
+
+        rng = np.random.default_rng(3)
+        n = 1 << 22
+        vec = RRRVector(rng.integers(0, 2, n, dtype=np.uint8), b=15, sf=50)
+        assert vec.offset_words.nbytes > 256 * 1024
+        positions = rng.integers(0, n + 1, 100)
+        want = vec.rank1_many(positions)  # builds the batch cache outside the trace
+        tracemalloc.start()
+        try:
+            got = vec.rank1_many(positions)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, want)
+        assert peak < 64 * 1024, f"rank1_many(100) peaked at {peak} bytes"
+
+    def test_fields_ending_at_the_last_bit(self):
+        values = np.array([5, 0x7FF, 3, (1 << 40) - 1], dtype=np.uint64)
+        widths = np.array([3, 61, 2, 40])
+        words, total = pack_fields(values, widths)
+        starts = np.concatenate(([0], np.cumsum(widths)[:-1]))
+        assert read_fields(words, starts, widths).tolist() == values.tolist()
+        # Zero-width fields at the very end of the stream read as 0.
+        assert read_fields(words, np.array([total]), np.array([0])).tolist() == [0]
+        empty = np.zeros(0, dtype=np.uint64)
+        assert read_fields(empty, np.array([0, 0]), np.array([0, 0])).tolist() == [0, 0]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_scalar_reader_on_random_streams(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 300))
+        widths = rng.integers(0, 64, n)
+        values = rng.integers(0, 1 << 62, n, dtype=np.uint64) & (
+            (np.uint64(1) << widths.astype(np.uint64)) - np.uint64(1)
+        )
+        words, _ = pack_fields(values, widths)
+        starts = np.concatenate(([0], np.cumsum(widths)[:-1]))
+        want = [read_field(words, int(s), int(w)) for s, w in zip(starts, widths)]
+        assert read_fields(words, starts, widths).tolist() == want

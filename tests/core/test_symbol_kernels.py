@@ -115,6 +115,16 @@ class TestLfMany:
         rows = np.arange(backend.n_rows, dtype=np.int64)
         assert backend.lf_many(rows).tolist() == [backend.lf(int(r)) for r in rows]
 
+    @pytest.mark.parametrize("kind", BACKENDS)
+    def test_sentinel_past_the_last_packed_word(self, kind):
+        """A 32-base text whose BWT ends in ``$``: the sentinel row sits one
+        past the last packed 2-bit word, and must not be gathered."""
+        codes = np.random.default_rng(620).integers(0, 4, 32).astype(np.uint8)
+        bwt, backend = make_backend(kind, codes)
+        assert bwt.dollar_pos == backend.n_rows - 1 == 32
+        rows = np.arange(backend.n_rows, dtype=np.int64)
+        assert backend.lf_many(rows).tolist() == [backend.lf(int(r)) for r in rows]
+
 
 def _scalar_concat(loc, lf, starts, ends):
     parts = [loc.locate_range(int(s), int(e), lf=lf) for s, e in zip(starts, ends)]

@@ -127,3 +127,61 @@ class TestInstrumentation:
         run = k.execute(pack_queries([text[:40]]))
         assert run.op_counts["bs_steps"] == run.sw_steps_total
         assert run.op_counts["binary_ranks"] > 0
+
+
+def _reference_outcomes(index, ftab, reads, query_ids):
+    """Outcomes as the kernel computed them with its own both-strand copy:
+    strings and their reverse-complement strings through one list search,
+    executed steps per strand from the read length."""
+    from repro.fpga.kernel import QueryOutcome
+    from repro.sequence.alphabet import reverse_complement
+
+    lo, hi, steps = index.search_batch(reads + [reverse_complement(s) for s in reads])
+    n = len(reads)
+
+    def executed(length, s):
+        if ftab is None or length < ftab.k:
+            return s
+        return max(s - (ftab.k - 1), 1)
+
+    return [
+        QueryOutcome(
+            query_id=qid,
+            fwd_start=int(lo[i]), fwd_end=int(hi[i]),
+            rc_start=int(lo[n + i]), rc_end=int(hi[n + i]),
+            fwd_steps=int(steps[i]), rc_steps=int(steps[n + i]),
+            fwd_exec_steps=executed(len(reads[i]), int(steps[i])),
+            rc_exec_steps=executed(len(reads[i]), int(steps[n + i])),
+        )
+        for i, qid in enumerate(query_ids)
+    ]
+
+
+class TestSharedBatchContract:
+    @pytest.mark.parametrize("ftab_k", [None, 5])
+    def test_outcomes_match_the_former_both_strand_copy(self, small_index_module, ftab_k):
+        """Kernel and CPU-fallback outcomes (``*_exec_steps`` included) are
+        what the kernel's and the accelerator's own both-strand loops
+        produced before both went through ``Mapper.map_reads``."""
+        from repro.fpga.accelerator import FPGAAccelerator
+
+        _, text = small_index_module
+        index, _ = build_index(text, b=15, sf=8, locate="none", ftab_k=ftab_k)
+        acc = FPGAAccelerator.for_index(index)
+        reads = [text[i : i + 3 + i % 60] for i in range(0, 1400, 37)]
+        reads += ["", "A", text[:176], "ACGT" * 9]
+        run = acc.kernel.execute(pack_queries(reads, start_id=7))
+        want = _reference_outcomes(
+            acc.kernel._index, acc.kernel.ftab, reads, range(7, 7 + len(reads))
+        )
+        assert run.outcomes == want
+        assert run.hw_steps_total == sum(o.hw_steps for o in want)
+        assert run.sw_steps_total == sum(o.fwd_steps + o.rc_steps for o in want)
+        # The CPU rung sees raw reads (lowercase, U) and must agree with a
+        # clean device run on their ACGT spelling.
+        raw = [s.lower().replace("t", "u") if i % 2 else s for i, s in enumerate(reads)]
+        cpu = acc._cpu_pass(raw, 7)
+        assert cpu.outcomes == want
+        assert (cpu.hw_steps_total, cpu.sw_steps_total) == (
+            run.hw_steps_total, run.sw_steps_total,
+        )

@@ -113,3 +113,44 @@ class TestGCFraction:
         assert gc_fraction("AATT") == 0.0
         assert gc_fraction("ACGT") == 0.5
         assert gc_fraction("") == 0.0
+
+
+class TestUracilComplement:
+    def test_u_complements_to_a(self):
+        assert reverse_complement("ACGU") == "ACGT"
+        assert reverse_complement("acgu") == "acgt"
+        assert reverse_complement("UUU") == "AAA"
+
+    def test_u_read_and_t_read_share_a_reverse_strand(self):
+        s = "GATTACAGTT"
+        assert reverse_complement(s.replace("T", "U")) == reverse_complement(s)
+
+
+class TestEncodeBatch:
+    def test_codes_offsets_and_validity(self):
+        from repro.sequence.alphabet import encode_batch
+
+        seqs = ["ACGT", "", "acgu", "ANC", "éA"]
+        b = encode_batch(seqs)
+        assert b.offsets.tolist() == [0, 4, 4, 8, 11, 13]
+        assert b.valid.tolist() == [True, True, True, False, False]
+        assert b.codes[:8].tolist() == [0, 1, 2, 3, 0, 1, 2, 3]
+        assert len(b) == 5 and b.lengths.tolist() == [4, 0, 4, 3, 2]
+
+    def test_step_matrix_both_strands(self):
+        from repro.sequence.alphabet import encode_batch
+
+        seqs = ["ACGTT", "", "gau"]
+        mat, lengths = encode_batch(seqs).with_reverse_complements().step_matrix()
+        assert lengths.tolist() == [5, 0, 3, 5, 0, 3]
+        patterns = seqs + [reverse_complement(s) for s in seqs]
+        for row, p in zip(mat.tolist(), patterns):
+            consumed = encode(p)[::-1].tolist()  # right to left
+            assert row == consumed + [-1] * (5 - len(p))
+
+    def test_take_repacks_segments(self):
+        from repro.sequence.alphabet import encode_batch
+
+        b = encode_batch(["AC", "GGT", "", "T"]).take(np.array([3, 1, 2]))
+        assert b.offsets.tolist() == [0, 1, 4, 4]
+        assert b.codes.tolist() == [3, 2, 2, 3]

@@ -155,3 +155,30 @@ class TestNullRegistry:
         assert NULL_REGISTRY.snapshot() == {}
         assert NULL_REGISTRY.prometheus_text() == ""
         assert c.value(k="v") == 0.0
+
+
+class TestHistogramObserveMany:
+    def test_same_exposition_as_one_observe_per_value(self):
+        import numpy as np
+
+        rng = np.random.default_rng(5)
+        values = np.concatenate(
+            [rng.integers(0, 12, 500), [0.1, 1.0, 2.5, 1e9, -3.0], rng.random(50) * 4]
+        )
+        one, many = MetricsRegistry(), MetricsRegistry()
+        h1 = one.histogram("steps_saved", "help", buckets=(0, 1, 2.5, 5, 10))
+        for v in values:
+            h1.observe(float(v))
+        h2 = many.histogram("steps_saved", "help", buckets=(0, 1, 2.5, 5, 10))
+        h2.observe_many(values[:300])
+        h2.observe_many(values[300:])
+        h2.observe_many(np.zeros(0))
+        assert many.prometheus_text() == one.prometheus_text()
+
+    def test_labeled_and_null(self):
+        reg = MetricsRegistry()
+        h = reg.histogram("x", labelnames=("path",), buckets=(1.0,))
+        h.observe_many([0.5, 2.0], path="a")
+        snap = reg.snapshot()["x"]["samples"][0]
+        assert snap["count"] == 2 and snap["buckets"] == {"1": 1, "+Inf": 2}
+        NULL_REGISTRY.histogram("x").observe_many([1.0])
