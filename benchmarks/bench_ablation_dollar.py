@@ -14,7 +14,7 @@ import pytest
 from repro.bench.harness import _reference_bwt, get_reference
 from repro.bench.reporting import fmt_bytes, render_table
 from repro.core.bwt_structure import BWTStructure
-from repro.core.counters import CounterScope, OpCounters
+from repro.core.counters import CounterScope
 from repro.index.fm_index import FMIndex
 from repro.io.readsim import simulate_reads
 from repro.io.refgen import DEFAULT_SCALE
@@ -28,13 +28,10 @@ def bench_ablation_dollar_position(benchmark, save_report):
 
     variants = {}
     for name, in_tree in (("separate $ (paper)", False), ("$ in tree", True)):
-        counters = OpCounters()
-        struct = BWTStructure(
-            bwt, b=15, sf=50, store_sentinel_in_tree=in_tree, counters=counters
-        )
+        struct = BWTStructure(bwt, b=15, sf=50, store_sentinel_in_tree=in_tree)
         struct.build_batch_cache()
         index = FMIndex(struct, locate_structure=None)
-        with CounterScope(counters) as scope:
+        with CounterScope() as scope:
             report = run_mapping_batch(index, reads, keep_results=True)
         variants[name] = (struct, report, scope.delta)
 

@@ -18,7 +18,7 @@ import pytest
 
 from repro.bench.harness import get_reference
 from repro.bench.reporting import render_table
-from repro.core.counters import CounterScope, OpCounters
+from repro.core.counters import CounterScope
 from repro.index.bidirectional import BidirectionalFMIndex
 from repro.index.builder import build_index
 from repro.io.readsim import mutate_reads, simulate_reads
@@ -34,20 +34,18 @@ def bench_ablation_mismatch_strategies(benchmark, save_report):
                            rc_fraction=0.0, seed=908).reads
     reads = mutate_reads(clean, substitutions=1, seed=909)
 
-    c_bt = OpCounters()
-    plain, _ = build_index(ref, sf=50, counters=c_bt)
-    c_bi = OpCounters()
-    bi = BidirectionalFMIndex(ref, sf=50, counters=c_bi)
+    plain, _ = build_index(ref, sf=50)
+    bi = BidirectionalFMIndex(ref, sf=50)
 
     import time
 
-    with CounterScope(c_bt) as bt_scope:
+    with CounterScope() as bt_scope:
         t0 = time.perf_counter()
         bt_hits = [
             sorted({p for p, _ in locate_with_mismatches(plain, r, 1)}) for r in reads
         ]
         bt_wall = time.perf_counter() - t0
-    with CounterScope(c_bi) as bi_scope:
+    with CounterScope() as bi_scope:
         t0 = time.perf_counter()
         bi_hits = []
         for r in reads:

@@ -21,7 +21,7 @@ Run:  python examples/approximate_matching.py
 import time
 
 from repro import build_index
-from repro.core.counters import CounterScope, OpCounters
+from repro.core.counters import CounterScope
 from repro.fpga.reconfig import TwoPassAccelerator
 from repro.index.bidirectional import BidirectionalFMIndex
 from repro.io import E_COLI_LIKE, generate_reference, mutate_reads, simulate_reads
@@ -36,11 +36,10 @@ def main() -> None:
     truth = [reference.find(c) for c in clean]
     print(f"{len(reads)} reads of 50 bp, each carrying exactly one substitution\n")
 
-    counters = OpCounters()
-    index, _ = build_index(reference, sf=50, counters=counters)
+    index, _ = build_index(reference, sf=50)
 
     # 1. Bounded backtracking.
-    with CounterScope(counters) as scope:
+    with CounterScope() as scope:
         t0 = time.perf_counter()
         found_bt = sum(
             1
@@ -53,9 +52,8 @@ def main() -> None:
           f"{steps_bt / len(reads):,.0f} extension steps/read, {wall_bt:.2f}s")
 
     # 2. Pigeonhole bidirectional.
-    c_bi = OpCounters()
-    bi = BidirectionalFMIndex(reference, sf=50, counters=c_bi)
-    with CounterScope(c_bi) as scope:
+    bi = BidirectionalFMIndex(reference, sf=50)
+    with CounterScope() as scope:
         t0 = time.perf_counter()
         found_bi = 0
         for read, pos in zip(reads, truth):

@@ -17,7 +17,7 @@ import time
 
 from repro.bench.calibration import DEFAULT_CPU_MODEL, PAPER_FIG5, PAPER_TABLE1
 from repro.core.bwt_structure import BWTStructure
-from repro.core.counters import CounterScope, OpCounters
+from repro.core.counters import CounterScope
 from repro.fpga.cost_model import DEFAULT_COST_MODEL
 from repro.fpga.power import DEFAULT_POWER_MODEL
 from repro.index.fm_index import FMIndex
@@ -56,12 +56,11 @@ def main() -> None:
         )
 
     # A Table-I-shaped sample at true scale.
-    counters = OpCounters()
-    struct = BWTStructure(bwt, b=15, sf=50, counters=counters)
+    struct = BWTStructure(bwt, b=15, sf=50)
     struct.build_batch_cache()
-    index = FMIndex(struct, locate_structure=FullSA(sa), counters=counters)
+    index = FMIndex(struct, locate_structure=FullSA(sa))
     reads = simulate_reads(ref, 20_000, 35, mapping_ratio=0.75, seed=7001).reads
-    with CounterScope(counters) as scope:
+    with CounterScope() as scope:
         t0 = time.time()
         lo, hi, steps = index.search_batch(reads)
         wall = time.time() - t0

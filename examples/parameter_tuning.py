@@ -16,7 +16,7 @@ Run:  python examples/parameter_tuning.py
 import time
 
 from repro import build_index
-from repro.core.counters import CounterScope, OpCounters
+from repro.core.counters import CounterScope
 from repro.fpga import ALVEO_U200, max_reference_bases
 from repro.io import E_COLI_LIKE, generate_reference, simulate_reads
 from repro.mapper.batch import run_mapping_batch
@@ -33,11 +33,10 @@ def main() -> None:
     results = []
     for b in (5, 10, 15):
         for sf in (25, 50, 100, 200):
-            counters = OpCounters()
             t0 = time.perf_counter()
-            index, report = build_index(reference, b=b, sf=sf, counters=counters)
+            index, report = build_index(reference, b=b, sf=sf)
             index.backend.build_batch_cache()
-            with CounterScope(counters) as scope:
+            with CounterScope() as scope:
                 run = run_mapping_batch(index, reads, keep_results=False)
             iters_per_rank = (
                 scope.delta["class_sum_iterations"] / max(1, scope.delta["binary_ranks"])

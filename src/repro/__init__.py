@@ -51,6 +51,7 @@ Subpackages
 from .core import (
     BitVector,
     BWTStructure,
+    CounterScope,
     OpCounters,
     RRRVector,
     WaveletTree,
@@ -64,6 +65,7 @@ __version__ = "1.0.0"
 __all__ = [
     "BitVector",
     "BWTStructure",
+    "CounterScope",
     "FMIndex",
     "Mapper",
     "MappingResult",

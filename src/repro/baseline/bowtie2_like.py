@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.counters import CounterScope, OpCounters
+from ..core.counters import CounterScope
 from ..index.fm_index import FMIndex
 from ..index.ftab import Ftab
 from ..index.occ_table import OccTable
@@ -79,19 +79,16 @@ class Bowtie2Like:
         checkpoint_words: int = 4,
         sa_sample_rate: int = 32,
         thread_model: AmdahlModel = DEFAULT_THREAD_MODEL,
-        counters: OpCounters | None = None,
         ftab_k: int | None = None,
     ):
         codes = encode(reference) if isinstance(reference, str) else np.asarray(reference, dtype=np.uint8)
-        self.counters = counters if counters is not None else OpCounters()
         sa = suffix_array(codes, method="doubling")
         bwt = bwt_from_codes(codes, sa=sa)
-        self.backend = OccTable(bwt, checkpoint_words=checkpoint_words, counters=self.counters)
+        self.backend = OccTable(bwt, checkpoint_words=checkpoint_words)
         ftab = Ftab.build(self.backend, k=ftab_k) if ftab_k is not None else None
         self.index = FMIndex(
             self.backend,
             locate_structure=SampledSA(sa, k=sa_sample_rate),
-            counters=self.counters,
             ftab=ftab,
         )
         self.mapper = Mapper(self.index, locate=False)
@@ -100,7 +97,7 @@ class Bowtie2Like:
     def map_reads(self, reads, locate: bool = False) -> Bowtie2RunReport:
         """Map a read set (both strands), timing the search."""
         mapper = Mapper(self.index, locate=locate)
-        with CounterScope(self.counters) as scope:
+        with CounterScope() as scope:
             t0 = time.perf_counter()
             results = mapper.map_reads(list(reads))
             wall = time.perf_counter() - t0

@@ -91,13 +91,6 @@ def small_index_cached(n_bases: int = 20_000, seed: int = 42, ftab_k: int | None
     matrix doesn't rebuild the substrate per experiment.  Returns
     ``(index, report)`` as :func:`repro.build_index` does.
     """
-    from ..core.counters import OpCounters
     from ..index.builder import build_index
 
-    return build_index(
-        make_dna(n_bases, seed=seed),
-        b=15,
-        sf=50,
-        counters=OpCounters(),
-        ftab_k=ftab_k,
-    )
+    return build_index(make_dna(n_bases, seed=seed), b=15, sf=50, ftab_k=ftab_k)

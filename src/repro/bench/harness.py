@@ -24,7 +24,6 @@ from functools import lru_cache
 
 
 from ..baseline.bowtie2_like import Bowtie2Like, assert_same_accuracy
-from ..core.counters import OpCounters
 from ..fpga.accelerator import FPGAAccelerator
 from ..fpga.cost_model import DEFAULT_COST_MODEL, FPGACostModel
 from ..fpga.power import DEFAULT_POWER_MODEL
@@ -106,17 +105,14 @@ def get_index(
     from ..sequence.sampled_sa import FullSA
 
     bwt = _reference_bwt(profile, scale, seed)
-    counters = OpCounters()
-    struct, encode_seconds = encode_existing_bwt(bwt, b=b, sf=sf, counters=counters)
+    struct, encode_seconds = encode_existing_bwt(bwt, b=b, sf=sf)
     ftab = None
     ftab_seconds = 0.0
     if ftab_k is not None:
         t0 = time.perf_counter()
         ftab = Ftab.build(struct, k=ftab_k)
         ftab_seconds = time.perf_counter() - t0
-    index = FMIndex(
-        struct, locate_structure=FullSA(bwt.sa), counters=counters, ftab=ftab
-    )
+    index = FMIndex(struct, locate_structure=FullSA(bwt.sa), ftab=ftab)
     sym = bwt.symbols_without_sentinel()
     report = BuildReport(
         text_length=bwt.text_length,

@@ -111,13 +111,10 @@ def _reference_for(scale: str, seed: int) -> str:
 
 
 def _built_index(scale: str, seed: int, backend: str, ftab_k: int | None):
-    from ...core.counters import OpCounters
     from ...index.builder import build_index
 
     ref = _reference_for(scale, seed)
-    index, _ = build_index(
-        ref, b=15, sf=50, backend=backend, counters=OpCounters(), ftab_k=ftab_k
-    )
+    index, _ = build_index(ref, b=15, sf=50, backend=backend, ftab_k=ftab_k)
     return ref, index
 
 

@@ -11,13 +11,13 @@ Layering (bottom to top):
   bit-vectors (Figs. 1-2);
 * :mod:`~repro.core.bwt_structure` — the composed BWaveR structure with
   the separate-``$`` optimization and the FM-index ``C``/``Occ`` queries;
-* :mod:`~repro.core.counters` — operation counting that feeds the
-  analytic CPU/FPGA cost models.
+* :mod:`~repro.core.counters` — run-scoped operation counting that
+  feeds the analytic CPU/FPGA cost models.
 """
 
 from .bitvector import BitVector
 from .bwt_structure import BWTStructure
-from .counters import GLOBAL_COUNTERS, CounterScope, OpCounters
+from .counters import CounterScope, OpCounters, current_counters
 from .global_tables import GlobalRankTables, get_global_tables
 from .interleaved import InterleavedRankVector, interleaved_factory
 from .rrr import DEFAULT_BLOCK_SIZE, DEFAULT_SUPERBLOCK_FACTOR, RRRVector
@@ -29,12 +29,12 @@ __all__ = [
     "CounterScope",
     "DEFAULT_BLOCK_SIZE",
     "DEFAULT_SUPERBLOCK_FACTOR",
-    "GLOBAL_COUNTERS",
     "GlobalRankTables",
     "InterleavedRankVector",
     "OpCounters",
     "RRRVector",
     "WaveletTree",
+    "current_counters",
     "get_global_tables",
     "interleaved_factory",
     "wavelet_tree_from_string",

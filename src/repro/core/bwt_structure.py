@@ -26,7 +26,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..sequence.bwt import BWT, count_array
-from .counters import GLOBAL_COUNTERS, OpCounters
 from .rrr import DEFAULT_BLOCK_SIZE, DEFAULT_SUPERBLOCK_FACTOR
 from .wavelet_tree import WaveletTree
 
@@ -49,8 +48,6 @@ class BWTStructure:
     bitvector_factory:
         Forwarded to :class:`~repro.core.wavelet_tree.WaveletTree` (the
         structure ablation swaps RRR for plain bit-vectors here).
-    counters:
-        Operation counters charged for every query.
     """
 
     def __init__(
@@ -60,16 +57,14 @@ class BWTStructure:
         sf: int = DEFAULT_SUPERBLOCK_FACTOR,
         store_sentinel_in_tree: bool = False,
         bitvector_factory=None,
-        counters: OpCounters | None = None,
     ):
         self.bwt = bwt
         self.b = b
         self.sf = sf
-        self.counters = counters if counters is not None else GLOBAL_COUNTERS
         self.dollar_pos = bwt.dollar_pos
         self.n_rows = bwt.length  # n + 1 Burrows-Wheeler matrix rows
         self.store_sentinel_in_tree = bool(store_sentinel_in_tree)
-        kwargs = dict(b=b, sf=sf, counters=self.counters)
+        kwargs = dict(b=b, sf=sf)
         if bitvector_factory is not None:
             kwargs["bitvector_factory"] = bitvector_factory
         if self.store_sentinel_in_tree:
@@ -221,7 +216,6 @@ class BWTStructure:
         meta: dict,
         arrays: dict[str, np.ndarray],
         bwt: BWT | None = None,
-        counters: OpCounters | None = None,
     ) -> "BWTStructure":
         """Rehydrate around externally owned buffers without re-encoding.
 
@@ -235,7 +229,6 @@ class BWTStructure:
         self.store_sentinel_in_tree = bool(meta["sentinel_in_tree"])
         self.dollar_pos = int(meta["dollar_pos"])
         self.n_rows = int(meta["n_rows"])
-        self.counters = counters if counters is not None else GLOBAL_COUNTERS
         self.tree = WaveletTree.from_arrays(
             meta["tree"],
             {
@@ -243,7 +236,6 @@ class BWTStructure:
                 for name, arr in arrays.items()
                 if name.startswith("tree/")
             },
-            counters=self.counters,
         )
         self.C = arrays["C"]
         self.bwt = bwt

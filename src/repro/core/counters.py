@@ -3,23 +3,29 @@
 BWaveR's evaluation compares a hardware pipeline against software baselines.
 Because this reproduction executes the data structures in pure Python, wall
 clock alone cannot reproduce the paper's ratios (Python is two to three
-orders of magnitude slower than the authors' C++/HLS code).  Instead, every
-structure in :mod:`repro.core` counts the primitive operations it performs,
-and the analytic cost models in :mod:`repro.fpga.cost_model` and
+orders of magnitude slower than the authors' C++/HLS code).  Instead, the
+structures in :mod:`repro.core` count the primitive operations they
+perform, and the analytic cost models in :mod:`repro.fpga.cost_model` and
 :mod:`repro.bench.calibration` convert those counts into native-equivalent
 or FPGA-cycle time.  The *workload behaviour* (early termination of
 unmapped reads, number of class-sum iterations per rank, wavelet-tree
 depth) is therefore real and measured; only per-operation costs are model
 constants.
 
-The counters are deliberately cheap (plain ``int`` attributes, no locks):
-they are bumped on scalar query paths only, never inside the vectorized
-construction kernels.
+Counts belong to a run, not to a structure.  :class:`CounterScope` opens
+a fresh :class:`OpCounters` for the current thread or context; every
+structure charges whatever scope is innermost there, and an inner scope's
+counts fold into the enclosing one when it closes.  Outside any scope
+nothing is charged: scalar paths bump the read-only :data:`UNCOUNTED`
+sink, and the vectorized kernels skip computing their charges.  A thread
+starts outside every scope, so concurrent work on other threads never
+leaks into a run's counts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from contextvars import ContextVar
+from dataclasses import dataclass, fields
 
 
 @dataclass
@@ -77,11 +83,6 @@ class OpCounters:
     occ_scan_chars: int = 0
     reads_invalid: int = 0
 
-    def reset(self) -> None:
-        """Zero every counter in place."""
-        for f in fields(self):
-            setattr(self, f.name, 0)
-
     def snapshot(self) -> dict[str, int]:
         """Return the current counts as a plain dict."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -91,42 +92,49 @@ class OpCounters:
         for f in fields(self):
             setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
-    def __add__(self, other: "OpCounters") -> "OpCounters":
-        out = OpCounters()
-        out.merge(self)
-        out.merge(other)
-        return out
 
-    def diff(self, before: dict[str, int]) -> dict[str, int]:
-        """Counts accrued since a prior :meth:`snapshot`."""
-        return {k: getattr(self, k) - v for k, v in before.items()}
+class _Uncounted(OpCounters):
+    """Counters that read zero and drop every charge."""
+
+    def __setattr__(self, name: str, value: int) -> None:
+        pass
 
 
-@dataclass
+#: What :func:`current_counters` returns outside every scope.
+UNCOUNTED: OpCounters = _Uncounted()
+
+_ACTIVE: ContextVar[OpCounters] = ContextVar("op_counters", default=UNCOUNTED)
+
+
+def current_counters() -> OpCounters:
+    """The innermost open scope's counters, or :data:`UNCOUNTED`."""
+    return _ACTIVE.get()
+
+
 class CounterScope:
-    """Context manager capturing the counts accrued inside a ``with`` block.
+    """Count the operations run inside a ``with`` block on this context.
+
+    ``counters`` is live while the block runs; ``delta`` holds the final
+    counts once it exits (also on an exception).  A scope's counts fold
+    into the enclosing scope when it closes.
 
     Example
     -------
-    >>> counters = OpCounters()
-    >>> with CounterScope(counters) as scope:
-    ...     counters.bs_steps += 3
+    >>> with CounterScope() as scope:
+    ...     current_counters().bs_steps += 3
     >>> scope.delta["bs_steps"]
     3
     """
 
-    counters: OpCounters
-    delta: dict[str, int] = field(default_factory=dict)
-    _before: dict[str, int] = field(default_factory=dict)
+    def __init__(self) -> None:
+        self.counters = OpCounters()
+        self.delta: dict[str, int] = {}
 
     def __enter__(self) -> "CounterScope":
-        self._before = self.counters.snapshot()
+        self._token = _ACTIVE.set(self.counters)
         return self
 
     def __exit__(self, *exc) -> None:
-        self.delta = self.counters.diff(self._before)
-
-
-#: Module-level counters used by structures created without an explicit
-#: ``counters=`` argument.  Benches reset this before each measured region.
-GLOBAL_COUNTERS = OpCounters()
+        _ACTIVE.reset(self._token)
+        self.delta = self.counters.snapshot()
+        current_counters().merge(self.counters)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .bitio import pack_fields, read_field
 from .bitvector import popcount_scalar
-from .counters import GLOBAL_COUNTERS, OpCounters
+from .counters import UNCOUNTED, current_counters
 
 
 class InterleavedRankVector:
@@ -40,15 +40,14 @@ class InterleavedRankVector:
     bits:
         0/1 array to encode.
     b:
-        Body (block) size in bits, 1..63.
-    counters:
-        Operation counters (charged as table-free binary ranks).
+        Body (block) size in bits, 1..63.  Queries are charged as
+        table-free binary ranks.
     """
 
     __slots__ = ("n", "b", "header_bits", "codeword_bits", "words", "n_blocks",
-                 "counters", "_total_ones")
+                 "_total_ones")
 
-    def __init__(self, bits, b: int = 32, counters: OpCounters | None = None):
+    def __init__(self, bits, b: int = 32):
         bits = np.asarray(bits, dtype=np.uint8)
         if bits.ndim != 1:
             raise ValueError("bits must be one-dimensional")
@@ -58,7 +57,6 @@ class InterleavedRankVector:
             raise ValueError(f"body size b={b} outside [1, 63]")
         self.n = int(bits.size)
         self.b = int(b)
-        self.counters = counters if counters is not None else GLOBAL_COUNTERS
         # Header width: enough for the largest possible rank (= n).
         self.header_bits = max(1, int(self.n).bit_length())
         self.codeword_bits = self.header_bits + self.b
@@ -92,7 +90,7 @@ class InterleavedRankVector:
         """Ones in ``B[0:p]`` — one codeword fetch + popcount."""
         if not 0 <= p <= self.n:
             raise IndexError(f"rank position {p} out of range [0, {self.n}]")
-        c = self.counters
+        c = current_counters()
         c.binary_ranks += 1
         if p == self.n:
             return self._total_ones
@@ -117,8 +115,10 @@ class InterleavedRankVector:
             return np.zeros(0, dtype=np.int64)
         if p.min() < 0 or p.max() > self.n:
             raise IndexError("rank position out of range")
-        self.counters.binary_ranks += int(p.size)
-        self.counters.superblock_reads += int(p.size)
+        c = current_counters()
+        if c is not UNCOUNTED:
+            c.binary_ranks += int(p.size)
+            c.superblock_reads += int(p.size)
         block, r = np.divmod(np.minimum(p, self.n - 1 if self.n else 0), self.b)
         # Positions p == n need the total; handle via mask at the end.
         base = block * self.codeword_bits
@@ -211,10 +211,10 @@ class InterleavedRankVector:
         )
 
 
-def interleaved_factory(b: int = 32, counters: OpCounters | None = None):
+def interleaved_factory(b: int = 32):
     """Wavelet-node factory for the ablation bench."""
 
     def make(bits: np.ndarray) -> InterleavedRankVector:
-        return InterleavedRankVector(bits, b=b, counters=counters)
+        return InterleavedRankVector(bits, b=b)
 
     return make

@@ -33,7 +33,7 @@ import numpy as np
 
 from .bitio import pack_fields, read_field, read_fields
 from .bitvector import BitVector
-from .counters import GLOBAL_COUNTERS, OpCounters
+from .counters import UNCOUNTED, current_counters
 from .global_tables import (
     GlobalRankTables,
     encode_offsets,
@@ -65,9 +65,6 @@ class RRRVector:
     tables:
         Optional pre-built :class:`GlobalRankTables`; defaults to the
         process-wide shared instance for ``b`` (the paper's sharing).
-    counters:
-        Operation counters to charge queries against (defaults to the
-        module-global instance).
     """
 
     __slots__ = (
@@ -82,7 +79,6 @@ class RRRVector:
         "offset_bits",
         "offset_sums",
         "tables",
-        "counters",
         "_class_cum",
         "_offset_cum",
     )
@@ -93,7 +89,6 @@ class RRRVector:
         b: int = DEFAULT_BLOCK_SIZE,
         sf: int = DEFAULT_SUPERBLOCK_FACTOR,
         tables: GlobalRankTables | None = None,
-        counters: OpCounters | None = None,
     ):
         if sf < 1:
             raise ValueError(f"superblock factor must be >= 1, got {sf}")
@@ -106,7 +101,6 @@ class RRRVector:
         self.tables = tables if tables is not None else get_global_tables(b)
         if self.tables.b != b:
             raise ValueError(f"tables built for b={self.tables.b}, requested b={b}")
-        self.counters = counters if counters is not None else GLOBAL_COUNTERS
         self.n = int(bit_arr.size)
         self.b = int(b)
         self.sf = int(sf)
@@ -162,9 +156,8 @@ class RRRVector:
         b: int = DEFAULT_BLOCK_SIZE,
         sf: int = DEFAULT_SUPERBLOCK_FACTOR,
         tables: GlobalRankTables | None = None,
-        counters: OpCounters | None = None,
     ) -> "RRRVector":
-        return cls(bv, b=b, sf=sf, tables=tables, counters=counters)
+        return cls(bv, b=b, sf=sf, tables=tables)
 
     # -- zero-copy rehydration ----------------------------------------------
 
@@ -200,7 +193,6 @@ class RRRVector:
         meta: dict,
         arrays: dict[str, np.ndarray],
         tables: GlobalRankTables | None = None,
-        counters: OpCounters | None = None,
     ) -> "RRRVector":
         """Rehydrate around externally owned buffers **without copying**.
 
@@ -221,7 +213,6 @@ class RRRVector:
             raise ValueError(
                 f"tables built for b={self.tables.b}, structure has b={self.b}"
             )
-        self.counters = counters if counters is not None else GLOBAL_COUNTERS
         self.classes = arrays["classes"]
         self.partial_sums = arrays["partial_sums"]
         self.offset_words = arrays["offset_words"]
@@ -248,7 +239,7 @@ class RRRVector:
         if not 0 <= p <= self.n:
             raise IndexError(f"rank position {p} out of range [0, {self.n}]")
         b, sf = self.b, self.sf
-        c = self.counters
+        c = current_counters()
         c.binary_ranks += 1
         sb = p // (sf * b)
         if p % (sf * b) == 0:
@@ -353,17 +344,19 @@ class RRRVector:
         block_c = np.minimum(block, self.n_blocks)  # p == n on block edge
         counts = class_cum[block_c]
         partial = r > 0
-        # Charge the counters exactly as the scalar Algorithm 1 would:
-        # one binary rank per query; a partial-sum read for p > 0 plus an
-        # offset-sum read on the general branch; class-sum iterations
-        # spanning from the superblock start to the query's block.
-        c = self.counters
-        c.binary_ranks += int(p.size)
-        c.superblock_reads += int(np.count_nonzero(p > 0)) + int(np.count_nonzero(partial))
-        c.offset_reads += int(np.count_nonzero(partial))
-        c.table_lookups += int(np.count_nonzero(partial))
-        sfb = self.sf * b
-        c.class_sum_iterations += int((block - self.sf * (p // sfb)).sum())
+        c = current_counters()
+        if c is not UNCOUNTED:
+            # Charge exactly as the scalar Algorithm 1 would: one binary
+            # rank per query; a partial-sum read for p > 0 plus an
+            # offset-sum read on the general branch; class-sum iterations
+            # spanning from the superblock start to the query's block.
+            n_partial = int(np.count_nonzero(partial))
+            c.binary_ranks += int(p.size)
+            c.superblock_reads += int(np.count_nonzero(p > 0)) + n_partial
+            c.offset_reads += n_partial
+            c.table_lookups += n_partial
+            sfb = self.sf * b
+            c.class_sum_iterations += int((block - self.sf * (p // sfb)).sum())
         if np.any(partial):
             blocks_p = block[partial]
             classes_p = self.classes[blocks_p].astype(np.int64)

@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bitvector import BitVector
-from .counters import GLOBAL_COUNTERS, OpCounters
+from .counters import current_counters
 from .rrr import DEFAULT_BLOCK_SIZE, DEFAULT_SUPERBLOCK_FACTOR, RRRVector
 
 
@@ -53,9 +53,9 @@ class WaveletNode:
         return len(alpha) <= 1
 
 
-def _default_factory(b: int, sf: int, counters: OpCounters) -> Callable:
+def _default_factory(b: int, sf: int) -> Callable:
     def make(bits: np.ndarray):
-        return RRRVector(bits, b=b, sf=sf, counters=counters)
+        return RRRVector(bits, b=b, sf=sf)
 
     return make
 
@@ -80,8 +80,6 @@ class WaveletTree:
     bitvector_factory:
         Callable mapping a 0/1 numpy array to a rank-capable structure;
         overrides ``b``/``sf`` when given.
-    counters:
-        Operation counters charged for every query.
     """
 
     def __init__(
@@ -91,7 +89,6 @@ class WaveletTree:
         b: int = DEFAULT_BLOCK_SIZE,
         sf: int = DEFAULT_SUPERBLOCK_FACTOR,
         bitvector_factory: Callable | None = None,
-        counters: OpCounters | None = None,
     ):
         codes = np.asarray(symbols, dtype=np.int64)
         if codes.ndim != 1:
@@ -106,11 +103,10 @@ class WaveletTree:
             raise ValueError("symbol code out of alphabet range")
         self.n = int(codes.size)
         self.sigma = int(sigma)
-        self.counters = counters if counters is not None else GLOBAL_COUNTERS
         self._factory = (
             bitvector_factory
             if bitvector_factory is not None
-            else _default_factory(b, sf, self.counters)
+            else _default_factory(b, sf)
         )
         self.root = self._build(codes, tuple(range(sigma)))
         # Per-symbol routing: the path (node, side) list is fixed by the
@@ -195,13 +191,11 @@ class WaveletTree:
         cls,
         meta: dict,
         arrays: dict[str, np.ndarray],
-        counters: OpCounters | None = None,
     ) -> "WaveletTree":
         """Rebuild a tree around externally owned node buffers (no copies)."""
         self = cls.__new__(cls)
         self.n = int(meta["n"])
         self.sigma = int(meta["sigma"])
-        self.counters = counters if counters is not None else GLOBAL_COUNTERS
         node_metas = meta["nodes"]
         nodes: list[WaveletNode] = []
         for i, nm in enumerate(node_metas):
@@ -211,16 +205,12 @@ class WaveletTree:
                     key: arrays[f"node{i}/{key}"]
                     for key in ("classes", "partial_sums", "offset_words", "offset_sums")
                 },
-                counters=self.counters,
             )
             nodes.append(WaveletNode(bits, nm["alphabet0"], nm["alphabet1"]))
         for node, nm in zip(nodes, node_metas):
             node.child0 = nodes[nm["child0"]] if nm["child0"] >= 0 else None
             node.child1 = nodes[nm["child1"]] if nm["child1"] >= 0 else None
         self.root = nodes[0]
-        b = self.root.bits.b
-        sf = self.root.bits.sf
-        self._factory = _default_factory(b, sf, self.counters)
         self._paths = {s: self._path_for(s) for s in range(self.sigma)}
         return self
 
@@ -249,7 +239,7 @@ class WaveletTree:
             raise ValueError(f"symbol {symbol} outside alphabet [0, {self.sigma})")
         if not 0 <= p <= self.n:
             raise IndexError(f"rank position {p} out of range [0, {self.n}]")
-        self.counters.wt_ranks += 1
+        current_counters().wt_ranks += 1
         for node, side in self._paths[symbol]:
             if side == 0:
                 p = p - node.bits.rank1(p)
@@ -303,7 +293,7 @@ class WaveletTree:
         """
         if sym.size and (sym.min() < 0 or sym.max() >= self.sigma):
             raise ValueError(f"symbol outside alphabet [0, {self.sigma})")
-        self.counters.wt_ranks += int(p.size)
+        current_counters().wt_ranks += int(p.size)
         if sym.ndim == 0:
             for node, side in self._paths[int(sym)]:
                 r1 = node.bits.rank1_many(p)

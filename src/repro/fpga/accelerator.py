@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.bwt_structure import BWTStructure
+from ..core.counters import current_counters
 from ..faults import (
     FaultError,
     FaultEvent,
@@ -323,7 +324,7 @@ class FPGAAccelerator:
         return self._merge_invalid(run, len(chunk), start, valid_idx), stats
 
     def _record_invalid_reads(self, n: int) -> None:
-        self.kernel.structure.counters.reads_invalid += n
+        current_counters().reads_invalid += n
         tel = get_telemetry()
         if tel.enabled:
             tel.metrics.counter(

@@ -223,8 +223,8 @@ class BackwardSearchKernel:
         backward searches through the same batch contract as the CPU
         mapper (:meth:`~repro.mapper.mapper.Mapper.map_reads`; the reverse
         complement is derived from the codes, as the device derives it on
-        the fly), then charges BRAM traffic from the rank structures'
-        operation counters.
+        the fly), then charges BRAM traffic from the operation counts of
+        that search, taken in its own ``CounterScope``.
         """
         if self.injector is not None and self.injector.hang_kernel():
             raise KernelHangError(
@@ -236,8 +236,7 @@ class BackwardSearchKernel:
         # interval leaves the device.
         self.bram.verify_integrity()
         queries = unpack_queries(records)
-        counters = self.structure.counters
-        with CounterScope(counters) as scope:
+        with CounterScope() as scope:
             batch = self.mapper.map_reads([q.sequence for q in queries])
         outcomes, hw_total, sw_total = batch_outcomes(
             batch, [q.query_id for q in queries], self.ftab

@@ -117,8 +117,7 @@ class TwoPassAccelerator:
             reconfig = self.reconfig_seconds + self.cost_model.load_seconds(
                 self.accelerator.structure_bytes
             )
-            counters = self.structure.counters
-            with CounterScope(counters) as scope:
+            with CounterScope() as scope:
                 for read in unmapped:
                     hit = False
                     for seq in (read, reverse_complement(read)):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.counters import OpCounters
+from ..core.counters import current_counters
 from ..sequence.alphabet import encode
 from .builder import build_index
 
@@ -69,14 +69,11 @@ class BidirectionalFMIndex:
     """
 
     def __init__(self, text, b: int = 15, sf: int = 50,
-                 counters: OpCounters | None = None,
                  ftab_k: int | None = None):
         codes = encode(text) if isinstance(text, str) else np.asarray(text, dtype=np.uint8)
-        self.counters = counters if counters is not None else OpCounters()
-        self.fwd, _ = build_index(codes, b=b, sf=sf, locate="full",
-                                  counters=self.counters, ftab_k=ftab_k)
+        self.fwd, _ = build_index(codes, b=b, sf=sf, locate="full", ftab_k=ftab_k)
         self.rev, _ = build_index(codes[::-1].copy(), b=b, sf=sf, locate="none",
-                                  counters=self.counters, ftab_k=ftab_k)
+                                  ftab_k=ftab_k)
         self.n_rows = self.fwd.n_rows
 
     # -- interval algebra ---------------------------------------------------------
@@ -91,7 +88,7 @@ class BidirectionalFMIndex:
             raise ValueError(f"symbol {a} outside DNA alphabet")
         if iv.empty:
             return BiInterval(iv.lo, iv.lo, iv.lo_r, iv.lo_r)
-        self.counters.bs_steps += 1
+        current_counters().bs_steps += 1
         backend = self.fwd.backend
         lo = backend.count_smaller(a) + backend.occ(a, iv.lo)
         hi = backend.count_smaller(a) + backend.occ(a, iv.hi)
@@ -115,7 +112,7 @@ class BidirectionalFMIndex:
             raise ValueError(f"symbol {a} outside DNA alphabet")
         if iv.empty:
             return BiInterval(iv.lo, iv.lo, iv.lo_r, iv.lo_r)
-        self.counters.bs_steps += 1
+        current_counters().bs_steps += 1
         backend = self.rev.backend
         lo_r = backend.count_smaller(a) + backend.occ(a, iv.lo_r)
         hi_r = backend.count_smaller(a) + backend.occ(a, iv.hi_r)
@@ -165,7 +162,7 @@ class BidirectionalFMIndex:
                 rev_kmer = np.ascontiguousarray(codes[-k:][::-1])
                 lo_r, hi_r, st_r = ftab_r.lookup(rev_kmer)
                 if st_r == k and hi_r - lo_r == hi - lo:
-                    self.counters.ftab_lookups += 2
+                    current_counters().ftab_lookups += 2
                     iv = BiInterval(lo, hi, lo_r, hi_r)
                     for a in codes[:-k][::-1]:
                         iv = self.extend_left(iv, int(a))

@@ -46,7 +46,6 @@ import numpy as np
 
 from ..core.bitio import IncrementalBitPacker
 from ..core.bwt_structure import BWTStructure
-from ..core.counters import OpCounters
 from ..core.global_tables import encode_offsets, get_global_tables, popcount_block
 from ..core.rrr import DEFAULT_BLOCK_SIZE, DEFAULT_SUPERBLOCK_FACTOR
 from ..sequence.alphabet import encode
@@ -712,7 +711,6 @@ def _stage_finalize(
     sa_sample_rate: int,
     occ_checkpoint_words: int,
     ftab_k: int | None,
-    counters: OpCounters | None,
 ):
     dollar = int(state["dollar_pos"])
     bwt = BWT(
@@ -768,9 +766,7 @@ def _stage_finalize(
                 arrays[f"tree/node{i}/{name}"] = np.load(
                     work / f"node{i}_{name}.npy", mmap_mode="r"
                 )
-        struct = BWTStructure.from_arrays(
-            backend_meta, arrays, bwt=bwt, counters=counters
-        )
+        struct = BWTStructure.from_arrays(backend_meta, arrays, bwt=bwt)
     else:
         occ_meta = {
             "checkpoint_words": int(occ_checkpoint_words),
@@ -788,7 +784,7 @@ def _stage_finalize(
             "checkpoints": np.load(work / "occ_checkpoints.npy", mmap_mode="r"),
             "C": C,
         }
-        struct = OccTable.from_arrays(occ_meta, arrays, bwt=bwt, counters=counters)
+        struct = OccTable.from_arrays(occ_meta, arrays, bwt=bwt)
     if locate == "full":
         loc = FullSA(bwt.sa)
     elif locate == "sampled":
@@ -801,7 +797,7 @@ def _stage_finalize(
         t0 = time.perf_counter()
         ftab = Ftab.build(struct, k=ftab_k)
         ftab_seconds = time.perf_counter() - t0
-    index = FMIndex(struct, locate_structure=loc, counters=counters, ftab=ftab)
+    index = FMIndex(struct, locate_structure=loc, ftab=ftab)
     save_index_flat(index, out_path)
     return struct, ftab, ftab_seconds
 
@@ -827,7 +823,6 @@ def build_index_blockwise(
     work_dir: str | Path | None = None,
     resume: bool = False,
     keep_work_dir: bool = False,
-    counters: OpCounters | None = None,
     measure_peak: bool = False,
     checkpoint_callback: Callable[[str], None] | None = None,
 ) -> BuildReport:
@@ -936,7 +931,6 @@ def build_index_blockwise(
                     sa_sample_rate=sa_sample_rate,
                     occ_checkpoint_words=occ_checkpoint_words,
                     ftab_k=ftab_k,
-                    counters=counters,
                 )
             stage_seconds["finalize"] = time.perf_counter() - t0
             state["stage"] = "done"

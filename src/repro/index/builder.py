@@ -23,7 +23,6 @@ from typing import Literal
 import numpy as np
 
 from ..core.bwt_structure import BWTStructure
-from ..core.counters import OpCounters
 from ..core.rrr import DEFAULT_BLOCK_SIZE, DEFAULT_SUPERBLOCK_FACTOR
 from ..sequence.alphabet import encode
 from ..sequence.bwt import BWT, bwt_from_codes, entropy0, run_length_stats
@@ -94,7 +93,6 @@ def build_index(
     sa_sample_rate: int = 32,
     occ_checkpoint_words: int = 4,
     store_sentinel_in_tree: bool = False,
-    counters: OpCounters | None = None,
     ftab_k: int | None = None,
 ) -> tuple[FMIndex, BuildReport]:
     """Build a queryable index from a DNA string or code array.
@@ -124,12 +122,9 @@ def build_index(
                     b=b,
                     sf=sf,
                     store_sentinel_in_tree=store_sentinel_in_tree,
-                    counters=counters,
                 )
             elif backend == "occ":
-                struct = OccTable(
-                    bwt, checkpoint_words=occ_checkpoint_words, counters=counters
-                )
+                struct = OccTable(bwt, checkpoint_words=occ_checkpoint_words)
             else:
                 raise ValueError(f"unknown backend {backend!r}")
         t2 = time.perf_counter()
@@ -151,7 +146,7 @@ def build_index(
                 ftab = Ftab.build(struct, k=ftab_k)
                 ftab_seconds = time.perf_counter() - t_ft
 
-        index = FMIndex(struct, locate_structure=loc, counters=counters, ftab=ftab)
+        index = FMIndex(struct, locate_structure=loc, ftab=ftab)
         sym = bwt.symbols_without_sentinel()
         report = BuildReport(
             text_length=int(codes.size),
@@ -204,7 +199,6 @@ def encode_existing_bwt(
     bwt: BWT,
     b: int = DEFAULT_BLOCK_SIZE,
     sf: int = DEFAULT_SUPERBLOCK_FACTOR,
-    counters: OpCounters | None = None,
 ) -> tuple[BWTStructure, float]:
     """Step 2 alone: encode a precomputed BWT, returning (structure, seconds).
 
@@ -213,5 +207,5 @@ def encode_existing_bwt(
     sorting.
     """
     t0 = time.perf_counter()
-    struct = BWTStructure(bwt, b=b, sf=sf, counters=counters)
+    struct = BWTStructure(bwt, b=b, sf=sf)
     return struct, time.perf_counter() - t0

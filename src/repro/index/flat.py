@@ -43,7 +43,6 @@ from pathlib import Path
 import numpy as np
 
 from ..core.bwt_structure import BWTStructure
-from ..core.counters import OpCounters
 from ..sequence.bwt import BWT
 from ..sequence.sampled_sa import FullSA, SampledSA
 from ..telemetry import get_telemetry
@@ -387,9 +386,7 @@ def _segment_views(
     return views
 
 
-def _rehydrate(
-    meta: dict, views: dict[str, np.ndarray], counters: OpCounters | None
-) -> FMIndex:
+def _rehydrate(meta: dict, views: dict[str, np.ndarray]) -> FMIndex:
     if meta.get("kind") != "fmindex":
         raise IndexFormatError(f"unknown container kind {meta.get('kind')!r}")
     bm = meta["backend_meta"]
@@ -408,13 +405,9 @@ def _rehydrate(
         }
         kind = meta.get("backend")
         if kind == "rrr":
-            backend = BWTStructure.from_arrays(
-                bm, backend_views, bwt=bwt, counters=counters
-            )
+            backend = BWTStructure.from_arrays(bm, backend_views, bwt=bwt)
         elif kind == "occ":
-            backend = OccTable.from_arrays(
-                bm, backend_views, bwt=bwt, counters=counters
-            )
+            backend = OccTable.from_arrays(bm, backend_views, bwt=bwt)
         else:
             raise IndexFormatError(f"unknown backend kind {kind!r}")
         locate = meta.get("locate", "none")
@@ -447,14 +440,10 @@ def _rehydrate(
                 ) from exc
     except KeyError as exc:
         raise IndexFormatError(f"flat container missing field: {exc}") from exc
-    return FMIndex(backend, locate_structure=loc, counters=counters, ftab=ftab)
+    return FMIndex(backend, locate_structure=loc, ftab=ftab)
 
 
-def attach_index_from_buffer(
-    buf,
-    counters: OpCounters | None = None,
-    verify: bool = False,
-) -> FMIndex:
+def attach_index_from_buffer(buf, verify: bool = False) -> FMIndex:
     """Rehydrate an :class:`FMIndex` around a container buffer, zero-copy.
 
     ``buf`` is any byte buffer holding a flat container — an
@@ -466,13 +455,13 @@ def attach_index_from_buffer(
     u8 = buf if isinstance(buf, np.ndarray) else np.frombuffer(buf, dtype=np.uint8)
     meta, entries, data_start = read_flat_manifest(u8)
     views = _segment_views(u8, entries, data_start, verify=verify)
-    return _rehydrate(meta, views, counters)
+    return _rehydrate(meta, views)
 
 
-def _attach(meta: dict, views: dict[str, np.ndarray], counters: OpCounters | None):
+def _attach(meta: dict, views: dict[str, np.ndarray]):
     """Rehydrate an ``FMIndex``, wrapped as a ``MultiReferenceIndex``
     when the manifest carries a sequence table."""
-    index = _rehydrate(meta, views, counters)
+    index = _rehydrate(meta, views)
     if not meta.get("multiref"):
         return index
     from .multiref import MultiReferenceIndex
@@ -526,7 +515,7 @@ def _mapped(path: str | Path, verify: bool):
         ).observe(time.perf_counter() - t0)
 
 
-def _load(path, counters, verify: bool, multiref: bool | None):
+def _load(path, verify: bool, multiref: bool | None):
     """Open ``path``; ``multiref`` True/False demands that kind of index."""
     with _mapped(path, verify) as (meta, views):
         if multiref is not None and bool(meta.get("multiref")) != multiref:
@@ -537,12 +526,10 @@ def _load(path, counters, verify: bool, multiref: bool | None):
             raise IndexFormatError(
                 "container holds a multi-reference index; use load_multiref_index_flat"
             )
-        return _attach(meta, views, counters)
+        return _attach(meta, views)
 
 
-def load_any_index_auto(
-    path: str | Path, counters: OpCounters | None = None, verify: bool = False
-):
+def load_any_index_auto(path: str | Path, verify: bool = False):
     """Open a container of either kind: returns an :class:`FMIndex`, or a
     :class:`~repro.index.multiref.MultiReferenceIndex` when the manifest
     holds a sequence table.
@@ -552,26 +539,22 @@ def load_any_index_auto(
     them.  ``verify=True`` checks every segment CRC up front (reads the
     whole file once).
     """
-    return _load(path, counters, verify, multiref=None)
+    return _load(path, verify, multiref=None)
 
 
-def load_index_flat(
-    path: str | Path,
-    counters: OpCounters | None = None,
-    verify: bool = False,
-) -> FMIndex:
+def load_index_flat(path: str | Path, verify: bool = False) -> FMIndex:
     """:func:`load_any_index_auto` for single-reference containers only.
 
     Also bound as the public ``repro.load_index``.  Integrity checking is
     opt-in: segment CRCs are checked only with ``verify=True``.
     """
-    return _load(path, counters, verify, multiref=False)
+    return _load(path, verify, multiref=False)
 
 
-def load_multiref_index_flat(path: str | Path, counters: OpCounters | None = None):
+def load_multiref_index_flat(path: str | Path):
     """:func:`load_any_index_auto` for containers written by
     :func:`save_multiref_index_flat` only (lazy: no CRC pass)."""
-    return _load(path, counters, False, multiref=True)
+    return _load(path, False, multiref=True)
 
 
 def verify_flat_index(path: str | Path) -> list[str]:

@@ -33,7 +33,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from ..core.counters import GLOBAL_COUNTERS, OpCounters
+from ..core.counters import OpCounters, current_counters
 from ..sequence.alphabet import AlphabetError, EncodedBatch, encode, encode_batch
 from ..sequence.sampled_sa import FullSA, SampledSA
 from ..telemetry import get_telemetry
@@ -52,7 +52,6 @@ class RankBackend(Protocol):
     """
 
     n_rows: int
-    counters: OpCounters
 
     def occ(self, symbol: int, i: int) -> int: ...
     def occ_many(self, symbols, positions: np.ndarray) -> np.ndarray: ...
@@ -98,8 +97,6 @@ class FMIndex:
     locate_structure:
         A :class:`~repro.sequence.sampled_sa.FullSA` (BWaveR's host-side
         choice) or :class:`~repro.sequence.sampled_sa.SampledSA`.
-    counters:
-        Defaults to the backend's counters.
     ftab:
         Optional :class:`~repro.index.ftab.Ftab` jump-start table.  When
         attached, every query of length ``>= ftab.k`` starts at step
@@ -112,18 +109,22 @@ class FMIndex:
         self,
         backend: RankBackend,
         locate_structure: FullSA | SampledSA | None = None,
-        counters: OpCounters | None = None,
         ftab: Ftab | None = None,
     ):
         self.backend = backend
         self.locate_structure = locate_structure
-        self.counters = (
-            counters
-            if counters is not None
-            else getattr(backend, "counters", GLOBAL_COUNTERS)
-        )
         self.ftab = ftab
         self.use_ftab = True
+
+    @property
+    def counters(self) -> OpCounters:
+        """The innermost open ``CounterScope``'s counts (zeros outside one).
+
+        Count with ``CounterScope()``; this view remains only because
+        ``perfbench/trace_launch.py`` reads ``ftab_lookups`` from it
+        around :meth:`search_batch`.
+        """
+        return current_counters()
 
     @property
     def n_rows(self) -> int:
@@ -173,7 +174,8 @@ class FMIndex:
         patterns is still the full ``[0, n_rows)`` interval.
         """
         codes = self._codes(pattern)
-        self.counters.queries += 1
+        counters = current_counters()
+        counters.queries += 1
         if codes.size == 0:
             return SearchResult(start=min(1, self.n_rows), end=self.n_rows, steps=0)
         lo, hi = 0, self.n_rows
@@ -186,7 +188,7 @@ class FMIndex:
             # entry carries the exact (lo, hi, steps) the stepwise
             # recurrence would produce, including early-emptied k-mers.
             lo, hi, steps = ftab.lookup(codes)
-            self.counters.ftab_lookups += 1
+            counters.ftab_lookups += 1
             tel = get_telemetry()
             if tel.enabled:
                 m = tel.metrics
@@ -205,7 +207,7 @@ class FMIndex:
             lo = backend.count_smaller(a) + backend.occ(a, lo)
             hi = backend.count_smaller(a) + backend.occ(a, hi)
             steps += 1
-            self.counters.bs_steps += 1
+            counters.bs_steps += 1
             if lo >= hi:
                 return SearchResult(start=lo, end=lo, steps=steps)
         return SearchResult(start=lo, end=hi, steps=steps)
@@ -229,7 +231,7 @@ class FMIndex:
     # -- batch (vectorized) search -------------------------------------------------
 
     def search_batch(
-        self, patterns: Sequence | EncodedBatch, track_steps: bool = True
+        self, patterns: Sequence | EncodedBatch
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Backward search over many patterns with per-step vectorization.
 
@@ -259,7 +261,8 @@ class FMIndex:
         # step t (patterns are consumed right to left).
         mat, lengths = batch.step_matrix()
         nq = lengths.size
-        self.counters.queries += nq
+        counters = current_counters()
+        counters.queries += nq
         max_len = mat.shape[1]
         lo = np.zeros(nq, dtype=np.int64)
         hi = np.full(nq, self.n_rows, dtype=np.int64)
@@ -286,7 +289,7 @@ class FMIndex:
                 # Entries emptied inside the table region are finished.
                 active[prim[lo[prim] >= hi[prim]]] = False
                 start_col[prim] = ftab.k
-                self.counters.ftab_lookups += int(prim.size)
+                counters.ftab_lookups += int(prim.size)
         # count_smaller is invariant per symbol — hoist it out of the
         # step loop instead of re-reading C every (step, symbol) pair.
         csmall = np.array(
@@ -313,9 +316,8 @@ class FMIndex:
                 hi[cur] = new_hi
                 steps[cur] += 1
                 executed += int(cur.size)
-                if track_steps:
-                    self.counters.bs_steps += int(cur.size)
             t += 1
+        counters.bs_steps += executed
         tel = get_telemetry()
         if tel.enabled:
             m = tel.metrics

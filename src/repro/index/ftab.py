@@ -43,8 +43,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.counters import OpCounters
-
 SIGMA = 4
 
 #: Bowtie2's default seed-table order; 4**10 entries.
@@ -190,16 +188,6 @@ class Ftab:
         )
 
 
-def build_ftab(
-    backend,
-    k: int = DEFAULT_FTAB_K,
-    counters: OpCounters | None = None,
-) -> Ftab:
-    """Convenience wrapper mirroring the module-level build functions.
-
-    ``counters`` is accepted for signature symmetry with the other
-    builders; the construction itself is charged to the backend's own
-    counters (it runs through the backend's vectorized rank kernels).
-    """
-    del counters
+def build_ftab(backend, k: int = DEFAULT_FTAB_K) -> Ftab:
+    """Convenience wrapper mirroring the module-level build functions."""
     return Ftab.build(backend, k=k)

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.counters import OpCounters
+from ..core.counters import current_counters
 from ..sequence.alphabet import is_valid, reverse_complement
 from .builder import Backend, build_index
 
@@ -66,7 +66,6 @@ class MultiReferenceIndex:
         b: int = 15,
         sf: int = 50,
         backend: Backend = "rrr",
-        counters: OpCounters | None = None,
     ):
         pairs = []
         for rec in records:
@@ -95,7 +94,7 @@ class MultiReferenceIndex:
         self.offsets = np.concatenate(([0], np.cumsum(self.lengths)))
         concatenated = "".join(s for _, s in pairs)
         self.index, self.build_report = build_index(
-            concatenated, b=b, sf=sf, backend=backend, locate="full", counters=counters
+            concatenated, b=b, sf=sf, backend=backend, locate="full"
         )
 
     # -- coordinate translation ---------------------------------------------------
@@ -149,7 +148,7 @@ class MultiReferenceIndex:
         the single-reference mapper's N-policy.
         """
         if not is_valid(read):
-            self.index.counters.reads_invalid += 1
+            current_counters().reads_invalid += 1
             return MultiRefMapping(read_id=read_id, hits=())
         hits: list[ReferenceHit] = []
         for strand, seq in (("+", read), ("-", reverse_complement(read))):

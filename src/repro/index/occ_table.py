@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.bitvector import popcount_u64
-from ..core.counters import GLOBAL_COUNTERS, OpCounters
+from ..core.counters import UNCOUNTED, current_counters
 from ..sequence.bwt import BWT, count_array
 
 SIGMA = 4
@@ -79,20 +79,18 @@ class OccTable:
         Checkpoint spacing in 64-bit words; the row spacing is
         ``32 * checkpoint_words`` (BWA's default layout corresponds to
         ``checkpoint_words=4`` → one checkpoint per 128 rows).
-    counters:
-        Operation counters (``occ_checkpoint_ranks`` / ``occ_scan_chars``).
+
+    Queries charge ``occ_checkpoint_ranks`` / ``occ_scan_chars``.
     """
 
     def __init__(
         self,
         bwt: BWT,
         checkpoint_words: int = 4,
-        counters: OpCounters | None = None,
     ):
         if checkpoint_words < 1:
             raise ValueError("checkpoint spacing must be >= 1 word")
         self.bwt = bwt
-        self.counters = counters if counters is not None else GLOBAL_COUNTERS
         self.dollar_pos = bwt.dollar_pos
         self.n_rows = bwt.length
         self.checkpoint_words = int(checkpoint_words)
@@ -134,7 +132,7 @@ class OccTable:
         return self._rank_sym(symbol, j)
 
     def _rank_sym(self, symbol: int, j: int) -> int:
-        c = self.counters
+        c = current_counters()
         c.occ_checkpoint_ranks += 1
         cp = j // self.d_rows
         count = int(self.checkpoints[cp, symbol])
@@ -165,9 +163,11 @@ class OccTable:
         cp = j // self.d_rows
         counts = self.checkpoints[cp, sym].astype(np.int64)
         base = cp * self.d_rows
-        # Charge counters exactly as the scalar path would.
-        self.counters.occ_checkpoint_ranks += int(p.size)
-        self.counters.occ_scan_chars += int((j - base).sum())
+        c = current_counters()
+        if c is not UNCOUNTED:
+            # Charge exactly as the scalar path would.
+            c.occ_checkpoint_ranks += int(p.size)
+            c.occ_scan_chars += int((j - base).sum())
         # Scan whole words vectorized: for each query, sum matches over its
         # checkpoint-local words.  Queries share few distinct (cp, span)
         # combos; handle by looping over word offsets within a checkpoint
@@ -236,7 +236,6 @@ class OccTable:
         meta: dict,
         arrays: dict[str, np.ndarray],
         bwt: BWT | None = None,
-        counters: OpCounters | None = None,
     ) -> "OccTable":
         """Rehydrate around externally owned buffers without repacking."""
         self = cls.__new__(cls)
@@ -245,7 +244,6 @@ class OccTable:
         self.dollar_pos = int(meta["dollar_pos"])
         self.n_rows = int(meta["n_rows"])
         self.n_sym = int(meta["n_sym"])
-        self.counters = counters if counters is not None else GLOBAL_COUNTERS
         self.words = arrays["words"]
         self.checkpoints = arrays["checkpoints"]
         self.C = arrays["C"]

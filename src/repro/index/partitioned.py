@@ -27,7 +27,6 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core.counters import OpCounters
 from ..fpga.cost_model import DEFAULT_COST_MODEL, FPGACostModel
 from ..sequence.alphabet import reverse_complement
 from .builder import build_index
@@ -66,7 +65,6 @@ class PartitionedIndex:
         max_query_length: int = 176,
         b: int = 15,
         sf: int = 50,
-        counters: OpCounters | None = None,
     ):
         if chunk_bases < max_query_length:
             raise ValueError(
@@ -83,7 +81,7 @@ class PartitionedIndex:
         while start < len(reference):
             end = min(len(reference), start + chunk_bases + self.overlap)
             text = reference[start:end]
-            index, _ = build_index(text, b=b, sf=sf, counters=counters)
+            index, _ = build_index(text, b=b, sf=sf)
             self.chunks.append(Chunk(start=start, end=end, index=index))
             if end == len(reference):
                 break

@@ -58,10 +58,9 @@ def run_mapping_batch(
     (interval computation; position resolution is a separate host step).
     """
     mapper = Mapper(index, locate=locate)
-    counters = index.counters
     tel = get_telemetry()
     with tel.span("mapper.batch_run", cat="mapper", n_reads=len(reads)):
-        with CounterScope(counters) as scope:
+        with CounterScope() as scope:
             t0 = time.perf_counter()
             results = mapper.map_reads(reads, batch=batch)
             wall = time.perf_counter() - t0
@@ -99,9 +98,10 @@ def run_mapping_multiprocess(
     index is published once (shared memory, or a memory-mapped flat file)
     and each worker attaches to the same physical copy — no per-worker
     pickle of the structure, and resident memory stays ~one index total
-    regardless of ``workers``.  Counter snapshots are merged from the
-    workers; per-read results are not shipped back (only aggregate
-    mapping ratio), keeping IPC cost out of the measurement.
+    regardless of ``workers``.  Each worker counts its shard in its own
+    ``CounterScope`` and the deltas are summed; per-read results are not
+    shipped back (only aggregate mapping ratio), keeping IPC cost out of
+    the measurement.
 
     ``start_method``/``mode`` are forwarded to the pool (defaults: fork
     when available; shared memory with mmap fallback).

@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ..core.counters import current_counters
 from ..index.fm_index import FMIndex, SearchResult
 from ..sequence.alphabet import AlphabetError, encode_batch, is_valid, reverse_complement
 from ..telemetry import get_telemetry
@@ -74,7 +75,7 @@ class Mapper:
 
     def _count_invalid(self, n: int) -> None:
         """The N-policy's bookkeeping for ``n`` refused reads."""
-        self.index.counters.reads_invalid += n
+        current_counters().reads_invalid += n
         tel = get_telemetry()
         if tel.enabled:
             tel.metrics.counter(
@@ -173,5 +174,5 @@ class Mapper:
                 reverse_complement(sequence)
             )
         except AlphabetError:
-            self.index.counters.reads_invalid += 1
+            current_counters().reads_invalid += 1
             return 0

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.counters import current_counters
 from ..index.fm_index import FMIndex
 from ..sequence.alphabet import encode, reverse_complement
 
@@ -57,6 +58,7 @@ def search_with_mismatches(index: FMIndex, pattern, k: int) -> list[ApproxHit]:
     codes = encode(pattern) if isinstance(pattern, str) else np.asarray(pattern, dtype=np.uint8)
     backend = index.backend
     n_rows = index.n_rows
+    counters = current_counters()
     best: dict[tuple[int, int], int] = {}
 
     def step(pos: int, lo: int, hi: int, used: int) -> None:
@@ -72,7 +74,7 @@ def search_with_mismatches(index: FMIndex, pattern, k: int) -> list[ApproxHit]:
             cost = 0 if a == want else 1
             if used + cost > k:
                 continue
-            index.counters.bs_steps += 1
+            counters.bs_steps += 1
             nlo = backend.count_smaller(a) + backend.occ(a, lo)
             nhi = backend.count_smaller(a) + backend.occ(a, hi)
             step(pos - 1, nlo, nhi, used + cost)

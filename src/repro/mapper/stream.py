@@ -173,10 +173,9 @@ def map_fastq_to_tsv(
     batch of results regardless of input size.
     """
     summary = StreamSummary()
-    counters = index.counters
     out.write(HITS_TSV_HEADER)
     t0 = time.perf_counter()
-    with CounterScope(counters) as scope:
+    with CounterScope() as scope:
         for results in map_stream(index, reads, batch_size=batch_size, locate=locate):
             summary.n_batches += 1
             summary.n_reads += len(results)

@@ -104,7 +104,9 @@ class BoundedExecutor:
                     f"({queued_after - 1} queued >= cap {self.backlog})"
                 )
             self._pending += 1
-        self._ensure_threads()
+            # Under the lock: racing first submissions must start the
+            # workers once, or the concurrency cap multiplies.
+            self._ensure_threads()
         self._q.put(fn)
         tel.metrics.gauge(
             "executor_pending", "Jobs queued or running", labelnames=("pool",)

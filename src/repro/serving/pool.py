@@ -74,17 +74,19 @@ def _pool_worker(worker_id: int, generation: int, spec: dict, task_q, result_q) 
     Tasks: ``(task_id, reads, locate, ship_results)``.  Replies:
     ``("ready", worker_id, attach_seconds, None)`` once at startup, then
     ``("done", task_id, payload, None)`` or
-    ``("error", task_id, None, message)`` per task.  Stop sentinels from
-    an older generation are dropped, not obeyed.
+    ``("error", task_id, None, message)`` per task.  A ``map_reads`` task
+    (``ship_results``) counts nothing: its payload is ``(n_mapped, None,
+    results)``.  A ``run_batch`` task maps inside a ``CounterScope`` and
+    replies ``(n_mapped, counter delta, None)``.  Stop sentinels from an
+    older generation are dropped, not obeyed.
     """
     # A forked worker inherits the server's SIGTERM-as-interrupt handler,
     # but the pool's last-resort stop (terminate()) must simply end it.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     handle = None
     try:
-        counters = OpCounters()
         t0 = time.perf_counter()
-        index, handle = attach_index(spec, counters=counters)
+        index, handle = attach_index(spec)
         result_q.put(("ready", worker_id, time.perf_counter() - t0, None))
     except BaseException as exc:  # startup failure must not hang the parent
         result_q.put(("ready", worker_id, -1.0, f"{type(exc).__name__}: {exc}"))
@@ -99,11 +101,15 @@ def _pool_worker(worker_id: int, generation: int, spec: dict, task_q, result_q) 
             task_id, reads, locate, ship_results = task
             try:
                 mapper = Mapper(index, locate=locate)
-                with CounterScope(counters) as scope:
+                if ship_results:
+                    # A MappedBatch pickles as its columns: the reply
+                    # ships arrays, never per-read objects.
                     results = mapper.map_reads(reads)
-                # A MappedBatch pickles as its columns: the reply ships
-                # arrays, never per-read objects.
-                payload = (results.n_mapped, scope.delta, results if ship_results else None)
+                    payload = (results.n_mapped, None, results)
+                else:
+                    with CounterScope() as scope:
+                        results = mapper.map_reads(reads)
+                    payload = (results.n_mapped, scope.delta, None)
                 result_q.put(("done", task_id, payload, None))
             except Exception as exc:
                 result_q.put(("error", task_id, None, f"{type(exc).__name__}: {exc}"))

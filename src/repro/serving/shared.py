@@ -28,7 +28,6 @@ from pathlib import Path
 
 import numpy as np
 
-from ..core.counters import OpCounters
 from ..index.flat import (
     attach_index_from_buffer,
     export_index,
@@ -120,10 +119,10 @@ class SharedIndexBlock:
         """Picklable attachment recipe for worker processes."""
         return {"kind": "shm", "name": self.shm.name, "size": self.size}
 
-    def attach(self, counters: OpCounters | None = None) -> FMIndex:
+    def attach(self) -> FMIndex:
         """Rehydrate an index view in the *owning* process (no copy)."""
         u8 = np.frombuffer(self.shm.buf, dtype=np.uint8, count=self.size)
-        return attach_index_from_buffer(u8, counters=counters)
+        return attach_index_from_buffer(u8)
 
     def close(self) -> None:
         """Release this process's mapping (owner keeps the segment)."""
@@ -178,8 +177,8 @@ class FlatFileBlock:
     def spec(self) -> dict:
         return {"kind": "mmap", "path": self.path}
 
-    def attach(self, counters: OpCounters | None = None) -> FMIndex:
-        return load_index_flat(self.path, counters=counters)
+    def attach(self) -> FMIndex:
+        return load_index_flat(self.path)
 
     def close(self) -> None:
         pass
@@ -222,9 +221,7 @@ def publish_index(
     return FlatFileBlock.from_index(index, dir=dir)
 
 
-def attach_index(
-    spec: dict, counters: OpCounters | None = None
-) -> tuple[FMIndex, object | None]:
+def attach_index(spec: dict) -> tuple[FMIndex, object | None]:
     """Worker-side attach from a picklable spec.
 
     Returns ``(index, handle)``; ``handle`` is the ``SharedMemory``
@@ -238,10 +235,10 @@ def attach_index(
     if kind == "shm":
         shm = _attach_untracked(spec["name"])
         u8 = np.frombuffer(shm.buf, dtype=np.uint8, count=int(spec["size"]))
-        index = attach_index_from_buffer(u8, counters=counters)
+        index = attach_index_from_buffer(u8)
         handle: object | None = shm
     elif kind == "mmap":
-        index = load_index_flat(spec["path"], counters=counters)
+        index = load_index_flat(spec["path"])
         handle = None
     else:
         raise ValueError(f"unknown index spec kind {kind!r}")

@@ -15,7 +15,6 @@ import pytest
 
 from repro import build_index
 from repro.bench.fixtures import make_dna, make_repetitive_dna
-from repro.core.counters import OpCounters
 
 __all__ = ["make_dna"]
 
@@ -35,20 +34,20 @@ def repetitive_text() -> str:
 @pytest.fixture(scope="session")
 def small_index(small_text):
     """Succinct-backend index over ``small_text`` (b=15, sf=8)."""
-    index, report = build_index(small_text, b=15, sf=8, counters=OpCounters())
+    index, report = build_index(small_text, b=15, sf=8)
     return index
 
 
 @pytest.fixture(scope="session")
 def small_index_report(small_text):
-    index, report = build_index(small_text, b=15, sf=8, counters=OpCounters())
+    index, report = build_index(small_text, b=15, sf=8)
     return index, report
 
 
 @pytest.fixture(scope="session")
 def occ_index(small_text):
     """Checkpointed-Occ-backend index over the same text."""
-    index, _ = build_index(small_text, backend="occ", counters=OpCounters())
+    index, _ = build_index(small_text, backend="occ")
     return index
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.bwt_structure import BWTStructure
-from repro.core.counters import OpCounters
 from repro.sequence.alphabet import encode
 from repro.sequence.bwt import bwt_from_string
 
@@ -33,7 +32,7 @@ def bwt(text):
 
 @pytest.fixture(scope="module")
 def structure(bwt):
-    return BWTStructure(bwt, b=8, sf=4, counters=OpCounters())
+    return BWTStructure(bwt, b=8, sf=4)
 
 
 class TestOcc:

@@ -11,7 +11,7 @@ the wavelet tree (batch may exceed scalar only by skipped early-exits).
 import numpy as np
 import pytest
 
-from repro.core.counters import CounterScope, OpCounters
+from repro.core.counters import CounterScope
 from repro.core.rrr import RRRVector
 from repro.index.occ_table import OccTable
 from repro.sequence.bwt import bwt_from_string
@@ -24,15 +24,13 @@ class TestRRRCounterParity:
         bits = rng.integers(0, 2, 700).astype(np.uint8)
         positions = rng.integers(0, 701, size=150)
 
-        c_scalar = OpCounters()
-        v1 = RRRVector(bits, b=b, sf=sf, counters=c_scalar)
-        with CounterScope(c_scalar) as s1:
+        v1 = RRRVector(bits, b=b, sf=sf)
+        with CounterScope() as s1:
             for p in positions:
                 v1.rank1(int(p))
 
-        c_batch = OpCounters()
-        v2 = RRRVector(bits, b=b, sf=sf, counters=c_batch)
-        with CounterScope(c_batch) as s2:
+        v2 = RRRVector(bits, b=b, sf=sf)
+        with CounterScope() as s2:
             v2.rank1_many(positions)
 
         for key in ("binary_ranks", "class_sum_iterations", "superblock_reads",
@@ -43,14 +41,12 @@ class TestRRRCounterParity:
         # Positions exactly on block and superblock boundaries.
         bits = np.ones(15 * 4 * 5, dtype=np.uint8)
         positions = np.array([0, 15, 30, 60, 120, 180, 240, 300])
-        c_scalar = OpCounters()
-        v1 = RRRVector(bits, b=15, sf=4, counters=c_scalar)
-        with CounterScope(c_scalar) as s1:
+        v1 = RRRVector(bits, b=15, sf=4)
+        with CounterScope() as s1:
             for p in positions:
                 v1.rank1(int(p))
-        c_batch = OpCounters()
-        v2 = RRRVector(bits, b=15, sf=4, counters=c_batch)
-        with CounterScope(c_batch) as s2:
+        v2 = RRRVector(bits, b=15, sf=4)
+        with CounterScope() as s2:
             v2.rank1_many(positions)
         assert s1.delta == s2.delta
 
@@ -62,15 +58,13 @@ class TestOccTableCounterParity:
         bwt = bwt_from_string(text)
         positions = rng.integers(0, bwt.length + 1, size=120)
 
-        c_scalar = OpCounters()
-        t1 = OccTable(bwt, checkpoint_words=2, counters=c_scalar)
-        with CounterScope(c_scalar) as s1:
+        t1 = OccTable(bwt, checkpoint_words=2)
+        with CounterScope() as s1:
             for p in positions:
                 t1.occ(2, int(p))
 
-        c_batch = OpCounters()
-        t2 = OccTable(bwt, checkpoint_words=2, counters=c_batch)
-        with CounterScope(c_batch) as s2:
+        t2 = OccTable(bwt, checkpoint_words=2)
+        with CounterScope() as s2:
             t2.occ_many(2, positions)
 
         assert s1.delta["occ_checkpoint_ranks"] == s2.delta["occ_checkpoint_ranks"]
@@ -85,15 +79,13 @@ class TestWaveletCounterRelation:
         codes = rng.integers(0, 4, 400)
         positions = rng.integers(0, 401, size=80)
 
-        c_scalar = OpCounters()
-        wt1 = WaveletTree(codes, sigma=4, b=15, sf=4, counters=c_scalar)
-        with CounterScope(c_scalar) as s1:
+        wt1 = WaveletTree(codes, sigma=4, b=15, sf=4)
+        with CounterScope() as s1:
             for p in positions:
                 wt1.rank(1, int(p))
 
-        c_batch = OpCounters()
-        wt2 = WaveletTree(codes, sigma=4, b=15, sf=4, counters=c_batch)
-        with CounterScope(c_batch) as s2:
+        wt2 = WaveletTree(codes, sigma=4, b=15, sf=4)
+        with CounterScope() as s2:
             wt2.rank_many(1, positions)
 
         assert s1.delta["wt_ranks"] == s2.delta["wt_ranks"]

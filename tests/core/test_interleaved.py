@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.counters import CounterScope, OpCounters
+from repro.core.counters import CounterScope
 from repro.core.interleaved import InterleavedRankVector, interleaved_factory
 from repro.core.wavelet_tree import WaveletTree
 
@@ -54,10 +54,9 @@ class TestRank:
             v.rank1(4)
 
     def test_single_codeword_fetch_counted(self):
-        counters = OpCounters()
         bits = np.ones(100, dtype=np.uint8)
-        v = InterleavedRankVector(bits, b=32, counters=counters)
-        with CounterScope(counters) as scope:
+        v = InterleavedRankVector(bits, b=32)
+        with CounterScope() as scope:
             v.rank1(50)
         # O(1): exactly one memory fetch, no class iterations.
         assert scope.delta["superblock_reads"] == 1

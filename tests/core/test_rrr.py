@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.bitvector import BitVector
-from repro.core.counters import CounterScope, OpCounters
+from repro.core.counters import CounterScope
 from repro.core.rrr import RRRVector
 
 
@@ -125,10 +125,9 @@ class TestAccessAndReconstruction:
 
 class TestCounters:
     def test_rank_charges_counters(self):
-        counters = OpCounters()
         bits = np.ones(150, dtype=np.uint8)
-        r = RRRVector(bits, b=15, sf=5, counters=counters)
-        with CounterScope(counters) as scope:
+        r = RRRVector(bits, b=15, sf=5)
+        with CounterScope() as scope:
             r.rank1(77)  # mid-block: full Algorithm 1 path
         assert scope.delta["binary_ranks"] == 1
         assert scope.delta["offset_reads"] == 1
@@ -136,20 +135,18 @@ class TestCounters:
         assert 0 <= scope.delta["class_sum_iterations"] <= r.sf
 
     def test_class_iterations_bounded_by_sf(self):
-        counters = OpCounters()
         rng = np.random.default_rng(8)
         bits = rng.integers(0, 2, 2000).astype(np.uint8)
-        r = RRRVector(bits, b=15, sf=4, counters=counters)
+        r = RRRVector(bits, b=15, sf=4)
         for p in range(0, 2001, 13):
-            before = counters.class_sum_iterations
-            r.rank1(p)
-            assert counters.class_sum_iterations - before <= 4
+            with CounterScope() as scope:
+                r.rank1(p)
+            assert scope.delta["class_sum_iterations"] <= 4
 
     def test_superblock_boundary_is_single_read(self):
-        counters = OpCounters()
         bits = np.ones(15 * 5 * 2, dtype=np.uint8)
-        r = RRRVector(bits, b=15, sf=5, counters=counters)
-        with CounterScope(counters) as scope:
+        r = RRRVector(bits, b=15, sf=5)
+        with CounterScope() as scope:
             r.rank1(75)  # exactly one superblock
         assert scope.delta["class_sum_iterations"] == 0
         assert scope.delta["offset_reads"] == 0

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro import build_index
 from repro.core.bwt_structure import BWTStructure
-from repro.core.counters import CounterScope, OpCounters
+from repro.core.counters import CounterScope
 from repro.core.rrr import RRRVector
 from repro.index.occ_table import OccTable
 from repro.mapper.mapper import Mapper
@@ -28,11 +28,10 @@ BACKENDS = ("rrr", "rrr_sentinel_in_tree", "occ")
 
 def make_backend(kind: str, codes: np.ndarray):
     bwt = bwt_from_codes(codes)
-    counters = OpCounters()
     if kind == "occ":
-        return bwt, OccTable(bwt, checkpoint_words=2, counters=counters)
+        return bwt, OccTable(bwt, checkpoint_words=2)
     return bwt, BWTStructure(
-        bwt, b=8, sf=4, counters=counters,
+        bwt, b=8, sf=4,
         store_sentinel_in_tree=kind == "rrr_sentinel_in_tree",
     )
 
@@ -70,9 +69,9 @@ class TestOcc2ManySymbolArray:
         lo = np.concatenate([edges, rng.integers(0, n_rows + 1, m)])
         hi = np.concatenate([edges[::-1], rng.integers(0, n_rows + 1, m)])
         syms = rng.integers(0, 4, lo.size)
-        with CounterScope(backend.counters) as want_scope:
+        with CounterScope() as want_scope:
             want = _per_symbol(backend, syms, lo, hi)
-        with CounterScope(backend.counters) as got_scope:
+        with CounterScope() as got_scope:
             got = backend.occ2_many(syms, lo, hi)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.bitvector import BitVector
-from repro.core.counters import CounterScope, OpCounters
+from repro.core.counters import CounterScope
 from repro.core.wavelet_tree import (
     WaveletTree,
     plain_bitvector_factory,
@@ -99,10 +99,9 @@ class TestRank:
             assert np.array_equal(wt.rank_many(s, positions), expected)
 
     def test_counters_charged(self):
-        counters = OpCounters()
         codes = np.array([0, 1, 2, 3] * 5)
-        wt = WaveletTree(codes, sigma=4, b=4, sf=2, counters=counters)
-        with CounterScope(counters) as scope:
+        wt = WaveletTree(codes, sigma=4, b=4, sf=2)
+        with CounterScope() as scope:
             wt.rank(2, 10)
         assert scope.delta["wt_ranks"] == 1
         # DNA tree: at most log2(4) = 2 binary ranks per symbol rank

@@ -185,3 +185,43 @@ class TestSharedBatchContract:
         assert (cpu.hw_steps_total, cpu.sw_steps_total) == (
             run.hw_steps_total, run.sw_steps_total,
         )
+
+
+class TestRunLocalCounts:
+    def test_other_threads_work_is_not_charged(self, small_index_module):
+        """A kernel run's op counts and BRAM traffic are its own: another
+        thread mapping an unrelated index at the same time changes
+        neither."""
+        import threading
+
+        _, text = small_index_module
+        rng = np.random.default_rng(5)
+        other_text = "".join("ACGT"[c] for c in rng.integers(0, 4, 2000))
+        index_a, _ = build_index(other_text, b=15, sf=8)
+        index_b, _ = build_index(text, b=15, sf=8)
+        reads_a = [other_text[i : i + 40] for i in range(0, 1900, 13)]
+        reads_b = pack_queries([text[i : i + 35] for i in range(0, 1400, 29)])
+
+        def run_b():
+            run = BackwardSearchKernel(index_b.backend).execute(reads_b)
+            return run.op_counts, run.bram_traffic
+
+        solo = run_b()
+        stop, busy = threading.Event(), threading.Event()
+
+        def loop_a():
+            mapper = Mapper(index_a, locate=False)
+            while not stop.is_set():
+                mapper.map_reads(reads_a)
+                busy.set()
+
+        other = threading.Thread(target=loop_a)
+        other.start()
+        try:
+            assert busy.wait(10.0)
+            concurrent = [run_b() for _ in range(5)]
+        finally:
+            stop.set()
+            other.join(10.0)
+        assert not other.is_alive()
+        assert all(got == solo for got in concurrent)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baseline.naive import find_with_mismatches
-from repro.core.counters import CounterScope, OpCounters
+from repro.core.counters import CounterScope
 from repro.index.bidirectional import BidirectionalFMIndex
 from repro.sequence.alphabet import encode
 
@@ -163,15 +163,13 @@ class TestOneMismatch:
         pat = list(text[100:160])
         pat[10] = "A" if pat[10] != "A" else "C"
         pattern = "".join(pat)
-        c_bi = OpCounters()
-        bi_counted = BidirectionalFMIndex(text, sf=4, counters=c_bi)
-        with CounterScope(c_bi) as bi_scope:
+        bi_counted = BidirectionalFMIndex(text, sf=4)
+        with CounterScope() as bi_scope:
             bi_counted.search_one_mismatch(pattern)
-        c_bt = OpCounters()
         from repro import build_index
 
-        plain, _ = build_index(text, sf=4, counters=c_bt)
-        with CounterScope(c_bt) as bt_scope:
+        plain, _ = build_index(text, sf=4)
+        with CounterScope() as bt_scope:
             search_with_mismatches(plain, pattern, 1)
         assert bi_scope.delta["bs_steps"] < bt_scope.delta["bs_steps"]
 

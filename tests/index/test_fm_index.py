@@ -119,7 +119,7 @@ class TestBatch:
         assert lo.size == hi.size == steps.size == 0
 
     def test_batch_counters(self, small_index, small_text):
-        with CounterScope(small_index.counters) as scope:
+        with CounterScope() as scope:
             small_index.search_batch([small_text[0:10], small_text[5:15]])
         assert scope.delta["queries"] == 2
         assert scope.delta["bs_steps"] == 20

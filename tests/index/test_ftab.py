@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro import build_index
-from repro.core.counters import CounterScope, OpCounters
+from repro.core.counters import CounterScope
 from repro.index import DEFAULT_FTAB_K, Ftab, build_ftab
 from repro.index.bidirectional import BidirectionalFMIndex
 from repro.index.flat import (
@@ -32,9 +32,9 @@ K = 5
 @pytest.fixture(scope="module")
 def pair(small_text):
     """The same index twice: without and with the jump-start table."""
-    plain, _ = build_index(small_text, b=15, sf=8, counters=OpCounters())
+    plain, _ = build_index(small_text, b=15, sf=8)
     primed, report = build_index(
-        small_text, b=15, sf=8, counters=OpCounters(), ftab_k=K
+        small_text, b=15, sf=8, ftab_k=K
     )
     assert primed.ftab is not None and primed.ftab.k == K
     assert report.ftab_bytes == primed.ftab.size_in_bytes() > 0
@@ -129,8 +129,7 @@ class TestSearchParity:
     def test_short_reads_never_primed(self, pair, small_text):
         """Patterns under k take the stepwise path: no lookup charged."""
         _, primed = pair
-        counters = primed.counters
-        with CounterScope(counters) as scope:
+        with CounterScope() as scope:
             primed.search(small_text[: K - 1])
         assert scope.delta.get("ftab_lookups", 0) == 0
 
@@ -158,11 +157,11 @@ class TestSearchParity:
     def test_use_ftab_toggle(self, pair, small_text):
         _, primed = pair
         pat = small_text[40:120]
-        with CounterScope(primed.counters) as on_scope:
+        with CounterScope() as on_scope:
             res_on = primed.search(pat)
         primed.use_ftab = False
         try:
-            with CounterScope(primed.counters) as off_scope:
+            with CounterScope() as off_scope:
                 res_off = primed.search(pat)
         finally:
             primed.use_ftab = True
@@ -176,9 +175,9 @@ class TestSearchParity:
     def test_batch_executes_fewer_steps(self, pair, small_text):
         plain, primed = pair
         pats = [small_text[i : i + 50] for i in range(0, 500, 10)]
-        with CounterScope(plain.counters) as off_scope:
+        with CounterScope() as off_scope:
             plain.search_batch(pats)
-        with CounterScope(primed.counters) as on_scope:
+        with CounterScope() as on_scope:
             primed.search_batch(pats)
         assert on_scope.delta.get("ftab_lookups", 0) == len(pats)
         saved = off_scope.delta["bs_steps"] - on_scope.delta["bs_steps"]
@@ -321,11 +320,12 @@ class TestBidirectional:
         plain = BidirectionalFMIndex(small_text, b=15, sf=8)
         primed = BidirectionalFMIndex(small_text, b=15, sf=8, ftab_k=4)
         pats = battery(small_text) + [small_text[5:9], small_text[60:64]]
-        for pat in pats:
-            a = plain.search(pat)
-            b = primed.search(pat)
-            assert (a.lo, a.hi, a.lo_r, a.hi_r) == (b.lo, b.hi, b.lo_r, b.hi_r), pat
-        assert primed.counters.ftab_lookups > 0
+        with CounterScope() as scope:
+            for pat in pats:
+                a = plain.search(pat)
+                b = primed.search(pat)
+                assert (a.lo, a.hi, a.lo_r, a.hi_r) == (b.lo, b.hi, b.lo_r, b.hi_r), pat
+        assert scope.delta["ftab_lookups"] > 0
 
     def test_one_mismatch_parity(self, small_text):
         plain = BidirectionalFMIndex(small_text, b=15, sf=8)

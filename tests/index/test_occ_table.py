@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.counters import CounterScope, OpCounters
+from repro.core.counters import CounterScope
 from repro.index.occ_table import (
     OccTable,
     count_symbol_prefix,
@@ -93,23 +93,23 @@ class TestOcc:
 
 class TestCountersAndScan:
     def test_scan_bounded_by_checkpoint_span(self, bwt):
-        counters = OpCounters()
-        table = OccTable(bwt, checkpoint_words=2, counters=counters)
+        table = OccTable(bwt, checkpoint_words=2)
         for i in range(0, bwt.length, 19):
-            with CounterScope(counters) as scope:
+            with CounterScope() as scope:
                 table.occ(1, i)
             assert scope.delta["occ_checkpoint_ranks"] == 1
             assert scope.delta["occ_scan_chars"] < table.d_rows
 
     def test_tighter_checkpoints_less_scanning(self, bwt):
-        c_wide = OpCounters()
-        c_tight = OpCounters()
-        wide = OccTable(bwt, checkpoint_words=8, counters=c_wide)
-        tight = OccTable(bwt, checkpoint_words=1, counters=c_tight)
-        for i in range(0, bwt.length, 7):
-            wide.occ(2, i)
-            tight.occ(2, i)
-        assert c_tight.occ_scan_chars < c_wide.occ_scan_chars
+        wide = OccTable(bwt, checkpoint_words=8)
+        tight = OccTable(bwt, checkpoint_words=1)
+        with CounterScope() as c_wide:
+            for i in range(0, bwt.length, 7):
+                wide.occ(2, i)
+        with CounterScope() as c_tight:
+            for i in range(0, bwt.length, 7):
+                tight.occ(2, i)
+        assert c_tight.delta["occ_scan_chars"] < c_wide.delta["occ_scan_chars"]
 
 
 class TestAccessLF:

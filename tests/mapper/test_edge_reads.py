@@ -8,6 +8,7 @@ codes must agree bit-for-bit (DESIGN.md 9)."""
 import pytest
 
 from repro import build_index
+from repro.core.counters import CounterScope
 from repro.fpga.accelerator import FPGAAccelerator
 from repro.mapper.mapper import Mapper
 from repro.mapper.results import REASON_INVALID_BASE
@@ -76,9 +77,9 @@ class TestCPUMapper:
             assert scalar.reason == cpu_results[i].reason
 
     def test_invalid_counter_increments(self, index):
-        before = index.counters.reads_invalid
-        Mapper(index, locate=False).map_reads(EDGE_READS)
-        assert index.counters.reads_invalid == before + 2
+        with CounterScope() as scope:
+            Mapper(index, locate=False).map_reads(EDGE_READS)
+        assert scope.delta["reads_invalid"] == 2
 
 
 class TestFPGASimulator:

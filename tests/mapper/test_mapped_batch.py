@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro import build_index
 from repro.bench.fixtures import make_dna
-from repro.core.counters import CounterScope, OpCounters
+from repro.core.counters import CounterScope
 from repro.mapper.mapper import Mapper
 from repro.mapper.results import (
     REASON_INVALID_BASE,
@@ -36,8 +36,7 @@ def _index(kind: str):
                   "sampled": "sampled", "none_ftab": "none"}[kind]
         ftab_k = FTAB_K if kind.endswith("_ftab") else None
         _INDEXES[kind], _ = build_index(
-            TEXT, b=15, sf=8, locate=locate, sa_sample_rate=5,
-            counters=OpCounters(), ftab_k=ftab_k,
+            TEXT, b=15, sf=8, locate=locate, sa_sample_rate=5, ftab_k=ftab_k,
         )
     return _INDEXES[kind]
 
@@ -118,9 +117,9 @@ class TestEqualsScalarOracle:
         batch = [TEXT[i : i + 3 + i % 30] for i in range(0, 300, 7)]
         batch += ["", "ACGTN", TEXT[:50].lower(), TEXT[60:90].replace("T", "U")]
         keys = ("queries", "bs_steps", "ftab_lookups", "reads_invalid")
-        with CounterScope(index.counters) as columnar:
+        with CounterScope() as columnar:
             mapper.map_reads(batch)
-        with CounterScope(index.counters) as scalar:
+        with CounterScope() as scalar:
             mapper.map_reads(batch, batch=False)
         assert {k: columnar.delta.get(k, 0) for k in keys} == {
             k: scalar.delta.get(k, 0) for k in keys
@@ -133,9 +132,9 @@ class TestEqualsScalarOracle:
         charged."""
         index = _index("full_ftab")
         batch = [TEXT[i : i + 20 + i % 17] for i in range(0, 350, 11)] + ["ACGU", "gattaca"]
-        with CounterScope(index.counters) as listed:
+        with CounterScope() as listed:
             want = index.search_batch(batch + [reverse_complement(s) for s in batch])
-        with CounterScope(index.counters) as encoded:
+        with CounterScope() as encoded:
             got = index.search_batch(encode_batch(batch).with_reverse_complements())
         assert listed.delta == encoded.delta
         for a, b in zip(want, got):

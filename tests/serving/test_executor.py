@@ -1,5 +1,6 @@
 """BoundedExecutor: backlog cap, rejection, and drain behaviour."""
 
+import sys
 import threading
 import time
 
@@ -113,3 +114,34 @@ class TestShutdown:
         ex.shutdown(wait=True)
         with pytest.raises(RuntimeError):
             ex.submit(lambda: None)
+
+
+class TestLazyStart:
+    def test_concurrent_first_submissions_start_workers_once(self):
+        """Racing first ``submit`` calls start exactly ``workers`` threads."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for trial in range(100):
+                name = f"race{trial}"
+                ex = BoundedExecutor(workers=2, backlog=16, name=name)
+                gate = threading.Barrier(8)
+
+                def first_submit(ex=ex, gate=gate):
+                    gate.wait(5.0)
+                    ex.submit(lambda: None)
+
+                callers = [threading.Thread(target=first_submit) for _ in range(8)]
+                for t in callers:
+                    t.start()
+                for t in callers:
+                    t.join(5.0)
+                    assert not t.is_alive()
+                workers = [
+                    t for t in threading.enumerate()
+                    if t.name.startswith(f"{name}-worker-")
+                ]
+                ex.shutdown(wait=True)
+                assert len(workers) == 2, f"trial {trial}: {len(workers)} workers"
+        finally:
+            sys.setswitchinterval(interval)

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from repro.core.counters import OpCounters
+from repro.core.counters import CounterScope
 from repro.index.builder import build_index
 from repro.serving.shared import (
     FlatFileBlock,
@@ -41,11 +41,12 @@ class TestSharedIndexBlock:
         assert _shm_names() == before
 
     def test_attach_with_counters(self, index, small_text):
-        counters = OpCounters()
+        """An attached index charges the scope open around its queries."""
         with SharedIndexBlock(index) as block:
-            attached, handle = attach_index(block.spec, counters=counters)
-            attached.count(small_text[10:40])
-            assert counters.wt_ranks > 0
+            attached, handle = attach_index(block.spec)
+            with CounterScope() as scope:
+                attached.count(small_text[10:40])
+            assert scope.delta["wt_ranks"] > 0
             attached = None
             release_attachment(handle)
 

@@ -81,19 +81,18 @@ class TestFullScaleEcoli:
         4.6 Mbp reference equals the scaled reference's (both ~= read
         length for mapped reads)."""
         ref, bwt, _ = full_ecoli
-        from repro.core.counters import CounterScope, OpCounters
+        from repro.core.counters import CounterScope
         from repro.index.fm_index import FMIndex
 
-        counters = OpCounters()
-        struct = BWTStructure(bwt, b=15, sf=50, counters=counters)
+        struct = BWTStructure(bwt, b=15, sf=50)
         struct.build_batch_cache()
-        index = FMIndex(struct, locate_structure=None, counters=counters)
+        index = FMIndex(struct, locate_structure=None)
         rng = np.random.default_rng(4)
         reads = [
             ref[p : p + 35]
             for p in rng.integers(0, len(ref) - 35, size=50).tolist()
         ]
-        with CounterScope(counters) as scope:
+        with CounterScope() as scope:
             index.search_batch(reads)
         # Mapped 35bp reads consume exactly 35 steps each.
         assert scope.delta["bs_steps"] == 50 * 35
