@@ -501,7 +501,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             str(args.map_index) if args.map_index is not None else None
         ),
         map_pool_workers=args.map_pool,
-        coalesce=not args.no_coalesce,
         coalesce_window_ms=args.coalesce_window_ms,
         coalesce_max_batch=args.coalesce_max_batch,
         catalog_manifest=(
@@ -787,11 +786,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     g.add_argument(
         "--coalesce-max-batch", type=int, default=512,
-        help="reads per merged batch before an early flush",
-    )
-    g.add_argument(
-        "--no-coalesce", action="store_true",
-        help="dispatch each /map request alone (ablation/debug)",
+        help="reads per merged batch before an early flush (1, with "
+        "--coalesce-window-ms 0, dispatches each /map request alone)",
     )
     g = p.add_argument_group("served shard catalog (POST /map?catalog=...)")
     g.add_argument(

@@ -14,16 +14,21 @@ package provides the serving primitives the flat container
   worker processes that attach to a published index and serve read
   batches from a task queue;
 * :mod:`repro.serving.executor` — :class:`BoundedExecutor`, a bounded
-  thread pool with backlog rejection for web job execution;
+  thread pool with backlog rejection for web job execution, and
+  :class:`Overloaded`, the one overload signal (HTTP 503 +
+  ``Retry-After``) that it and the coalescer raise;
 * :mod:`repro.serving.coalescer` — :class:`RequestCoalescer`, a
   deadline-bounded tenant-fair micro-batcher that merges concurrent
   small requests into shared kernel batches, and
-  :class:`MappingService`, a served index behind one;
+  :class:`MappingService`, a served index behind one: the one
+  admission path (cap → coalescer thread → dispatch) of every served
+  ``POST /map`` request;
 * :mod:`repro.serving.router` — :class:`ShardCatalog` +
   :class:`ShardRouter`, the sharded multi-genome tier: N named
   references, LRU activation under a memory budget, scatter-gather
   fan-out with stable cross-shard hit ordering, and
-  :class:`RouterMappingService`, a shard catalog behind a coalescer.
+  :class:`RouterMappingService`, the :class:`MappingService` of a shard
+  catalog (a shard subset rides its own batch through the same path).
 """
 
 from .coalescer import (
@@ -31,11 +36,11 @@ from .coalescer import (
     CoalescerClosed,
     CoalescerConfig,
     CoalescerError,
-    CoalescerFull,
     MappingService,
     RequestCoalescer,
+    RequestTooLarge,
 )
-from .executor import BacklogFull, BoundedExecutor
+from .executor import BoundedExecutor, Overloaded
 from .pool import MapperPool, PoolBatchOutcome
 from .router import (
     RouterError,
@@ -53,18 +58,18 @@ from .shared import (
 )
 
 __all__ = [
-    "BacklogFull",
     "BoundedExecutor",
     "CoalescedRequest",
     "CoalescerClosed",
     "CoalescerConfig",
     "CoalescerError",
-    "CoalescerFull",
     "FlatFileBlock",
     "MapperPool",
     "MappingService",
+    "Overloaded",
     "PoolBatchOutcome",
     "RequestCoalescer",
+    "RequestTooLarge",
     "RouterError",
     "RouterMappingService",
     "Shard",

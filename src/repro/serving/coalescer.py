@@ -35,6 +35,12 @@ raised), the coalescer **falls back per request** through ``fallback`` —
 by convention the in-process CPU mapper, the terminal rung of the
 retry → reprogram → CPU fault ladder — so one poisoned batch degrades
 to independent execution instead of failing every rider.
+
+:class:`MappingService` is the one admission path of every served
+``POST /map`` request: ``map_request`` → admission cap → the coalescer
+thread → dispatch.  A request that needs its own dispatch (a shard
+subset of :class:`~repro.serving.router.RouterMappingService`) takes
+the same path and rides in a batch of its own.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ from typing import Callable, Iterable, Sequence
 
 from ..mapper.results import MappedBatch, MappingResult, renumbered
 from ..telemetry import get_telemetry
+from .executor import Overloaded
 
 #: Batch-size histogram buckets (reads per merged batch).
 _BATCH_SIZE_BUCKETS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096)
@@ -72,12 +79,9 @@ class CoalescerClosed(CoalescerError):
     """Submission after :meth:`RequestCoalescer.close`."""
 
 
-class CoalescerFull(CoalescerError):
-    """Admission rejected: the pending-read queue is at capacity.
-
-    The web tier maps this to HTTP 503 + ``Retry-After``, the same
-    backpressure contract as :class:`~repro.serving.executor.BacklogFull`.
-    """
+class RequestTooLarge(ValueError):
+    """A request holds more reads than the admission cap: it can never
+    be admitted, however idle the queue (HTTP 413 at the web tier)."""
 
 
 @dataclass(frozen=True)
@@ -88,7 +92,8 @@ class CoalescerConfig:
     chance to share a batch; ``max_batch_reads`` caps merged batch size
     (flush fires on whichever bound is hit first).  ``max_queue_reads``
     is the admission cap — reads pending beyond it get
-    :class:`CoalescerFull` instead of unbounded queueing.
+    :class:`~repro.serving.executor.Overloaded` instead of unbounded
+    queueing.
     """
 
     window_seconds: float = 0.002
@@ -110,18 +115,27 @@ class CoalescedRequest:
     ``result()`` blocks until the request's batch has been dispatched and
     demultiplexed; results are renumbered to request-local ``read_id``s,
     bit-identical to an independent execution of the same reads.
+    ``dispatch`` is the request's own executor, or ``None`` for the
+    coalescer's: only requests without one share a batch.
     """
 
     __slots__ = (
-        "reads", "tenant", "submitted_at", "deadline",
+        "reads", "tenant", "dispatch", "submitted_at", "deadline",
         "batch_reads", "wait_seconds", "added_wait_seconds",
         "degraded", "degraded_reason",
         "_event", "_results", "_error",
     )
 
-    def __init__(self, reads: list[str], tenant: str, deadline: float):
+    def __init__(
+        self,
+        reads: list[str],
+        tenant: str,
+        deadline: float,
+        dispatch: Dispatch | None = None,
+    ):
         self.reads = reads
         self.tenant = tenant
+        self.dispatch = dispatch
         self.submitted_at = time.monotonic()
         self.deadline = deadline
         #: Size of the merged batch this request rode in (1-request
@@ -240,26 +254,40 @@ class RequestCoalescer:
     # -- submission --------------------------------------------------------
 
     def submit(
-        self, reads: Sequence[str], tenant: str = "default"
+        self,
+        reads: Sequence[str],
+        tenant: str = "default",
+        dispatch: Dispatch | None = None,
     ) -> CoalescedRequest:
-        """Enqueue one request; returns immediately with a result handle."""
+        """Enqueue one request; returns immediately with a result handle.
+
+        A request given its own ``dispatch`` is admitted like any other
+        but never shares a batch: it rides alone.
+        """
         reads = list(reads)
+        cap = self.config.max_queue_reads
+        if len(reads) > cap:
+            raise RequestTooLarge(
+                f"{self.name}: request of {len(reads)} reads exceeds the "
+                f"admission cap of {cap} reads"
+            )
         deadline = time.monotonic() + self.config.window_seconds
-        req = CoalescedRequest(reads, str(tenant), deadline)
+        req = CoalescedRequest(reads, str(tenant), deadline, dispatch)
         if not reads:  # nothing to merge; complete without a batch slot
             req._complete([])
             return req
         with self._cv:
             if self._closed:
                 raise CoalescerClosed(f"{self.name}: coalescer is closed")
-            if self._pending_reads + len(reads) > self.config.max_queue_reads:
+            if self._pending_reads + len(reads) > cap:
                 get_telemetry().metrics.counter(
                     "coalesce_rejected_total",
                     "Requests rejected by the coalescer admission cap",
                 ).inc()
-                raise CoalescerFull(
+                raise Overloaded(
                     f"{self.name}: {self._pending_reads} reads pending "
-                    f">= cap {self.config.max_queue_reads}"
+                    f"+ {len(reads)} > cap {cap}",
+                    retry_after=1,
                 )
             q = self._queues.get(req.tenant)
             if q is None:
@@ -381,7 +409,8 @@ class RequestCoalescer:
         """Round-robin across tenants: one whole request per tenant per
         cycle until the batch is full.  The first request is always
         admitted even when it alone exceeds ``max_batch_reads`` (a giant
-        request must not deadlock the queue)."""
+        request must not deadlock the queue); a request with its own
+        dispatch is only ever taken alone."""
         batch: list[CoalescedRequest] = []
         size = 0
         while self._rr:
@@ -397,7 +426,10 @@ class RequestCoalescer:
                     self._queues.pop(tenant, None)
                     continue
                 head = q[0]
-                if batch and size + len(head.reads) > self.config.max_batch_reads:
+                if batch and (
+                    head.dispatch is not None
+                    or size + len(head.reads) > self.config.max_batch_reads
+                ):
                     return batch
                 q.popleft()
                 self._pending_reads -= len(head.reads)
@@ -405,7 +437,7 @@ class RequestCoalescer:
                 size += len(head.reads)
                 progressed = True
                 self._rr.rotate(-1)
-                if size >= self.config.max_batch_reads:
+                if head.dispatch is not None or size >= self.config.max_batch_reads:
                     return batch
             if not progressed:
                 break
@@ -429,7 +461,7 @@ class RequestCoalescer:
         for req in batch:
             req.batch_reads = len(merged)
         try:
-            results = self.dispatch(merged)
+            results = (batch[0].dispatch or self.dispatch)(merged)
             if len(results) != len(merged):
                 raise CoalescerError(
                     f"dispatch returned {len(results)} results for "
@@ -482,12 +514,13 @@ class RequestCoalescer:
 
         With a ``fallback`` executor (the CPU mapper), requests complete
         DEGRADED-but-correct; without one, each request retries through
-        ``dispatch`` alone so a poisoned rider fails only itself.
+        ``dispatch`` alone so a poisoned rider fails only itself.  A
+        request with its own dispatch retries through that.
         """
         tel = get_telemetry()
         reason = f"merged batch failed ({type(exc).__name__}: {exc})"
-        runner = self.fallback if self.fallback is not None else self.dispatch
         for req in batch:
+            runner = req.dispatch or self.fallback or self.dispatch
             tel.metrics.counter(
                 "coalesce_fallback_total",
                 "Requests recovered per-request after a failed merged batch",
@@ -562,7 +595,9 @@ class MappingService:
     one published index (optionally behind a shared-memory
     :class:`~repro.serving.pool.MapperPool`), an in-process CPU mapper as
     the fallback rung, and a :class:`RequestCoalescer` merging concurrent
-    requests into shared kernel batches.
+    requests into shared kernel batches.  Every request takes the one
+    admission path in :meth:`map_request`; uncoalesced dispatch is the
+    config ``CoalescerConfig(window_seconds=0, max_batch_reads=1)``.
 
     Parameters
     ----------
@@ -574,9 +609,6 @@ class MappingService:
         through the in-process mapper (still coalesced).
     locate:
         Resolve SA intervals to positions (the web results contract).
-    coalesce:
-        ``False`` bypasses merging entirely (each request dispatches
-        alone) — the ablation/bench control, and ``serve --no-coalesce``.
     config:
         Coalescer flush policy and admission bounds.
     """
@@ -587,7 +619,6 @@ class MappingService:
         *,
         pool_workers: int = 0,
         locate: bool = True,
-        coalesce: bool = True,
         config: CoalescerConfig | None = None,
         start_method: str | None = None,
     ):
@@ -595,60 +626,59 @@ class MappingService:
 
         self.index = index
         self.locate = bool(locate)
-        self.coalesce = bool(coalesce)
         self._mapper = Mapper(index, locate=self.locate)
         self.pool = None
+        dispatch: Dispatch = self._mapper.map_reads
         if pool_workers > 0:
             from .pool import MapperPool
 
             self.pool = MapperPool(
                 index, workers=pool_workers, start_method=start_method
             )
-            dispatch: Dispatch = lambda reads: self.pool.map_reads(
+            dispatch = lambda reads: self.pool.map_reads(  # noqa: E731
                 reads, locate=self.locate
             )
-        else:
-            dispatch = self._mapper.map_reads
         self.coalescer = RequestCoalescer(
             dispatch,
             fallback=self._mapper.map_reads,
             config=config,
             name="mapping-service",
         )
-        self._closed = False
+
+    _closed = False
+
+    def _dispatch_for(self, shards: Sequence[str] | None) -> Dispatch | None:
+        """The dispatch a shard selection needs; ``None`` is the service's
+        own, the one requests merge on."""
+        if shards is not None:
+            raise ValueError("a single served index has no shards to select")
+        return None
 
     def map_request(
         self,
         reads: Sequence[str],
         tenant: str = "default",
         timeout: float | None = 60.0,
+        shards: Sequence[str] | None = None,
     ) -> CoalescedRequest:
         """Map one request; blocks until its (possibly shared) batch ran.
 
         Returns the completed handle so callers can read wait/degraded
-        bookkeeping next to the results.
+        bookkeeping next to the results.  Raises
+        :class:`RequestTooLarge`, :class:`~repro.serving.executor
+        .Overloaded`, :class:`CoalescerClosed`, :class:`CoalescerError`
+        (dispatch and its fallback both failed) or ``TimeoutError``.
         """
         if self._closed:
             raise CoalescerClosed("mapping service is closed")
-        if not self.coalesce:
-            # Bypass path: dispatch alone, but keep the same fallback rung.
-            req = CoalescedRequest(list(reads), str(tenant), deadline=0.0)
-            if not req.reads:
-                req._complete([])
-                return req
-            try:
-                req._complete(self.coalescer.dispatch(list(req.reads)))
-            except Exception as exc:
-                self.coalescer._fallback_batch([req], exc)
-                req.result(timeout=0.0)  # re-raise if fallback failed too
-            return req
-        req = self.coalescer.submit(reads, tenant=tenant)
+        req = self.coalescer.submit(
+            reads, tenant=tenant, dispatch=self._dispatch_for(shards)
+        )
         req.result(timeout=timeout)
         return req
 
     def stats(self) -> dict:
         doc = self.coalescer.stats()
-        doc["coalesce"] = self.coalesce
         doc["pool_workers"] = self.pool.workers if self.pool is not None else 0
         doc["locate"] = self.locate
         return doc
@@ -658,6 +688,9 @@ class MappingService:
             return
         self._closed = True
         self.coalescer.close()
+        self._close_backend()
+
+    def _close_backend(self) -> None:
         if self.pool is not None:
             self.pool.close()
 

@@ -4,7 +4,7 @@ The web layer used to spawn one daemon thread per submitted job —
 unbounded concurrency and an unbounded queue.  :class:`BoundedExecutor`
 caps both: at most ``workers`` jobs run concurrently, at most ``backlog``
 sit queued, and a submission beyond the backlog raises
-:class:`BacklogFull` (the server turns that into HTTP 503).  Worker
+:class:`Overloaded` (the server turns that into HTTP 503).  Worker
 threads start lazily on first submission so constructing an executor is
 free for CLI paths that never run background jobs.
 """
@@ -20,8 +20,17 @@ from ..telemetry import get_telemetry
 _STOP = None
 
 
-class BacklogFull(RuntimeError):
-    """Raised when a submission exceeds the configured backlog."""
+class Overloaded(RuntimeError):
+    """Admission rejected: a bounded queue is at capacity.
+
+    The one overload signal of the serving tier: the job executor and
+    the request coalescer both raise it, and the web tier answers HTTP
+    503 with ``Retry-After: retry_after`` seconds.
+    """
+
+    def __init__(self, message: str, retry_after: int):
+        super().__init__(message)
+        self.retry_after = int(retry_after)
 
 
 class BoundedExecutor:
@@ -33,7 +42,7 @@ class BoundedExecutor:
         Maximum concurrently running jobs.
     backlog:
         Maximum jobs waiting beyond the running ones; ``submit`` raises
-        :class:`BacklogFull` when exceeded.
+        :class:`Overloaded` when exceeded.
     name:
         Thread-name prefix and telemetry label.
     """
@@ -83,7 +92,7 @@ class BoundedExecutor:
     # -- public API --------------------------------------------------------
 
     def submit(self, fn: Callable[[], None]) -> None:
-        """Queue ``fn`` for execution; raises :class:`BacklogFull` when the
+        """Queue ``fn`` for execution; raises :class:`Overloaded` when the
         number of jobs waiting (beyond those running) exceeds the cap."""
         tel = get_telemetry()
         with self._lock:
@@ -99,9 +108,10 @@ class BoundedExecutor:
                     "Submissions rejected by backlog cap",
                     labelnames=("pool",),
                 ).inc(pool=self.name)
-                raise BacklogFull(
+                raise Overloaded(
                     f"{self.name}: backlog full "
-                    f"({queued_after - 1} queued >= cap {self.backlog})"
+                    f"({queued_after - 1} queued >= cap {self.backlog})",
+                    retry_after=5,
                 )
             self._pending += 1
             # Under the lock: racing first submissions must start the

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import queue as _queue
 import signal
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -167,6 +168,9 @@ class MapperPool:
         self._task_q = self._ctx.Queue()
         self._result_q = self._ctx.Queue()
         self._procs: list = []
+        #: One call at a time: replies share one queue, so a second
+        #: caller collecting concurrently would discard the first's.
+        self._call_lock = threading.Lock()
         self._next_task = 0
         self._generation = 0
         self._closed = False
@@ -311,23 +315,24 @@ class MapperPool:
                     ) from None
 
     def _submit(self, shards: list[list[str]], locate: bool, ship: bool) -> dict:
-        ids = []
-        for shard in shards:
-            tid = self._next_task
-            self._next_task += 1
-            self._task_q.put((tid, shard, locate, ship))
-            ids.append(tid)
-        replies: dict[int, tuple] = {}
-        pending = set(ids)
-        while pending:
-            kind, tid, payload, err = self._get_reply()
-            if tid not in pending:
-                continue  # orphan reply for a task abandoned by restart()
-            if kind == "error":
-                raise RuntimeError(f"pool task {tid} failed: {err}")
-            replies[tid] = payload
-            pending.discard(tid)
-        return {tid: replies[tid] for tid in ids}
+        with self._call_lock:
+            ids = []
+            for shard in shards:
+                tid = self._next_task
+                self._next_task += 1
+                self._task_q.put((tid, shard, locate, ship))
+                ids.append(tid)
+            replies: dict[int, tuple] = {}
+            pending = set(ids)
+            while pending:
+                kind, tid, payload, err = self._get_reply()
+                if tid not in pending:
+                    continue  # orphan reply of an abandoned or failed call
+                if kind == "error":
+                    raise RuntimeError(f"pool task {tid} failed: {err}")
+                replies[tid] = payload
+                pending.discard(tid)
+            return {tid: replies[tid] for tid in ids}
 
     def _shard_scalar(self, reads: list[str]) -> list[list[str]]:
         """Reference round-robin split (kept for the parity test)."""

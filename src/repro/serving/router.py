@@ -19,9 +19,10 @@ memory at once.  This module adds the missing tier:
   same sequences, which makes the monolithic multi-reference index a
   bit-exact oracle for the sharded path (the ``router`` differential
   self-check enforces this).
-* :class:`RouterMappingService` puts a
-  :class:`~repro.serving.coalescer.RequestCoalescer` in front of the
-  router so concurrent small requests share fan-out batches; demux is
+* :class:`RouterMappingService` is the
+  :class:`~repro.serving.coalescer.MappingService` of a catalog: every
+  request passes its admission cap and coalescer, concurrent
+  whole-catalog requests share fan-out batches, and demux is
   bit-identical to per-request ``ShardRouter.map_reads``.
 
 Per-shard health (state, worker liveness, queue depth, degraded flag,
@@ -31,6 +32,7 @@ activation/eviction counters) is surfaced through :meth:`ShardRouter
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import tempfile
@@ -42,6 +44,7 @@ from typing import Sequence
 from ..index.multiref import MultiRefMapping, ReferenceHit
 from ..mapper.results import MappedBatch
 from ..telemetry import get_telemetry
+from .coalescer import MappingService, RequestCoalescer
 
 #: Shard lifecycle states.
 SHARD_INACTIVE = "inactive"
@@ -328,25 +331,44 @@ class ShardCatalog:
 
         Pinned shards are immune to eviction until :meth:`release`; the
         pin makes a concurrent activation wave unable to evict a shard
-        that is mid-dispatch.
+        that is mid-dispatch.  A shard that fails to activate (say, a
+        corrupt container) is flagged degraded with ``last_error``, the
+        pins already taken are dropped, and :class:`RouterError` names it.
         """
         with self._lock:
             if self._closed:
                 raise RouterError("catalog is closed")
             shards = [self.shard(n) for n in names]
             wanted = set(names)
-            for shard in shards:
-                if shard.state != SHARD_ACTIVE:
-                    self._make_room_locked(shard.bytes, keep=wanted)
-                    shard.activate()
-                    get_telemetry().metrics.counter(
-                        "router_shard_activations_total",
-                        "Shard activations (cold mmap attach)",
-                    ).inc()
-                self._use_seq += 1
-                shard.last_used = self._use_seq
-                shard.pins += 1
+            pinned: list[Shard] = []
+            try:
+                for shard in shards:
+                    if shard.state != SHARD_ACTIVE:
+                        self._make_room_locked(shard.bytes, keep=wanted)
+                        self._activate_locked(shard)
+                    self._use_seq += 1
+                    shard.last_used = self._use_seq
+                    shard.pins += 1
+                    pinned.append(shard)
+            except BaseException:
+                self.release(pinned)
+                raise
             return shards
+
+    def _activate_locked(self, shard: Shard) -> None:
+        try:
+            shard.activate()
+        except Exception as exc:
+            reason = f"{type(exc).__name__}: {exc}"
+            shard.degraded = True
+            shard.last_error = f"activation failed: {reason}"
+            raise RouterError(
+                f"shard {shard.name!r} failed to activate: {reason}"
+            ) from exc
+        get_telemetry().metrics.counter(
+            "router_shard_activations_total",
+            "Shard activations (cold mmap attach)",
+        ).inc()
 
     def release(self, shards: Sequence[Shard]) -> None:
         with self._lock:
@@ -573,64 +595,37 @@ class ShardRouter:
         return doc
 
 
-class RouterMappingService:
-    """A served shard catalog behind a request coalescer.
+class RouterMappingService(MappingService):
+    """A served shard catalog behind the one admission path.
 
-    The web tier's ``POST /map?catalog=...`` path: concurrent requests
-    coalesce into shared fan-out batches through
-    :meth:`ShardRouter.map_reads`; demultiplexed per-request results are
-    bit-identical to an independent ``map_reads`` of the same reads.
-    Whole-catalog fan-out only — per-request shard subsets bypass the
-    coalescer (different subsets cannot share a batch).
+    The web tier's ``POST /map?catalog=...`` path: concurrent
+    whole-catalog requests coalesce into shared fan-out batches through
+    :meth:`ShardRouter.map_reads`; a shard subset is admitted the same
+    way but rides in a batch of its own (different subsets cannot share
+    a fan-out).  Demultiplexed results are bit-identical to an
+    independent ``map_reads`` of the same reads.
     """
 
-    def __init__(self, router: ShardRouter, *, coalesce: bool = True, config=None):
-        from .coalescer import RequestCoalescer
-
+    def __init__(self, router: ShardRouter, *, config=None):
         self.router = router
-        self.coalesce = bool(coalesce)
         self.coalescer = RequestCoalescer(
-            lambda reads: router.map_reads(reads),
-            config=config,
-            name="router-service",
+            router.map_reads, config=config, name="router-service"
         )
-        self._closed = False
 
-    def map_request(
-        self,
-        reads: Sequence[str],
-        tenant: str = "default",
-        timeout: float | None = 60.0,
-        shards: Sequence[str] | None = None,
-    ):
-        """Map one request through the (possibly shared) fan-out batch."""
-        from .coalescer import CoalescedRequest, CoalescerClosed
-
-        if self._closed:
-            raise CoalescerClosed("router service is closed")
-        if not self.coalesce or shards is not None:
-            req = CoalescedRequest(list(reads), str(tenant), deadline=0.0)
-            req._complete(self.router.map_reads(req.reads, shards=shards))
-            return req
-        req = self.coalescer.submit(reads, tenant=tenant)
-        req.result(timeout=timeout)
-        return req
+    def _dispatch_for(self, shards):
+        if shards is None:
+            return None
+        names = list(shards)
+        if not names:
+            raise UnknownShardError("no shards selected")
+        for n in names:
+            self.router.catalog.shard(n)  # unknown names fail before admission
+        return functools.partial(self.router.map_reads, shards=names)
 
     def stats(self) -> dict:
         doc = self.router.stats()
         doc["coalescer"] = self.coalescer.stats()
-        doc["coalesce"] = self.coalesce
         return doc
 
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self.coalescer.close()
+    def _close_backend(self) -> None:
         self.router.catalog.close()
-
-    def __enter__(self) -> "RouterMappingService":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

@@ -15,7 +15,7 @@ result is a downloadable hits table.  Jobs run either synchronously
 through a bounded executor (:class:`~repro.serving.executor.BoundedExecutor`):
 at most ``job_workers`` jobs run concurrently, at most ``job_backlog``
 wait queued, and submissions beyond that raise
-:class:`~repro.serving.executor.BacklogFull` (HTTP 503 at the server).
+:class:`~repro.serving.executor.Overloaded` (HTTP 503 at the server).
 
 Jobs are fault-tolerant.  A :class:`~repro.faults.FaultPlan` (configured
 on the manager or per submission) scripts device faults; the pipeline
@@ -44,7 +44,7 @@ from ..io.fasta import read_fasta_str
 from ..io.fastq import read_fastq_str
 from ..mapper.mapper import Mapper
 from ..mapper.results import mapping_ratio, write_hits_tsv
-from ..serving.executor import BacklogFull, BoundedExecutor
+from ..serving.executor import BoundedExecutor, Overloaded
 from ..telemetry import correlate, get_telemetry
 
 Device = Literal["cpu", "fpga"]
@@ -174,7 +174,7 @@ class JobManager:
         Background-execution caps: at most ``job_workers`` jobs run
         concurrently and at most ``job_backlog`` wait queued; a
         submission beyond both raises
-        :class:`~repro.serving.executor.BacklogFull`.
+        :class:`~repro.serving.executor.Overloaded`.
     mapping_service:
         Optional :class:`~repro.serving.coalescer.MappingService` — a
         preloaded served index behind a request coalescer.  Jobs still
@@ -261,7 +261,7 @@ class JobManager:
         if background:
             try:
                 self.executor.submit(lambda: self._run(job))
-            except BacklogFull:
+            except Overloaded:
                 # The job never ran; drop it so the rejected submission
                 # leaves no QUEUED ghost in listings.
                 with self._lock:

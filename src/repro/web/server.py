@@ -13,9 +13,10 @@ offline, so this is a dependency-free WSGI app with the same surface:
 * ``GET /jobs`` — JSON list of jobs;
 * ``GET /jobs/<id>`` — JSON status with the three-step timing breakdown;
 * ``GET /jobs/<id>/results`` — the hits TSV download;
-* ``POST /map`` — map reads against the server's preloaded index (the
-  coalesced fast path: concurrent requests share merged kernel batches;
-  requires a :class:`~repro.serving.coalescer.MappingService`);
+* ``POST /map`` — map reads against the server's preloaded index, or
+  with ``?catalog=...`` its shard catalog (the coalesced fast path:
+  concurrent requests share merged kernel batches; requires a
+  :class:`~repro.serving.coalescer.MappingService`);
 * ``GET /health`` — liveness probe;
 * ``GET /healthz`` — readiness: device health, queue depth, job counts;
 * ``GET /metrics`` — Prometheus text exposition of the telemetry registry.
@@ -37,8 +38,8 @@ from contextlib import ExitStack, contextmanager
 from typing import Callable, Iterable
 
 from ..faults import FaultPlan, RetryPolicy
-from ..serving.coalescer import CoalescerClosed, CoalescerFull
-from ..serving.executor import BacklogFull
+from ..serving.coalescer import CoalescerError, RequestTooLarge
+from ..serving.executor import Overloaded
 from ..telemetry import Telemetry, set_telemetry
 from .jobs import JobManager, JobPolicy
 
@@ -180,6 +181,12 @@ class BWaveRApp:
             status, headers, body = self._route(environ)
         except WebAppError as exc:
             status, headers, body = self._json(400, {"error": str(exc)})
+        except Overloaded as exc:
+            # A full job backlog or /map admission queue: retry later.
+            status, headers, body = self._json(
+                503, {"error": str(exc), "concurrency": self.jobs.concurrency()}
+            )
+            headers.append(("Retry-After", str(exc.retry_after)))
         except Exception as exc:  # pragma: no cover - defensive 500
             status, headers, body = self._json(
                 500, {"error": f"{type(exc).__name__}: {exc}"}
@@ -300,7 +307,7 @@ class BWaveRApp:
         )
 
     def _map(self, environ: dict) -> tuple[str, list, bytes]:
-        """Map reads against the served index through the coalescer.
+        """Map reads through a served mapping service's admission path.
 
         JSON body: ``reads`` (list of sequences) or ``reads_fastq``
         (FASTQ text, optionally ``reads_fastq_gzip_b64``), optional
@@ -309,28 +316,35 @@ class BWaveRApp:
         in bounded pieces and rows are written per returned batch, so a
         large read set never materializes as result objects at once.
 
-        With a ``?catalog`` query parameter the request routes through
-        the sharded multi-genome tier instead: ``?catalog`` (or
+        With a ``?catalog`` query parameter the request goes to the
+        sharded multi-genome tier instead: ``?catalog`` (or
         ``?catalog=all``) fans out across every shard, ``?catalog=a,b``
-        restricts to the named shards; results carry per-reference hits.
+        restricts to the named shards; results carry per-reference hits
+        (JSON only).  Either way the request passes the service's one
+        admission cap: more reads than the cap get 413, a full queue
+        503 + ``Retry-After``, a failed dispatch 503 with the reason.
         """
         from urllib.parse import parse_qs
 
-        query = parse_qs(
+        from ..serving.router import UnknownShardError
+
+        catalog_q = parse_qs(
             environ.get("QUERY_STRING", ""), keep_blank_values=True
-        )
-        catalog_q = query.get("catalog")
-        if catalog_q is not None:
-            return self._map_catalog(environ, catalog_q[0])
-        service = self.mapping_service
-        if service is None:
-            return self._json(
-                404,
-                {
-                    "error": "no served index: start the server with "
-                    "--map-index to enable POST /map"
-                },
+        ).get("catalog")
+        shards = None
+        if catalog_q is None:
+            service = self.mapping_service
+            missing = "index: start the server with --map-index to enable POST /map"
+        else:
+            service = self.router_service
+            missing = (
+                "catalog: start the server with --catalog to enable "
+                "POST /map?catalog=..."
             )
+            if catalog_q[0] not in ("", "all"):
+                shards = [s for s in catalog_q[0].split(",") if s]
+        if service is None:
+            return self._json(404, {"error": f"no served {missing}"})
         try:
             length = int(environ.get("CONTENT_LENGTH") or 0)
         except ValueError:
@@ -344,8 +358,7 @@ class BWaveRApp:
                 },
             )
         body = environ["wsgi.input"].read(length) if length else b""
-        ctype = environ.get("CONTENT_TYPE", "")
-        if not ctype.startswith("application/json"):
+        if not environ.get("CONTENT_TYPE", "").startswith("application/json"):
             raise WebAppError("POST /map takes an application/json body")
         try:
             payload = json.loads(body.decode("utf-8"))
@@ -357,6 +370,8 @@ class BWaveRApp:
         fmt = payload.get("format", "json")
         if fmt not in ("json", "tsv"):
             raise WebAppError(f"unknown format {fmt!r} (use 'json' or 'tsv')")
+        if fmt == "tsv" and catalog_q is not None:
+            raise WebAppError("POST /map?catalog answers in JSON only")
         reads = payload.get("reads")
         fastq_text = None
         if reads is None:
@@ -372,13 +387,21 @@ class BWaveRApp:
                 from ..io.fastq import read_fastq_str
 
                 reads = [r.sequence for r in read_fastq_str(fastq_text)]
-            req = service.map_request(reads, tenant=tenant)
-        except CoalescerFull as exc:
-            status, headers, resp = self._json(503, {"error": str(exc)})
-            headers.append(("Retry-After", "1"))
-            return status, headers, resp
-        except CoalescerClosed as exc:
-            return self._json(503, {"error": str(exc)})
+            req = service.map_request(reads, tenant=tenant, shards=shards)
+        except UnknownShardError as exc:
+            raise WebAppError(f"unknown shard {exc.args[0]!r}") from exc
+        except RequestTooLarge as exc:
+            return self._json(413, {"error": str(exc)})
+        except (CoalescerError, TimeoutError) as exc:
+            # Closed service, or dispatch and its fallback both failed
+            # (e.g. a corrupt shard container): an explicit 503, not a 500.
+            return self._json(503, {"error": f"{type(exc).__name__}: {exc}"})
+        if catalog_q is None:
+            return self._render_index(req, tenant, fmt)
+        return self._render_catalog(req, tenant, shards)
+
+    def _render_index(self, req, tenant: str, fmt: str) -> tuple[str, list, bytes]:
+        """A single-index answer: TSV rows, or per-read counts in JSON."""
         results = req.result(timeout=0.0)
         if fmt == "tsv":
             import io as _io
@@ -415,6 +438,33 @@ class BWaveRApp:
             },
         )
 
+    def _render_catalog(self, req, tenant: str, shards) -> tuple[str, list, bytes]:
+        """A ``?catalog`` answer: per-reference hits per read, in JSON."""
+        mappings = req.result(timeout=0.0)
+        return self._json(
+            200,
+            {
+                "n_reads": len(mappings),
+                "n_mapped": sum(1 for m in mappings if m.mapped),
+                "tenant": tenant,
+                "shards": shards or list(self.router_service.router.catalog.names),
+                "degraded": req.degraded,
+                "batch_reads": req.batch_reads,
+                "wait_ms": req.wait_seconds * 1e3,
+                "results": [
+                    {
+                        "read": f"read{m.read_id}",
+                        "n_hits": len(m.hits),
+                        "hits": [
+                            {"ref": h.name, "position": h.position, "strand": h.strand}
+                            for h in m.hits
+                        ],
+                    }
+                    for m in mappings
+                ],
+            },
+        )
+
     def _map_stream_tsv(
         self, service, fastq_text: str, tenant: str
     ) -> tuple[str, list, bytes]:
@@ -441,94 +491,6 @@ class BWaveRApp:
             "200 OK",
             [("Content-Type", "text/tab-separated-values; charset=utf-8")],
             out.getvalue().encode(),
-        )
-
-    def _map_catalog(self, environ: dict, catalog_arg: str) -> tuple[str, list, bytes]:
-        """``POST /map?catalog=...``: scatter-gather across the shard
-        catalog, returning per-reference hits per read."""
-        from ..serving.router import UnknownShardError
-
-        service = self.router_service
-        if service is None:
-            return self._json(
-                404,
-                {
-                    "error": "no served catalog: start the server with "
-                    "--catalog to enable POST /map?catalog=..."
-                },
-            )
-        try:
-            length = int(environ.get("CONTENT_LENGTH") or 0)
-        except ValueError:
-            length = 0
-        if length > self.max_body_bytes:
-            return self._json(
-                413,
-                {
-                    "error": f"request body of {length} B exceeds the "
-                    f"{self.max_body_bytes} B limit"
-                },
-            )
-        body = environ["wsgi.input"].read(length) if length else b""
-        if not environ.get("CONTENT_TYPE", "").startswith("application/json"):
-            raise WebAppError("POST /map takes an application/json body")
-        try:
-            payload = json.loads(body.decode("utf-8"))
-        except json.JSONDecodeError as exc:
-            raise WebAppError(f"invalid JSON body: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise WebAppError("JSON body must be an object")
-        tenant = str(payload.get("tenant", "default"))
-        reads = payload.get("reads")
-        if reads is None:
-            fastq_text = _maybe_gunzip_b64(payload, "reads_fastq")
-            if fastq_text is None:
-                raise WebAppError("provide 'reads' (list) or 'reads_fastq'")
-            from ..io.fastq import read_fastq_str
-
-            reads = [r.sequence for r in read_fastq_str(fastq_text)]
-        elif not (isinstance(reads, list) and all(isinstance(r, str) for r in reads)):
-            raise WebAppError("'reads' must be a list of strings")
-        shards = None
-        if catalog_arg and catalog_arg != "all":
-            shards = [s for s in catalog_arg.split(",") if s]
-        try:
-            req = service.map_request(reads, tenant=tenant, shards=shards)
-        except UnknownShardError as exc:
-            raise WebAppError(f"unknown shard {exc.args[0]!r}") from exc
-        except CoalescerFull as exc:
-            status, headers, resp = self._json(503, {"error": str(exc)})
-            headers.append(("Retry-After", "1"))
-            return status, headers, resp
-        except CoalescerClosed as exc:
-            return self._json(503, {"error": str(exc)})
-        mappings = req.result(timeout=0.0)
-        return self._json(
-            200,
-            {
-                "n_reads": len(mappings),
-                "n_mapped": sum(1 for m in mappings if m.mapped),
-                "tenant": tenant,
-                "shards": list(shards) if shards else list(service.router.catalog.names),
-                "degraded": req.degraded,
-                "batch_reads": req.batch_reads,
-                "wait_ms": req.wait_seconds * 1e3,
-                "results": [
-                    {
-                        "read": f"read{m.read_id}",
-                        "n_hits": len(m.hits),
-                        "hits": [
-                            {
-                                "ref": h.name,
-                                "position": h.position,
-                                "strand": h.strand,
-                            }
-                            for h in m.hits
-                        ],
-                    }
-                    for m in mappings
-                ],
-            },
         )
 
     def _submit(self, environ: dict) -> tuple[str, list, bytes]:
@@ -591,22 +553,15 @@ class BWaveRApp:
             raise WebAppError(f"b and sf must be integers: {exc}") from exc
         if device not in ("cpu", "fpga"):
             raise WebAppError(f"unknown device {device!r}")
-        try:
-            job = self.jobs.submit(
-                reference_fasta=reference,
-                reads_fastq=reads,
-                b=b_i,
-                sf=sf_i,
-                device=device,  # type: ignore[arg-type]
-                background=self.background_jobs,
-                fault_plan=fault_plan,
-            )
-        except BacklogFull as exc:
-            status, headers, body = self._json(
-                503, {"error": str(exc), "concurrency": self.jobs.concurrency()}
-            )
-            headers.append(("Retry-After", "5"))
-            return status, headers, body
+        job = self.jobs.submit(
+            reference_fasta=reference,
+            reads_fastq=reads,
+            b=b_i,
+            sf=sf_i,
+            device=device,  # type: ignore[arg-type]
+            background=self.background_jobs,
+            fault_plan=fault_plan,
+        )
         return self._json(201, job.summary())
 
     @staticmethod
@@ -630,7 +585,6 @@ def serve(
     job_backlog: int = 8,
     map_index_fasta: str | None = None,
     map_pool_workers: int = 0,
-    coalesce: bool = True,
     coalesce_window_ms: float = 2.0,
     coalesce_max_batch: int = 512,
     catalog_manifest: str | None = None,
@@ -643,7 +597,8 @@ def serve(
     ``POST /map`` through a request coalescer (window/size bounds from
     the ``coalesce_*`` knobs, optionally behind a ``map_pool_workers``
     shared-memory pool).  The server is threaded — concurrency is what
-    gives the coalescer batches to merge.
+    gives the coalescer batches to merge.  ``coalesce_max_batch=1`` with
+    ``coalesce_window_ms=0`` dispatches each request alone.
 
     ``catalog_manifest`` loads a shard catalog manifest and serves it on
     ``POST /map?catalog=...`` through a scatter-gather router;
@@ -660,32 +615,29 @@ def serve(
         # under the exact burst traffic the coalescer exists to absorb.
         request_queue_size = 128
 
+    from ..serving.coalescer import CoalescerConfig, MappingService
+
+    config = CoalescerConfig(
+        window_seconds=coalesce_window_ms / 1e3,
+        max_batch_reads=coalesce_max_batch,
+    )
     mapping_service = None
     if map_index_fasta is not None:
         from ..index.builder import build_index
         from ..io.fasta import read_fasta
-        from ..serving.coalescer import CoalescerConfig, MappingService
 
         ref = read_fasta(map_index_fasta)[0]
         index, _report = build_index(ref.sequence)
         mapping_service = MappingService(
-            index,
-            pool_workers=map_pool_workers,
-            coalesce=coalesce,
-            config=CoalescerConfig(
-                window_seconds=coalesce_window_ms / 1e3,
-                max_batch_reads=coalesce_max_batch,
-            ),
+            index, pool_workers=map_pool_workers, config=config
         )
         print(
             f"serving index over {ref.name!r} ({len(ref.sequence)} bp) on "
-            f"POST /map (coalesce={'on' if coalesce else 'off'}, "
-            f"window={coalesce_window_ms}ms, max_batch={coalesce_max_batch}, "
-            f"pool_workers={map_pool_workers})"
+            f"POST /map (window={coalesce_window_ms}ms, "
+            f"max_batch={coalesce_max_batch}, pool_workers={map_pool_workers})"
         )
     router_service = None
     if catalog_manifest is not None:
-        from ..serving.coalescer import CoalescerConfig
         from ..serving.router import (
             RouterMappingService,
             ShardCatalog,
@@ -702,14 +654,7 @@ def serve(
             memory_budget_bytes=budget,
             pool_workers=shard_workers,
         )
-        router_service = RouterMappingService(
-            ShardRouter(catalog),
-            coalesce=coalesce,
-            config=CoalescerConfig(
-                window_seconds=coalesce_window_ms / 1e3,
-                max_batch_reads=coalesce_max_batch,
-            ),
-        )
+        router_service = RouterMappingService(ShardRouter(catalog), config=config)
         print(
             f"serving catalog of {len(catalog)} shard(s) "
             f"{list(catalog.names)} on POST /map?catalog=... "

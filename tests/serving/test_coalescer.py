@@ -13,10 +13,11 @@ from repro.serving.coalescer import (
     CoalescerClosed,
     CoalescerConfig,
     CoalescerError,
-    CoalescerFull,
     MappingService,
     RequestCoalescer,
+    RequestTooLarge,
 )
+from repro.serving.executor import Overloaded
 
 
 @pytest.fixture(scope="module")
@@ -302,9 +303,51 @@ class TestAdmission:
         read = small_text[0:24]
         with co._cv:  # freeze the flusher so the queue cannot drain
             co.submit([read] * 8)
-            with pytest.raises(CoalescerFull):
+            with pytest.raises(Overloaded) as info:
                 co.submit([read])
         co.close()
+        assert info.value.retry_after == 1
+
+    def test_request_over_cap_is_too_large_even_when_idle(self, co_mapper):
+        co = RequestCoalescer(
+            co_mapper.map_reads,
+            config=CoalescerConfig(max_batch_reads=4, max_queue_reads=8),
+        )
+        with pytest.raises(RequestTooLarge, match="cap of 8"):
+            co.submit(["ACGT"] * 9)
+        assert co.stats()["requests_total"] == 0
+        co.close()
+
+    def test_own_dispatch_rides_alone(self, co_mapper, small_text):
+        """A request submitted with its own dispatch is admitted like any
+        other but never shares a batch."""
+        calls: list[tuple[str, int]] = []
+
+        def default(reads):
+            calls.append(("default", len(reads)))
+            return co_mapper.map_reads(reads)
+
+        def own(reads):
+            calls.append(("own", len(reads)))
+            return co_mapper.map_reads(reads)
+
+        co = RequestCoalescer(
+            default, config=CoalescerConfig(window_seconds=10.0, max_batch_reads=64)
+        )
+        read = small_text[5:29]
+        with co._cv:  # queue all three before the flusher looks
+            handles = [
+                co.submit([read]),
+                co.submit([read, read], tenant="b", dispatch=own),
+                co.submit([read], tenant="c"),
+            ]
+        co.close(wait=True)
+        assert calls == [("default", 1), ("own", 2), ("default", 1)]
+        assert co.stats()["requests_total"] == 3
+        assert_parity(
+            [h.result(0) for h in handles],
+            [co_mapper.map_reads(h.reads) for h in handles],
+        )
 
     def test_closed_rejects_submissions(self, co_mapper):
         co = RequestCoalescer(co_mapper.map_reads)
@@ -332,11 +375,30 @@ class TestMappingService:
             merged = [svc.map_request(reads).result(0) for reads in requests[:3]]
         assert_parity(merged, independent)
 
-    def test_bypass_mode_still_serves(self, co_index, requests):
-        with MappingService(co_index, coalesce=False) as svc:
-            req = svc.map_request(requests[0])
-            assert len(req.result(0)) == len(requests[0])
-            assert svc.stats()["coalesce"] is False
+    def test_uncoalesced_config_dispatches_alone(self, co_index, requests):
+        """The uncoalesced ablation is a config, not a bypass: with
+        ``max_batch_reads=1`` every request still passes admission but
+        rides in a batch of its own."""
+        config = CoalescerConfig(window_seconds=0.0, max_batch_reads=1)
+        independent = [
+            Mapper(co_index, locate=True).map_reads(reads) for reads in requests[:6]
+        ]
+        with MappingService(co_index, config=config) as svc:
+            handles: list = [None] * 6
+
+            def send(i):
+                handles[i] = svc.map_request(requests[i])
+
+            threads = [threading.Thread(target=send, args=(i,)) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            doc = svc.stats()
+        assert_parity([h.result(0) for h in handles], independent)
+        assert all(h.batch_reads == len(requests[i]) for i, h in enumerate(handles))
+        assert doc["requests_total"] == doc["batches_total"] == 6
+        assert doc["coalesced_requests"] == 0
 
     def test_stats_document_shape(self, co_index):
         with MappingService(co_index) as svc:
@@ -344,7 +406,7 @@ class TestMappingService:
             doc = svc.stats()
         for key in (
             "window_ms", "max_batch_reads", "pending_reads", "requests_total",
-            "batches_total", "wait_p95_ms", "added_wait_p95_ms", "coalesce",
+            "batches_total", "wait_p95_ms", "added_wait_p95_ms",
             "pool_workers", "locate",
         ):
             assert key in doc

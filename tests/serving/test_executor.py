@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from repro.serving.executor import BacklogFull, BoundedExecutor
+from repro.serving.executor import BoundedExecutor, Overloaded
 
 
 @pytest.fixture()
@@ -35,7 +35,7 @@ class TestSubmit:
                 try:
                     executor.submit(lambda i=i: job(i))
                     break
-                except BacklogFull:
+                except Overloaded:
                     time.sleep(0.01)
         deadline = time.monotonic() + 10.0
         while time.monotonic() < deadline and len(hits) < 20:
@@ -55,7 +55,7 @@ class TestSubmit:
         # Worker busy; backlog=2 admits two queued jobs, then rejects.
         executor.submit(lambda: None)
         executor.submit(lambda: None)
-        with pytest.raises(BacklogFull):
+        with pytest.raises(Overloaded):
             executor.submit(lambda: None)
         release.set()
 
@@ -64,7 +64,7 @@ class TestSubmit:
         executor.submit(lambda: release.wait(10.0))
         executor.submit(lambda: None)
         executor.submit(lambda: None)
-        with pytest.raises(BacklogFull):
+        with pytest.raises(Overloaded):
             executor.submit(lambda: None)
         release.set()
         deadline = time.monotonic() + 5.0
@@ -95,7 +95,7 @@ class TestSubmit:
             try:
                 executor.submit(done.set)
                 break
-            except BacklogFull:
+            except Overloaded:
                 time.sleep(0.01)
         assert done.wait(5.0)
 

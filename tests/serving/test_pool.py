@@ -1,6 +1,9 @@
 """MapperPool: shared-memory worker pool correctness and lifecycle."""
 
 import glob
+import sys
+import threading
+import time
 
 import pytest
 
@@ -76,6 +79,55 @@ class TestCorrectness:
             second = pool.run_batch(reads)
         assert first.mapped == second.mapped
         assert first.op_counts == second.op_counts
+
+
+def _fingerprint(results):
+    return [
+        (
+            r.read_id,
+            r.forward.count,
+            r.reverse.count,
+            None if r.forward.positions is None else sorted(r.forward.positions.tolist()),
+            None if r.reverse.positions is None else sorted(r.reverse.positions.tolist()),
+        )
+        for r in results
+    ]
+
+
+class TestConcurrentCallers:
+    def test_concurrent_map_reads_each_get_their_own_replies(self, pool_index, reads):
+        """Callers share one reply queue; a call must never collect (and
+        drop) another call's replies.  4 threads x 20 calls on one
+        2-worker pool, every answer equal to the in-process mapper."""
+        mapper = Mapper(pool_index, locate=True)
+        batches = [reads[k : k + 7 + k % 5] for k in range(4)]
+        want = [_fingerprint(mapper.map_reads(b)) for b in batches]
+        errors: list[BaseException] = []
+        with MapperPool(pool_index, workers=2) as pool:
+
+            def caller(k):
+                try:
+                    for _ in range(20):
+                        got = pool.map_reads(batches[k], locate=True)
+                        assert _fingerprint(got) == want[k]
+                except BaseException as exc:  # noqa: BLE001 - reported below
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=caller, args=(k,)) for k in range(4)]
+            switch = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)  # interleave the callers finely
+            try:
+                t0 = time.monotonic()
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60.0)
+                elapsed = time.monotonic() - t0
+            finally:
+                sys.setswitchinterval(switch)
+            assert not any(t.is_alive() for t in threads), "callers hung"
+        assert errors == []
+        assert elapsed < 30.0
 
 
 class TestSpawnMethod:

@@ -251,6 +251,26 @@ class TestHealth:
             with pytest.raises(RouterError, match="not active"):
                 catalog.shard("chrA").map_reads(["ACGT"])
 
+    def test_corrupt_shard_activation_is_named(self, flat_dir, tmp_path, oracle):
+        """A container that fails to open names its shard in the error
+        and in health, drops the wave's pins, and leaves the healthy
+        shards serving."""
+        bad = tmp_path / "chrA.bwvr"
+        bad.write_bytes(b"NOTAFLAT" + (flat_dir / "chrA.bwvr").read_bytes()[8:])
+        with ShardCatalog() as catalog:
+            for name, _ in RECORDS:
+                catalog.register(name, bad if name == "chrA" else flat_dir / f"{name}.bwvr")
+            router = ShardRouter(catalog)
+            with pytest.raises(RouterError, match="'chrA' failed to activate"):
+                router.map_reads(corpus())
+            doc = next(d for d in router.stats()["shards"] if d["name"] == "chrA")
+            assert doc["degraded"] is True
+            assert doc["last_error"].startswith("activation failed: IndexFormatError")
+            assert all(catalog.shard(n).pins == 0 for n in catalog.names)
+            only = router.map_reads(corpus(), shards=["chrZ"])
+            for full, sub in zip(oracle.map_reads(corpus()), only):
+                assert sub.hits == tuple(h for h in full.hits if h.name == "chrZ")
+
 
 class TestPooledShards:
     """Per-shard MapperPool dispatch: parity, degraded fallback, health."""
@@ -340,7 +360,7 @@ class TestRouterMappingService:
             finally:
                 co.close()
 
-    def test_shard_subset_bypasses_coalescer(self, flat_dir):
+    def test_shard_subset_rides_alone_through_coalescer(self, flat_dir):
         with build_catalog(flat_dir) as catalog:
             service = RouterMappingService(ShardRouter(catalog))
             try:
@@ -349,6 +369,14 @@ class TestRouterMappingService:
                 assert all(
                     h.name == "chrA" for m in mappings for h in m.hits
                 )
+                assert req.batch_reads == 2
+                doc = service.coalescer.stats()
+                assert doc["requests_total"] == doc["batches_total"] == 1
+                with pytest.raises(UnknownShardError):
+                    service.map_request(["ACGT"], shards=["chrQ"])
+                with pytest.raises(UnknownShardError):
+                    service.map_request(["ACGT"], shards=[])
+                assert service.coalescer.stats()["requests_total"] == 1
             finally:
                 service.coalescer.close()
 

@@ -1,17 +1,22 @@
 """``POST /map?catalog=...``: the sharded multi-genome endpoint.
 
 Covers routing (404 without a served catalog), full-catalog fan-out,
-shard-subset selection, unknown-shard errors, and the ``/healthz``
-per-shard state block.
+shard-subset selection, unknown-shard errors, the ``/healthz``
+per-shard state block, and the one admission path: subsets and
+whole-catalog requests share the cap, the 413/503 answers and
+concurrent pooled traffic.
 """
 
 import io
 import json
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.index.multiref import MultiReferenceIndex
+from repro.serving.coalescer import CoalescerConfig
 from repro.serving.router import RouterMappingService, ShardCatalog, ShardRouter
 from repro.web.server import BWaveRApp
 
@@ -30,12 +35,16 @@ def oracle():
     return MultiReferenceIndex(RECORDS, b=15, sf=4)
 
 
-@pytest.fixture()
-def router_service():
-    catalog = ShardCatalog()
+def make_service(config=None, **catalog_kwargs):
+    catalog = ShardCatalog(**catalog_kwargs)
     for name, seq in RECORDS:
         catalog.register_sequence(name, seq, b=15, sf=4)
-    svc = RouterMappingService(ShardRouter(catalog))
+    return RouterMappingService(ShardRouter(catalog), config=config)
+
+
+@pytest.fixture()
+def router_service():
+    svc = make_service()
     yield svc
     svc.close()
 
@@ -144,3 +153,101 @@ class TestCatalogRouting:
             assert json.loads(body)["shards"] is None
         finally:
             app.jobs.shutdown()
+
+
+def hits_doc(mapping):
+    return [
+        {"ref": h.name, "position": h.position, "strand": h.strand}
+        for h in mapping.hits
+    ]
+
+
+class TestOneAdmissionPath:
+    def test_format_tsv_rejected(self, app):
+        status, _, body = post_map(app, {"reads": READS, "format": "tsv"})
+        assert status.startswith("400")
+        assert b"JSON only" in body
+
+    def test_over_cap_same_status_for_subset_and_catalog(self):
+        config = CoalescerConfig(max_batch_reads=16, max_queue_reads=16)
+        with make_service(config) as service:
+            app = BWaveRApp(router_service=service)
+            try:
+                reads = {"reads": [READS[0]] * 17}
+                whole = post_map(app, reads)
+                subset = post_map(app, reads, query="catalog=refA")
+                assert whole[0].startswith("413") and subset[0].startswith("413")
+                assert b"cap of 16 reads" in whole[2]
+                assert b"cap of 16 reads" in subset[2]
+                status, _, _ = post_map(
+                    app, {"reads": READS}, query="catalog=refA"
+                )
+                assert status.startswith("200")
+            finally:
+                app.jobs.shutdown()
+            assert service.stats()["coalescer"]["requests_total"] == 1
+
+    def test_corrupt_shard_is_503_naming_it(self):
+        with make_service() as service:
+            app = BWaveRApp(router_service=service)
+            try:
+                path = service.router.catalog.shard("refA").flat_path
+                with open(path, "r+b") as fh:  # overwrite the magic
+                    fh.write(b"NOTAFLAT")
+                for query in ("catalog", "catalog=refA"):
+                    status, _, body = post_map(app, {"reads": READS}, query=query)
+                    assert status.startswith("503"), query
+                    error = json.loads(body)["error"]
+                    assert "'refA' failed to activate" in error
+                    assert "IndexFormatError" in error
+                status, _, _ = post_map(app, {"reads": READS}, query="catalog=refB")
+                assert status.startswith("200")
+                _, _, body = call(app, "GET", "/healthz")
+                shards = json.loads(body)["shards"]
+                bad = next(d for d in shards["shards"] if d["name"] == "refA")
+                assert bad["degraded"] is True
+                assert "IndexFormatError" in bad["last_error"]
+                assert shards["degraded"] is True
+            finally:
+                app.jobs.shutdown()
+
+    def test_mixed_traffic_over_pooled_shards(self, oracle):
+        """Whole-catalog and subset requests at once over one-worker
+        shard pools: every answer equals the multi-reference oracle,
+        within seconds, and no healthy shard is flagged degraded."""
+        want = oracle.map_reads(READS)
+        want_whole = [hits_doc(m) for m in want]
+        want_subset = [[h for h in hits if h["ref"] == "refA"] for hits in want_whole]
+        with make_service(pool_workers=1) as service:
+            app = BWaveRApp(router_service=service)
+            failures: list = []
+
+            def client(query, expected):
+                for _ in range(6):
+                    status, _, body = post_map(app, {"reads": READS}, query=query)
+                    if not status.startswith("200"):
+                        failures.append((query, status, body))
+                        return
+                    got = [row["hits"] for row in json.loads(body)["results"]]
+                    if got != expected:
+                        failures.append((query, "wrong answer", got))
+
+            threads = [
+                threading.Thread(target=client, args=args, daemon=True)
+                for args in [("catalog", want_whole), ("catalog=refA", want_subset)] * 2
+            ]
+            t0 = time.monotonic()
+            try:
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60.0)
+                assert not any(t.is_alive() for t in threads), "requests hung"
+                assert failures == []
+                assert time.monotonic() - t0 < 30.0
+                doc = service.stats()
+                assert doc["degraded"] is False
+                assert all(not d["degraded"] for d in doc["shards"])
+                assert doc["coalescer"]["requests_total"] == 24
+            finally:
+                app.jobs.shutdown()

@@ -2,8 +2,9 @@
 
 Covers routing (404 without a served index), JSON and FASTQ request
 bodies, TSV output (including the chunked streaming ingest path),
-coalescer backpressure surfacing as 503 + Retry-After, and the
-``/healthz`` coalescer stats block.
+coalescer backpressure surfacing as 503 + Retry-After, requests past
+the admission cap as 413, dispatch failures as 503 with a reason, and
+the ``/healthz`` coalescer stats block.
 """
 
 import io
@@ -16,7 +17,7 @@ from repro.index.builder import build_index
 from repro.mapper.mapper import Mapper
 from repro.serving.coalescer import (
     CoalescerConfig,
-    CoalescerFull,
+    CoalescerError,
     MappingService,
 )
 from repro.web.server import BWaveRApp
@@ -140,14 +141,64 @@ class TestJsonMapping:
         assert status.startswith("200")
         assert json.loads(body)["n_reads"] == 0
 
-    def test_coalescer_full_is_503_with_retry_after(self, app, monkeypatch):
-        def full(*a, **k):
-            raise CoalescerFull("queue full")
-
-        monkeypatch.setattr(app.mapping_service, "map_request", full)
-        status, headers, _ = post_map(app, {"reads": ["ACGT"]})
+    def test_coalescer_full_is_503_with_retry_after(self, index):
+        config = CoalescerConfig(max_batch_reads=4, max_queue_reads=8)
+        with MappingService(index, config=config) as service:
+            app = BWaveRApp(mapping_service=service)
+            try:
+                with service.coalescer._cv:  # freeze the flusher: queue holds
+                    service.coalescer.submit(["ACGT"] * 8)
+                    status, headers, body = post_map(app, {"reads": ["ACGT"]})
+            finally:
+                app.jobs.shutdown()
         assert status.startswith("503")
         assert headers["Retry-After"] == "1"
+        assert b"> cap 8" in body
+
+    def test_request_over_cap_is_413_naming_the_cap(self, index):
+        config = CoalescerConfig(max_batch_reads=16, max_queue_reads=16)
+        with MappingService(index, config=config) as service:
+            app = BWaveRApp(mapping_service=service)
+            try:
+                status, headers, body = post_map(app, {"reads": ["ACGT"] * 17})
+                assert status.startswith("413")
+                assert "Retry-After" not in headers
+                assert b"cap of 16 reads" in body
+                status, _, _ = post_map(app, {"reads": ["ACGT"] * 16})
+                assert status.startswith("200")
+            finally:
+                app.jobs.shutdown()
+
+    @pytest.mark.parametrize(
+        "exc",
+        [
+            TimeoutError("not completed within 60.0s"),
+            CoalescerError("merged batch failed; fallback also failed: boom"),
+        ],
+    )
+    def test_dispatch_failure_is_503_with_reason(self, app, monkeypatch, exc):
+        def fail(*a, **k):
+            raise exc
+
+        monkeypatch.setattr(app.mapping_service, "map_request", fail)
+        status, headers, body = post_map(app, {"reads": ["ACGT"]})
+        assert status.startswith("503")
+        assert "Retry-After" not in headers
+        assert type(exc).__name__ in json.loads(body)["error"]
+
+    def test_failed_dispatch_and_fallback_is_503(self, index):
+        def boom(reads):
+            raise RuntimeError("device lost")
+
+        with MappingService(index) as service:
+            service.coalescer.dispatch = service.coalescer.fallback = boom
+            app = BWaveRApp(mapping_service=service)
+            try:
+                status, _, body = post_map(app, {"reads": ["ACGT"]})
+            finally:
+                app.jobs.shutdown()
+        assert status.startswith("503")
+        assert b"device lost" in body
 
 
 class TestTsvMapping:
