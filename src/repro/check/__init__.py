@@ -3,9 +3,10 @@
 ``repro selfcheck`` drives every fast implementation (RRR vectors,
 wavelet trees, FM-index scalar and batch search, the FPGA functional
 model, the flat mmap container, the worker pool, the k-mer jump-start
-table) against slow pure-Python oracles on seeded adversarial inputs,
-shrinks any mismatch to a minimal counterexample, and stores it under
-``tests/corpus/`` as a permanent regression guard.  See DESIGN.md §9.
+table, the request coalescer, the shard router) against slow oracles on
+seeded adversarial inputs, shrinks any mismatch to a minimal
+counterexample, and stores it under ``tests/corpus/`` as a permanent
+regression guard.  See DESIGN.md §9.
 """
 
 from .differential import (
@@ -32,7 +33,7 @@ from .report import (
     load_corpus,
     write_corpus_file,
 )
-from .shrink import shrink_bits, shrink_list, shrink_string, shrink_text_pattern
+from .shrink import shrink_bits, shrink_list, shrink_string
 
 __all__ = [
     "ALL_CHECKS",
@@ -57,6 +58,5 @@ __all__ = [
     "shrink_bits",
     "shrink_list",
     "shrink_string",
-    "shrink_text_pattern",
     "write_corpus_file",
 ]

@@ -65,27 +65,6 @@ def shrink_list(items: list, fails: Callable[[list], bool], budget: int = DEFAUL
     return _shrink_seq(list(items), fails, _Budget(budget))
 
 
-def shrink_text_pattern(
-    text: str,
-    pattern: str,
-    fails: Callable[[str, str], bool],
-    budget: int = DEFAULT_BUDGET,
-) -> tuple[str, str]:
-    """Jointly shrink a (text, pattern) pair.
-
-    Shrinks the pattern first (cheap probes: no index rebuild needed in
-    most predicates), then the text, then the pattern again in case the
-    smaller text enabled further cuts.  The reference text is kept
-    non-empty — the builders reject empty references, and a bug that only
-    reproduces on the empty reference would be reported as such anyway.
-    """
-    b = _Budget(budget)
-    pattern = _shrink_seq(pattern, lambda p: fails(text, p), b)
-    text = _shrink_seq(text, lambda t: fails(t, pattern), b, min_len=1)
-    pattern = _shrink_seq(pattern, lambda p: fails(text, p), b)
-    return text, pattern
-
-
 def shrink_bits(
     bits: np.ndarray, fails: Callable[[np.ndarray], bool], budget: int = DEFAULT_BUDGET
 ) -> np.ndarray:

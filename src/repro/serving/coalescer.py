@@ -513,14 +513,24 @@ class RequestCoalescer:
         """Merged dispatch failed: recover each rider independently.
 
         With a ``fallback`` executor (the CPU mapper), requests complete
-        DEGRADED-but-correct; without one, each request retries through
-        ``dispatch`` alone so a poisoned rider fails only itself.  A
-        request with its own dispatch retries through that.
+        DEGRADED-but-correct; without one, each rider of a shared batch
+        retries through ``dispatch`` alone so a poisoned rider fails only
+        itself.  A lone request (and so any request with its own
+        dispatch) is never re-run through the dispatch that just failed:
+        it fails at once with the original reason.
         """
         tel = get_telemetry()
-        reason = f"merged batch failed ({type(exc).__name__}: {exc})"
+        cause = f"{type(exc).__name__}: {exc}"
+        reason = f"merged batch failed ({cause})"
+        shared = len(batch) > 1
         for req in batch:
-            runner = req.dispatch or self.fallback or self.dispatch
+            if req.dispatch is None:
+                runner = self.fallback or (self.dispatch if shared else None)
+            else:
+                runner = None
+            if runner is None:
+                req._fail(CoalescerError(f"dispatch failed ({cause})"))
+                continue
             tel.metrics.counter(
                 "coalesce_fallback_total",
                 "Requests recovered per-request after a failed merged batch",

@@ -326,6 +326,7 @@ class BWaveRApp:
         """
         from urllib.parse import parse_qs
 
+        from ..io.fastq import FastqError, read_fastq_str
         from ..serving.router import UnknownShardError
 
         catalog_q = parse_qs(
@@ -384,10 +385,10 @@ class BWaveRApp:
             if fastq_text is not None and fmt == "tsv":
                 return self._map_stream_tsv(service, fastq_text, tenant)
             if fastq_text is not None:
-                from ..io.fastq import read_fastq_str
-
                 reads = [r.sequence for r in read_fastq_str(fastq_text)]
             req = service.map_request(reads, tenant=tenant, shards=shards)
+        except FastqError as exc:
+            raise WebAppError(f"malformed reads_fastq: {exc}") from exc
         except UnknownShardError as exc:
             raise WebAppError(f"unknown shard {exc.args[0]!r}") from exc
         except RequestTooLarge as exc:
@@ -469,7 +470,11 @@ class BWaveRApp:
         self, service, fastq_text: str, tenant: str
     ) -> tuple[str, list, bytes]:
         """Chunked ingest: FASTQ chunks feed the coalescer as independent
-        requests; TSV rows are emitted per returned batch."""
+        requests; TSV rows are emitted per returned batch.
+
+        The chunks in flight fit the admission cap together (chunk ×
+        in-flight ≤ ``max_queue_reads``), so a small cap shrinks the
+        chunks instead of rejecting the stream."""
         import io as _io
 
         from ..io.fastq import parse_fastq_chunks
@@ -481,10 +486,17 @@ class BWaveRApp:
                 for rec in chunk:
                     yield rec.sequence
 
+        cap = service.coalescer.config.max_queue_reads
+        in_flight = min(4, cap)
+
         out = _io.StringIO()
         out.write(HITS_TSV_HEADER)
         for results in map_stream_coalesced(
-            service.coalescer, _seqs(), chunk_size=256, tenant=tenant
+            service.coalescer,
+            _seqs(),
+            chunk_size=min(256, cap // in_flight),
+            max_in_flight=in_flight,
+            tenant=tenant,
         ):
             write_hits_tsv(results, out, header=False)
         return (

@@ -2,15 +2,16 @@
 acceptance property — reintroducing either seed bug must surface as a
 shrunk, human-readable counterexample instead of a crash or a pass."""
 
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
-from repro.check import PROFILES, SelfCheck, get_check
+from repro.check import PROFILES, SelfCheck, get_check, rng_for
 from repro.check.differential import ALL_CHECKS, CHECKS_BY_NAME
 from repro.index import fm_index
 from repro.mapper import mapper as mapper_mod
-from repro.mapper.results import MappingResult, StrandHit
 from repro.telemetry import Telemetry, get_telemetry, set_telemetry
 
 
@@ -66,19 +67,6 @@ def _reintroduce_empty_pattern_bug(monkeypatch):
 def _reintroduce_n_crash_bug(monkeypatch):
     """The seed crash: no alphabet screen, AlphabetError escapes the mapper."""
     monkeypatch.setattr(mapper_mod, "is_valid", lambda s: True)
-
-    def no_catch(self, sequence, read_id=0, read_name=None):
-        fwd = self.index.search(sequence)
-        rc = self.index.search(mapper_mod.reverse_complement(sequence))
-        return MappingResult(
-            read_id=read_id,
-            read_name=read_name if read_name is not None else f"read{read_id}",
-            length=len(sequence),
-            forward=StrandHit(fwd, self._positions(fwd)),
-            reverse=StrandHit(rc, self._positions(rc)),
-        )
-
-    monkeypatch.setattr(mapper_mod.Mapper, "map_read", no_catch)
 
 
 class TestCatchesSeedBugs:
@@ -181,16 +169,131 @@ class TestTelemetry:
 
 class TestCrashHandling:
     def test_generator_crash_becomes_counterexample(self):
-        broken = CHECKS_BY_NAME["rrr"]
-
-        class Exploding(type(broken)):
-            name = "rrr"
-
-            def generate(self, rng, profile):
-                raise RuntimeError("boom in generate")
+        def explode(rng, profile):
+            raise RuntimeError("boom in generate")
 
         sc = SelfCheck(seed=0, profile="quick", checks=["rrr"])
-        sc.checks = [Exploding()]
+        sc.checks = [dataclasses.replace(CHECKS_BY_NAME["rrr"], generate=explode)]
         report = sc.run(1)
         assert not report.ok
         assert "boom in generate" in report.failures[0].actual
+
+
+# -- one planted bug per check -------------------------------------------------
+#
+# Each row plants a one-line bug into a check's fast side (never its oracle)
+# and demands the harness answer with a shrunk counterexample.  The rows are
+# the safety net for the check table itself: a row that stops catching its
+# bug means a probe went missing.
+
+
+def _wrap(monkeypatch, owner, attr, change):
+    """Replace ``owner.attr`` by ``change(original)``."""
+    monkeypatch.setattr(owner, attr, change(getattr(owner, attr)))
+
+
+def _plant_rrr(mp):
+    from repro.core.rrr import RRRVector
+
+    _wrap(mp, RRRVector, "select1",
+          lambda f: lambda self, k: f(self, k) + (k == self.count()))
+
+
+def _plant_wavelet(mp):
+    from repro.core.wavelet_tree import WaveletTree
+
+    _wrap(mp, WaveletTree, "access",
+          lambda f: lambda self, i: (f(self, i) + (i == 0)) % 4)
+
+
+def _plant_batch(mp):
+    _wrap(mp, fm_index.FMIndex, "search_batch",
+          lambda f: lambda self, pats: (lambda lo, hi, st: (
+              lo, hi, np.where(hi > lo, st, 0)))(*f(self, pats)))
+
+
+def _plant_kernel(mp):
+    from repro.fpga import kernel as kernel_mod
+
+    _wrap(mp, kernel_mod, "batch_outcomes",
+          lambda f: lambda *a: (lambda outs, hw, sw: ([
+              dataclasses.replace(o, rc_start=o.fwd_start, rc_end=o.fwd_end)
+              for o in outs], hw, sw))(*f(*a)))
+
+
+def _plant_flat(mp):
+    from repro.sequence.sampled_sa import FullSA
+
+    _wrap(mp, FullSA, "from_arrays", lambda f: lambda meta, arrays: f(
+        meta, {"sa": np.roll(arrays["sa"], 1)}))
+
+
+def _plant_pool(mp):
+    from repro.serving.pool import MapperPool
+
+    _wrap(mp, MapperPool, "_shard",
+          lambda f: lambda self, reads: f(self, reads)[::-1])
+
+
+def _plant_ftab(mp):
+    from repro.index.ftab import Ftab
+
+    _wrap(mp, Ftab, "lookup",
+          lambda f: lambda self, codes: (lambda lo, hi, st: (
+              lo, hi, st if hi > lo else self.k))(*f(self, codes)))
+
+
+def _plant_coalesce(mp):
+    from repro.serving import coalescer as coalescer_mod
+
+    _wrap(mp, coalescer_mod, "_renumber",
+          lambda f: lambda results, offset: f(results, 0))
+
+
+def _plant_router(mp):
+    from repro.serving.router import ShardCatalog
+
+    mp.setattr(ShardCatalog, "ordinals", property(
+        lambda self: {n: -i for i, n in enumerate(self.names)}))
+
+
+QUICK = PROFILES["quick"]
+#: ``pool`` runs only under a profile that includes it.
+QUICK_POOL = dataclasses.replace(QUICK, name="quick+pool", include_pool=True)
+
+#: (check, planter, profile, rounds, the input list that must have shrunk)
+PLANTED = [
+    ("rrr", _plant_rrr, QUICK, 3, "bits"),
+    ("wavelet", _plant_wavelet, QUICK, 3, "text"),
+    ("fm", _reintroduce_empty_pattern_bug, QUICK, 3, "patterns"),
+    ("batch", _plant_batch, QUICK, 3, "patterns"),
+    ("mapper", _reintroduce_n_crash_bug, QUICK, 3, "reads"),
+    ("kernel", _plant_kernel, QUICK, 6, "reads"),
+    ("flat", _plant_flat, QUICK, 6, "patterns"),
+    ("pool", _plant_pool, QUICK_POOL, 1, "reads"),
+    ("ftab", _plant_ftab, QUICK, 6, "patterns"),
+    ("coalesce", _plant_coalesce, QUICK, 3, "requests"),
+    ("router", _plant_router, QUICK, 6, "reads"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, plant, profile, rounds, key", PLANTED, ids=[row[0] for row in PLANTED]
+)
+def test_planted_bug_is_caught_and_shrunk(monkeypatch, name, plant, profile, rounds, key):
+    plant(monkeypatch)
+    report = SelfCheck(seed=0, profile=profile, checks=[name]).run(rounds)
+    assert not report.ok, f"planted {name} bug went unnoticed"
+    cx = report.failures[0]
+    assert cx.check == name and f"def test_{name}_regression" in cx.snippet
+    # Shrunk: smaller than what its round generated, and still failing
+    # on the planted code (a crash counts as failing).
+    check = get_check(name)
+    order = [c.name for c in ALL_CHECKS].index(name)
+    raw = check.generate(rng_for(0, cx.round_index, order), profile)
+    assert len(cx.inputs[key]) < len(raw[key])
+    try:
+        still_fails = check.mismatch(cx.inputs) is not None
+    except Exception:  # noqa: BLE001 - a crash is the finding itself
+        still_fails = True
+    assert still_fails

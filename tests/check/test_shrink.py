@@ -2,12 +2,7 @@
 
 import numpy as np
 
-from repro.check.shrink import (
-    shrink_bits,
-    shrink_list,
-    shrink_string,
-    shrink_text_pattern,
-)
+from repro.check.shrink import shrink_bits, shrink_list, shrink_string
 
 
 def test_shrink_string_to_single_trigger():
@@ -30,15 +25,6 @@ def test_shrink_string_budget_is_respected():
 def test_shrink_list_keeps_only_trigger():
     out = shrink_list(list(range(20)), lambda xs: 13 in xs)
     assert out == [13]
-
-
-def test_shrink_text_pattern_jointly():
-    def fails(text, pattern):
-        return len(pattern) <= 3 and len(text) >= 1
-
-    text, pattern = shrink_text_pattern("ACGTACGTACGT", "ACG", fails)
-    assert pattern == ""
-    assert len(text) == 1  # kept non-empty by construction
 
 
 def test_shrink_bits_deletes_and_sparsifies():

@@ -1,13 +1,20 @@
-"""Flat zero-copy container: round trips, integrity, zero copies."""
+"""Flat zero-copy container: round trips, integrity, zero copies.
+
+The public ``save_index``/``load_index`` names are bound to the flat
+writer and loader; the ``public_*`` tables below drive them directly.
+"""
 
 import json
+import operator
 import struct
 import zlib
 
 import numpy as np
 import pytest
 
+from repro import load_index, save_index
 from repro.index.builder import build_index
+from repro.index.fm_index import FMIndex
 from repro.index.flat import (
     ALIGN,
     MAGIC,
@@ -85,6 +92,32 @@ class TestRoundTrip:
         assert loaded.backend.store_sentinel_in_tree is True
         pat = small_text[40:70]
         assert loaded.count(pat) == index.count(pat)
+
+    @pytest.mark.parametrize(
+        "build, expect",
+        [
+            (dict(b=15, sf=8), {}),
+            (dict(backend="occ", locate="none"), {"locate_structure": None}),
+            (dict(locate="sampled", sa_sample_rate=8, sf=8), {}),
+            (dict(locate="none", sf=8), {"locate_structure": None}),
+            (dict(b=10, sf=12), {"backend.b": 10, "backend.sf": 12}),
+            (dict(store_sentinel_in_tree=True, sf=8),
+             {"backend.store_sentinel_in_tree": True}),
+        ],
+        ids=["rrr", "occ", "sampled", "no_locate", "parameters", "sentinel_variant"],
+    )
+    def test_public_names_round_trip(self, small_text, flat_path, build, expect):
+        index, _ = build_index(small_text, **build)
+        save_index(index, flat_path)
+        assert flat_path.read_bytes()[: len(MAGIC)] == MAGIC
+        loaded = load_index(flat_path)
+        pats = ["ACG", "ACGT" * 10] + [small_text[i:j] for i, j in ((100, 130), (5, 25), (60, 90))]
+        for pat in pats:
+            assert loaded.count(pat) == index.count(pat)
+            if index.locate_structure is not None:
+                assert loaded.locate(pat).tolist() == index.locate(pat).tolist()
+        for attr, value in expect.items():
+            assert operator.attrgetter(attr)(loaded) == value
 
     def test_resave_of_loaded_index(self, small_text, flat_path, tmp_path):
         """A flat-loaded index can itself be exported again."""
@@ -272,6 +305,41 @@ class TestIntegrity:
         with pytest.raises(IndexFormatError):
             loader(path)
 
+    @pytest.mark.parametrize(
+        "damage, verify, match",
+        [
+            (lambda raw: raw[:-5] + bytes([raw[-5] ^ 0xFF]) + raw[-4:], True, "checksum mismatch"),
+            (lambda raw: raw[: len(raw) // 2], False, None),
+            (lambda raw: b"not a flat index container at all", False, None),
+            (lambda raw: raw[:8] + struct.pack("<I", 999) + raw[12:], False, "version"),
+        ],
+        ids=["bit_flip", "truncated", "garbage", "bad_version"],
+    )
+    def test_public_load_rejects(self, small_text, flat_path, damage, verify, match):
+        index, _ = build_index(small_text, sf=8)
+        save_index(index, flat_path)
+        flat_path.write_bytes(damage(flat_path.read_bytes()))
+        with pytest.raises(IndexFormatError, match=match):
+            load_index(flat_path, verify=verify)
+
+    def test_public_load_rejects_missing_field(self, small_text, flat_path):
+        index, _ = build_index(small_text, sf=8)
+        meta, segments = export_index(index)
+        with FlatWriter(flat_path) as writer:
+            for name, arr in segments.items():
+                if name != "sa":
+                    writer.add_segment(name, arr)
+            writer.finalize(meta)
+        with pytest.raises(IndexFormatError, match="missing field"):
+            load_index(flat_path)
+
+    def test_public_save_rejects_unknown_backend(self, flat_path):
+        class FakeBackend:
+            n_rows = 1
+
+        with pytest.raises(IndexFormatError, match="cannot export"):
+            save_index(FMIndex(FakeBackend(), locate_structure=None), flat_path)
+
     def test_manifest_crcs_present(self, small_text, flat_path):
         index, _ = build_index(small_text, sf=8)
         save_index_flat(index, flat_path)
@@ -283,6 +351,14 @@ class TestIntegrity:
                 data_start + entry["offset"] : data_start + entry["offset"] + entry["nbytes"]
             ]
             assert (zlib.crc32(seg) & 0xFFFFFFFF) == entry["crc32"]
+
+    def test_public_save_carries_checksums(self, small_text, flat_path):
+        index, _ = build_index(small_text, sf=8)
+        save_index(index, flat_path)
+        mm = np.memmap(flat_path, dtype=np.uint8, mode="r")
+        _, entries, _ = read_flat_manifest(mm)
+        assert {"bwt_codes", "sa"} <= {e["name"] for e in entries}
+        assert all(isinstance(e["crc32"], int) for e in entries)
 
 
 class TestDetection:
@@ -314,7 +390,63 @@ class TestDetection:
             assert loaded.count(pat) == index.count(pat)
 
 
+def _random_dna(n, seed):
+    rng = np.random.default_rng(seed)
+    return "".join("ACGT"[c] for c in rng.integers(0, 4, n))
+
+
+@pytest.fixture(scope="module")
+def two_refs():
+    return [("chrA", _random_dna(700, 181)), ("chrB", _random_dna(500, 182))]
+
+
 class TestMultiRef:
+    @pytest.mark.parametrize(
+        "ask, want",
+        [
+            (lambda idx, refs: [idx.locate(seq[50:90]) for _, seq in refs], None),
+            # a pattern spanning the chrA/chrB junction is filtered out
+            (lambda idx, refs: idx.count(refs[0][1][-10:] + refs[1][1][:10]), 0),
+            (lambda idx, refs: any(
+                h.name == "chrB" and h.position == 200
+                for h in idx.map_read(refs[1][1][200:240]).hits), True),
+        ],
+        ids=["locate_each_reference", "boundary_filtering", "map_read"],
+    )
+    def test_loaded_answers_like_built(self, two_refs, tmp_path, ask, want):
+        multi = MultiReferenceIndex(two_refs, sf=8)
+        path = tmp_path / "m.bwvr"
+        save_multiref_index_flat(multi, path)
+        loaded = load_multiref_index_flat(path)
+        assert loaded.names == multi.names
+        assert np.array_equal(loaded.lengths, multi.lengths)
+        assert ask(loaded, two_refs) == (ask(multi, two_refs) if want is None else want)
+
+    def test_index_and_map_cli(self, two_refs, tmp_path):
+        from repro.cli import main
+        from repro.io.fasta import FastaRecord, write_fasta
+        from repro.io.fastq import FastqRecord, write_fastq
+
+        fa = tmp_path / "multi.fa"
+        write_fasta([FastaRecord(n, "", s) for n, s in two_refs], fa)
+        reads = [two_refs[0][1][100:140], "ACGT" * 10]
+        fq = tmp_path / "r.fq"
+        write_fastq(
+            [FastqRecord(f"r{i}", s, "I" * len(s)) for i, s in enumerate(reads)], fq
+        )
+        idx = tmp_path / "m.bwvr"
+        assert main(["index", str(fa), "-o", str(idx), "-s", "8"]) == 0
+        out = tmp_path / "hits.tsv"
+        assert main(["map", str(idx), str(fq), "-o", str(out)]) == 0
+        body = out.read_text().splitlines()
+        assert body[0] == "read\tsequence\tposition\tstrand"
+        assert "r0\tchrA\t100\t+" in body
+        sam = tmp_path / "hits.sam"
+        assert main(["map", str(idx), str(fq), "-o", str(sam), "--format", "sam"]) == 0
+        lines = sam.read_text().splitlines()
+        assert any(line.startswith("@SQ\tSN:chrA") for line in lines)
+        assert any(line.startswith("@SQ\tSN:chrB") for line in lines)
+
     def test_round_trip(self, tmp_path):
         multi = MultiReferenceIndex(
             [("chr1", "ACGTACGTACGGTACA" * 10), ("chr2", "TTGACCAGT" * 12)], sf=8
@@ -338,6 +470,17 @@ class TestMultiRef:
         save_index_flat(index, spath)
         with pytest.raises(IndexFormatError, match="single-reference"):
             load_multiref_index_flat(spath)
+
+    def test_multiref_load_rejects_single_index(self, tmp_path):
+        index, _ = build_index(_random_dna(300, 183), sf=8)
+        path = tmp_path / "s.bwvr"
+        save_index_flat(index, path)
+        with pytest.raises(IndexFormatError, match="single-reference"):
+            load_multiref_index_flat(path)
+
+    def test_multiref_save_rejects_wrong_type(self, tmp_path):
+        with pytest.raises(IndexFormatError, match="MultiReferenceIndex"):
+            save_multiref_index_flat(object(), tmp_path / "x.bwvr")
 
     def test_every_open_is_recorded(self, small_text, tmp_path):
         """Multi-reference opens share the span and metrics of single ones."""

@@ -211,6 +211,32 @@ class TestOneAdmissionPath:
             finally:
                 app.jobs.shutdown()
 
+    def test_corrupt_shard_activation_is_attempted_once(self, monkeypatch):
+        """A lone request whose dispatch failed is not re-run through
+        that same dispatch: one activation attempt, one reason."""
+        from repro.serving.router import Shard
+
+        attempts = []
+        activate = Shard.activate
+
+        def counted(shard):
+            attempts.append(shard.name)
+            return activate(shard)
+
+        monkeypatch.setattr(Shard, "activate", counted)
+        with make_service() as service:
+            app = BWaveRApp(router_service=service)
+            try:
+                path = service.router.catalog.shard("refA").flat_path
+                with open(path, "r+b") as fh:
+                    fh.write(b"NOTAFLAT")
+                status, _, body = post_map(app, {"reads": READS})
+            finally:
+                app.jobs.shutdown()
+        assert status.startswith("503")
+        assert attempts.count("refA") == 1
+        assert json.loads(body)["error"].count("failed to activate") == 1
+
     def test_mixed_traffic_over_pooled_shards(self, oracle):
         """Whole-catalog and subset requests at once over one-worker
         shard pools: every answer equals the multi-reference oracle,

@@ -202,6 +202,37 @@ class TestJsonMapping:
 
 
 class TestTsvMapping:
+    @pytest.mark.parametrize("fmt", ["json", "tsv"])
+    def test_malformed_fastq_is_400_naming_the_record(self, app, fmt):
+        body = fastq_text([r for r in READS if r]) + "@broken\nACGT\n"
+        status, _, raw = post_map(app, {"reads_fastq": body, "format": fmt})
+        assert status.startswith("400")
+        error = json.loads(raw)["error"]
+        assert "truncated FASTQ record" in error and "'broken'" in error
+
+    def test_streaming_chunks_fit_a_small_admission_cap(self, index):
+        """FASTQ+TSV chunks are sized so the chunks in flight fit the
+        cap: 300 reads stream through a 128-read cap, byte-identical to
+        the CLI's TSV, while the same reads as one list are too large."""
+        from repro.mapper.results import write_hits_tsv
+
+        reads = [TEXT[i % 500 : i % 500 + 24] for i in range(300)]
+        want = io.StringIO()
+        write_hits_tsv(Mapper(index).map_reads(reads), want)
+        config = CoalescerConfig(max_batch_reads=16, max_queue_reads=128)
+        with MappingService(index, config=config) as service:
+            app = BWaveRApp(mapping_service=service)
+            try:
+                status, _, body = post_map(
+                    app, {"reads_fastq": fastq_text(reads), "format": "tsv"}
+                )
+                assert status.startswith("200"), body
+                assert body == want.getvalue().encode()
+                status, _, _ = post_map(app, {"reads": reads, "format": "tsv"})
+                assert status.startswith("413")
+            finally:
+                app.jobs.shutdown()
+
     def test_tsv_from_reads_list(self, app, index):
         status, headers, body = post_map(app, {"reads": READS, "format": "tsv"})
         assert status.startswith("200")
