@@ -31,6 +31,7 @@ pool     ``MapperPool`` workers vs the in-process mapper
 ftab     jump-start-table-primed search vs the stepwise search + scan
 coalesce merged-batch (coalesced) dispatch vs per-request ``map_reads``
 router   sharded scatter-gather routing vs the multi-reference index
+locate   text-sampled SA locate, after a flat round trip, vs string scan
 ======== ======================================================
 """
 
@@ -277,6 +278,10 @@ def _max_batch_reads(rng) -> int:
     return int(rng.integers(1, 33))
 
 
+def _sa_sample_rate(rng) -> int:
+    return int(rng.choice([1, 2, 5, 32]))
+
+
 def _requests(rng, profile, text):
     reads = gen_read_corpus(rng, text, profile.n_reads)
     requests: list[list[str]] = []
@@ -470,19 +475,30 @@ def _probe_kernel(inputs: dict) -> Iterator[Probe]:
     yield from _each("kernel (id, intervals) vs CPU", want, got, reads)
 
 
-def _probe_flat(inputs: dict) -> Iterator[Probe]:
-    mem = _build(inputs)
+def _reopened(index, probes_of: Callable[[Any], list[Probe]]) -> list[Probe]:
+    """``probes_of`` the index saved to a flat container and reopened
+    with its checksums verified."""
     with tempfile.TemporaryDirectory(prefix="selfcheck-flat-") as tmp:
         path = Path(tmp) / "index.bwvr"
-        save_index_flat(mem, path)
+        save_index_flat(index, path)
         mapped = load_index_flat(path, verify=True)
+        probes = probes_of(mapped)
+        del mapped  # release the memmap before the directory goes away
+    return probes
+
+
+def _probe_flat(inputs: dict) -> Iterator[Probe]:
+    mem = _build(inputs)
+
+    def probes_of(mapped) -> list[Probe]:
         probes = []
         for pat in inputs["patterns"]:
             want, got = mem.search(pat), mapped.search(pat)
             probes.append((f"mmap search({pat!r})", _search_fp(want), _search_fp(got)))
             probes.append((f"mmap locate({pat!r})", _located(mem, pat), _located(mapped, pat)))
-        del mapped  # release the memmap before the directory goes away
-    yield from probes
+        return probes
+
+    yield from _reopened(mem, probes_of)
 
 
 def _probe_pool(inputs: dict) -> Iterator[Probe]:
@@ -574,6 +590,18 @@ def _probe_router(inputs: dict) -> Iterator[Probe]:
         )
 
 
+def _probe_locate(inputs: dict) -> Iterator[Probe]:
+    """A sampled index reopened from its flat container locates every
+    pattern at exactly the positions a literal scan finds."""
+    k = int(inputs.get("sa_sample_rate", 32))
+    mem = _build(inputs, locate="sampled", sa_sample_rate=k)
+    yield from _reopened(mem, lambda mapped: [
+        (f"sampled (k={k}) locate({pat!r})",
+         oracle_occurrences(inputs["text"], pat), _located(mapped, pat))
+        for pat in inputs["patterns"]
+    ])
+
+
 def _generate_rrr(rng, profile) -> dict:
     bits, b, sf = gen_bitvector_case(rng)
     return {"bits": bits.tolist(), "b": b, "sf": sf}
@@ -625,6 +653,8 @@ ALL_CHECKS: tuple[Check, ...] = (
           _probe_coalesce, _shrink_requests),
     # One flat container per sequence plus the oracle per round.
     Check("router", _generate_router, _probe_router, _shrink_reads_only, heavy=True),
+    Check("locate", _text_with("patterns", _valid_patterns, sa_sample_rate=_sa_sample_rate),
+          _probe_locate, _shrink_text_corpus("patterns")),
 )
 
 CHECKS_BY_NAME: dict[str, Check] = {c.name: c for c in ALL_CHECKS}

@@ -39,6 +39,7 @@ import shutil
 import time
 import tracemalloc
 import zlib
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Callable
 
@@ -50,7 +51,7 @@ from ..core.global_tables import encode_offsets, get_global_tables, popcount_blo
 from ..core.rrr import DEFAULT_BLOCK_SIZE, DEFAULT_SUPERBLOCK_FACTOR
 from ..sequence.alphabet import encode
 from ..sequence.bwt import BWT
-from ..sequence.sampled_sa import FullSA, SampledSA
+from ..sequence.sampled_sa import MARK_B, MARK_SF, FullSA, SampledSA
 from ..telemetry import get_telemetry
 from .builder import BuildReport
 from .flat import save_index_flat
@@ -61,6 +62,9 @@ from .occ_table import BASES_PER_WORD, OccTable, pack_2bit
 SIGMA = 4
 
 _STATE_NAME = "state.json"
+#: Version of ``state.json`` and the work files it names; 2 added the
+#: sampled-locate marks and samples written by the BWT stage.
+_STATE_VERSION = 2
 
 #: Rough bytes of resident working set per suffix-array row in the
 #: doubling rounds: the persistent int64 rank array (8 B/row) plus the
@@ -69,6 +73,10 @@ _STATE_NAME = "state.json"
 #: the *variable* part of the footprint near the requested budget.
 _BYTES_PER_ROW = 48
 
+
+#: The arrays of one encoded RRR vector, as ``StreamingRRREncoder.finalize``
+#: returns them and the work directory stores them.
+_RRR_ARRAYS = ("classes", "partial_sums", "offset_words", "offset_sums")
 
 #: Rows per chunk of the streaming CRC below (bounds its transient copy).
 _CRC_CHUNK_ROWS = 1 << 16
@@ -336,15 +344,15 @@ def _open_state(work: Path, fp: dict, resume: bool) -> tuple[dict, bool]:
             raise BuildResumeError(
                 f"unreadable build state at {state_path}: {exc}"
             ) from exc
-        if state.get("fingerprint") != fp:
+        if state.get("version") != _STATE_VERSION or state.get("fingerprint") != fp:
             raise BuildResumeError(
-                "work directory belongs to a different input or build "
-                "configuration; rebuild without resume"
+                "work directory belongs to a different input, build "
+                "configuration or builder version; rebuild without resume"
             )
         return state, True
     work.mkdir(parents=True, exist_ok=True)
     state = {
-        "version": 1,
+        "version": _STATE_VERSION,
         "fingerprint": fp,
         "stage": "sa",
         "sa_init": False,
@@ -558,7 +566,11 @@ def _stage_bwt(
     work: Path,
     state: dict,
     save_state: Callable[[str], None],
+    sample_rate: int | None,
 ) -> None:
+    """Emit the BWT from ``sa.bin``; with a ``sample_rate`` k, also the
+    sampled-SA marks (``sa % k == 0``, streamed into an RRR encoder) and
+    the ``uint32`` quotients ``sa // k`` of the marked rows."""
     sa_mm = np.memmap(work / "sa.bin", dtype=np.int64, mode="r")
     if sa_mm.size != n1 or _crc_stream(sa_mm) != state.get("sa_crc"):
         raise BuildResumeError(
@@ -570,10 +582,17 @@ def _stage_bwt(
     max_run = 0
     cur_len = 0
     prev_sym = -1
-    with open(work / "bwt.bin", "wb") as f:
+    marks = StreamingRRREncoder(MARK_B, MARK_SF) if sample_rate else None
+    with open(work / "bwt.bin", "wb") as f, (
+        open(work / "samples.bin", "wb") if marks is not None else nullcontext()
+    ) as fs:
         for lo in range(0, n1, block_rows):
             hi = min(lo + block_rows, n1)
             sa_c = np.asarray(sa_mm[lo:hi])
+            if marks is not None:
+                marked = sa_c % sample_rate == 0
+                marks.feed(marked.view(np.uint8))
+                (sa_c[marked] // sample_rate).astype(np.uint32).tofile(fs)
             if codes.size:
                 out = codes[np.where(sa_c > 0, sa_c - 1, 0)].astype(np.uint8)
             else:
@@ -606,6 +625,11 @@ def _stage_bwt(
         runs += 1
         max_run = max(max_run, cur_len)
     del sa_mm
+    if marks is not None:
+        marks_meta, marks_arrays = marks.finalize()
+        for name, arr in marks_arrays.items():
+            _atomic_save_npy(work / f"marks_{name}.npy", arr)
+        state["marks_meta"] = marks_meta
     n_sym = int(counts.sum())
     if n_sym:
         probs = counts[counts > 0] / n_sym
@@ -762,7 +786,7 @@ def _stage_finalize(
         }
         arrays: dict[str, np.ndarray] = {"C": C}
         for i in range(3):
-            for name in ("classes", "partial_sums", "offset_words", "offset_sums"):
+            for name in _RRR_ARRAYS:
                 arrays[f"tree/node{i}/{name}"] = np.load(
                     work / f"node{i}_{name}.npy", mmap_mode="r"
                 )
@@ -788,7 +812,14 @@ def _stage_finalize(
     if locate == "full":
         loc = FullSA(bwt.sa)
     elif locate == "sampled":
-        loc = SampledSA(bwt.sa, k=sa_sample_rate)
+        loc_arrays = {
+            f"marks/{name}": np.load(work / f"marks_{name}.npy", mmap_mode="r")
+            for name in _RRR_ARRAYS
+        }
+        loc_arrays["samples"] = np.memmap(work / "samples.bin", dtype=np.uint32, mode="r")
+        loc = SampledSA.from_arrays(
+            {"k": sa_sample_rate, "n_rows": n1, "marks": state["marks_meta"]}, loc_arrays
+        )
     else:
         loc = None
     ftab = None
@@ -898,7 +929,10 @@ def build_index_blockwise(
             if state["stage"] == "bwt":
                 t0 = time.perf_counter()
                 with tel.span("index.bwt_stream", cat="index"):
-                    _stage_bwt(codes, n1, block_rows, work, state, save_state)
+                    _stage_bwt(
+                        codes, n1, block_rows, work, state, save_state,
+                        sa_sample_rate if locate == "sampled" else None,
+                    )
                 stage_seconds["bwt"] = time.perf_counter() - t0
             if state["stage"] == "encode":
                 t0 = time.perf_counter()

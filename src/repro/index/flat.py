@@ -76,7 +76,9 @@ def export_index(index: FMIndex) -> tuple[dict, dict[str, np.ndarray]]:
     Segment names: ``bwt_codes`` (the raw transform), ``sa`` (the full
     suffix array, written only for full-SA locate, which wraps it),
     ``backend/...`` (the encoded succinct layout), ``locate/...`` for
-    locate structures with their own storage, and
+    locate structures with their own storage (a sampled SA's ``samples``
+    and its RRR mark vector ``marks/{classes,partial_sums,offset_words,
+    offset_sums}``), and
     ``ftab/...`` for the optional k-mer jump-start table (a versioned
     optional segment group — containers written without it load fine,
     and readers predating it ignore unknown ``meta`` keys).
@@ -109,8 +111,9 @@ def export_index(index: FMIndex) -> tuple[dict, dict[str, np.ndarray]]:
     elif isinstance(loc, FullSA):
         locate_kind, locate_meta = "full", {}
     elif isinstance(loc, SampledSA):
-        locate_kind, locate_meta = "sampled", loc.export_arrays()[0]
-        segments["locate/samples"] = loc.samples
+        locate_kind, (locate_meta, locate_arrays) = "sampled", loc.export_arrays()
+        for name, arr in locate_arrays.items():
+            segments[f"locate/{name}"] = arr
     else:
         raise IndexFormatError(
             f"cannot export locate structure of type {type(loc).__name__}"
@@ -386,6 +389,15 @@ def _segment_views(
     return views
 
 
+def _group(views: dict[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]:
+    """The segments under ``prefix``, keyed by the rest of their names."""
+    return {
+        name.removeprefix(prefix): arr
+        for name, arr in views.items()
+        if name.startswith(prefix)
+    }
+
+
 def _rehydrate(meta: dict, views: dict[str, np.ndarray]) -> FMIndex:
     if meta.get("kind") != "fmindex":
         raise IndexFormatError(f"unknown container kind {meta.get('kind')!r}")
@@ -398,11 +410,7 @@ def _rehydrate(meta: dict, views: dict[str, np.ndarray]) -> FMIndex:
             dollar_pos=int(bm["dollar_pos"]),
             sa=views.get("sa"),
         )
-        backend_views = {
-            name.removeprefix("backend/"): arr
-            for name, arr in views.items()
-            if name.startswith("backend/")
-        }
+        backend_views = _group(views, "backend/")
         kind = meta.get("backend")
         if kind == "rrr":
             backend = BWTStructure.from_arrays(bm, backend_views, bwt=bwt)
@@ -414,9 +422,12 @@ def _rehydrate(meta: dict, views: dict[str, np.ndarray]) -> FMIndex:
         if locate == "full":
             loc = FullSA.from_arrays({}, {"sa": views["sa"]})
         elif locate == "sampled":
-            loc = SampledSA.from_arrays(
-                meta["locate_meta"], {"samples": views["locate/samples"]}
-            )
+            if "locate/marks/classes" not in views:
+                raise IndexFormatError(
+                    "row-sampled locate containers are no longer read; "
+                    "rebuild the index with `bwaver-repro index`"
+                )
+            loc = SampledSA.from_arrays(meta["locate_meta"], _group(views, "locate/"))
         elif locate == "none":
             loc = None
         else:
@@ -426,14 +437,7 @@ def _rehydrate(meta: dict, views: dict[str, np.ndarray]) -> FMIndex:
         ftab = None
         if meta.get("ftab"):
             try:
-                ftab = Ftab.from_arrays(
-                    meta["ftab"],
-                    {
-                        name.removeprefix("ftab/"): arr
-                        for name, arr in views.items()
-                        if name.startswith("ftab/")
-                    },
-                )
+                ftab = Ftab.from_arrays(meta["ftab"], _group(views, "ftab/"))
             except ValueError as exc:
                 raise IndexFormatError(
                     f"flat container ftab segment invalid: {exc}"

@@ -14,7 +14,12 @@ can verify its internal invariants.  :func:`validate_index` checks:
 4. **locate/search agreement (sampled)** — patterns extracted from the
    suffix array's own rows must be found at their positions;
 5. **suffix-array order (sampled)** — Eq. 1 on random adjacent pairs
-   (when a locate structure with a full SA is attached).
+   (when a locate structure with a full SA is attached);
+6. **sampled locate** (when a :class:`SampledSA` is attached) — the mark
+   vector's popcount, the number of samples and ``ceil(n_rows / k)``
+   agree; the samples are a permutation of ``range(ceil(n_rows / k))``;
+   and on a seeded sample of marked and random rows,
+   ``locate(lf(row)) + 1 == locate(row)`` (mod ``n_rows``).
 
 Failures raise :class:`IndexValidationError` naming the broken
 invariant; success returns a small report of what was checked.
@@ -26,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..sequence.sampled_sa import FullSA
+from ..sequence.sampled_sa import FullSA, SampledSA
 from .fm_index import FMIndex
 
 SIGMA = 4
@@ -124,4 +129,42 @@ def validate_index(
                         f"pattern extracted at {start} not located there"
                     )
             report.record("locate_roundtrip", min(samples, 32))
+    elif isinstance(loc, SampledSA):
+        _validate_sampled(loc, backend, n_rows, samples, rng, report)
     return report
+
+
+def _validate_sampled(
+    loc: SampledSA, backend, n_rows: int, samples: int, rng, report: ValidationReport
+) -> None:
+    want = -(-n_rows // loc.k)
+    marked = loc.marks.count()
+    if not marked == loc.samples.size == want:
+        raise IndexValidationError(
+            f"sampled SA holds {marked} marks and {loc.samples.size} samples; "
+            f"ceil({n_rows} / {loc.k}) = {want}"
+        )
+    report.record("sampled_counts", 1)
+    if not np.array_equal(np.sort(loc.samples), np.arange(want)):
+        raise IndexValidationError(
+            f"sampled SA samples are not a permutation of range({want})"
+        )
+    report.record("sampled_permutation", want)
+    # Marked rows are where a wrong sample shows: a marked row's
+    # predecessor walks k - 1 steps to the previous sample.
+    ranks = rng.choice(marked, size=min(samples, marked), replace=False)
+    rows = np.concatenate([
+        [loc.marks.select1(int(j) + 1) for j in ranks],
+        rng.choice(n_rows, size=min(samples, n_rows), replace=False),
+    ]).astype(np.int64)
+    pos = loc.locate_batch(rows, rows + 1, backend.lf_many)[0]
+    prev_rows = backend.lf_many(rows)
+    prev = loc.locate_batch(prev_rows, prev_rows + 1, backend.lf_many)[0]
+    bad = np.flatnonzero((prev + 1) % n_rows != pos)
+    if bad.size:
+        row = int(rows[bad[0]])
+        raise IndexValidationError(
+            f"sampled locate breaks LF at row {row}: locate(lf(row)) + 1 = "
+            f"{int(prev[bad[0]]) + 1}, locate(row) = {int(pos[bad[0]])}"
+        )
+    report.record("sampled_lf_step", int(rows.size))

@@ -6,10 +6,13 @@ positions there after the FPGA returns ``[start, end]`` row intervals
 corresponding sets of the suffix array").  :class:`FullSA` models exactly
 that.
 
-Production FM-index mappers (BWA, Bowtie2) instead keep every ``k``-th SA
-entry and recover the rest by LF-walking to the nearest sampled row —
-trading locate time for memory.  :class:`SampledSA` implements that
-scheme; it backs the Bowtie2-like baseline and the memory/time ablation.
+Production FM-index mappers (BWA, Bowtie2) instead keep the SA entry of
+every ``k``-th text position and recover the rest by LF-walking to the
+nearest sampled row — trading locate time for memory.
+:class:`SampledSA` implements that scheme, flagging the sampled rows in
+an RRR-encoded mark vector (the paper's own structure), so every walk
+ends within ``k - 1`` steps; it backs the served catalog shards, the
+Bowtie2-like baseline and the memory/time ablation.
 
 Both expose ``locate_batch(starts, ends, lf_many)``, which resolves every
 ``[start, end)`` row interval of a batch at once and returns the
@@ -19,6 +22,12 @@ positions of all intervals back to back plus per-interval offsets.
 from __future__ import annotations
 
 import numpy as np
+
+from ..core.rrr import DEFAULT_BLOCK_SIZE, DEFAULT_SUPERBLOCK_FACTOR, RRRVector
+
+#: The mark vector uses the paper's RRR parameters.
+MARK_B = DEFAULT_BLOCK_SIZE
+MARK_SF = DEFAULT_SUPERBLOCK_FACTOR
 
 
 def _interval_rows(starts, ends, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
@@ -81,22 +90,32 @@ class FullSA:
 
 
 class SampledSA:
-    """SA samples at every row divisible by ``k``, with LF-walk recovery.
+    """SA samples at every text position divisible by ``k``, with LF-walk
+    recovery.
 
-    Sampling is by *row*, not by text position, so the LF walk from an
-    unsampled row to a sampled one has no upper bound: its length is
-    roughly geometric with mean ``k`` (a walk of a few times ``k`` steps
-    is routine on a real reference).  Batch locate therefore walks all
-    rows of a batch together and pays one ``lf_many`` call per step of
-    the *longest* walk, not one per row.
+    A row is *marked* when its suffix starts at a multiple of ``k``
+    (``SA[row] % k == 0``).  The marks form a bit-vector over all rows,
+    stored as an :class:`~repro.core.rrr.RRRVector` with the paper's
+    ``b = 15, sf = 50``; at density ``1 / k`` it costs a fraction of a
+    bit per row.  A marked row's sample is the quotient
+    ``SA[row] // k``, kept as ``uint32`` in marked-row order, so it sits
+    at ``samples[rank1(marks, row)]``.  (The quotients are below the
+    number of marks, which the RRR encoder's 32-bit partial sums bound.)
+
+    Each LF step moves one text position left, so the walk from any row
+    reaches a marked one within ``SA[row] % k <= k - 1`` steps (position
+    0 is always marked, so no walk wraps through the sentinel).  Batch
+    locate walks all rows of a batch together and pays one ``lf_many``
+    call per step of the longest walk, hence at most ``k - 1``.
 
     Parameters
     ----------
     sa:
-        The full suffix array (consumed at build time; only rows where
-        ``row % k == 0`` are retained).
+        The full suffix array (consumed at build time; only the marked
+        entries are retained, as quotients).
     k:
-        Sampling rate: ``1 / k`` of the rows keep their SA entry.
+        Sampling rate: ``1 / k`` of the text positions keep their row's
+        SA entry.
     """
 
     def __init__(self, sa: np.ndarray, k: int = 32):
@@ -105,7 +124,9 @@ class SampledSA:
         sa = np.asarray(sa, dtype=np.int64)
         self.k = int(k)
         self.n_rows = int(sa.size)
-        self.samples = sa[::k].copy()
+        marked = sa % k == 0
+        self.marks = RRRVector(marked.view(np.uint8), b=MARK_B, sf=MARK_SF)
+        self.samples = (sa[marked] // k).astype(np.uint32)
 
     def locate(self, row: int, lf) -> int:
         """Text position of the suffix at ``row`` by a scalar LF walk.
@@ -113,20 +134,18 @@ class SampledSA:
         ``lf`` is a callable mapping a row to its last-first image (e.g.
         :meth:`repro.core.bwt_structure.BWTStructure.lf`).  If ``row``
         holds the suffix starting at text position ``p``, then ``lf(row)``
-        holds the suffix starting at ``p - 1`` (indices wrap through the
-        sentinel), so after ``s`` steps landing on a sampled row holding
-        position ``q``, the answer is ``q + s`` (mod the text+sentinel
-        length).  This is the differential oracle for
+        holds the suffix starting at ``p - 1``, so after ``s`` steps
+        landing on a marked row with sample ``q``, the answer is
+        ``q * k + s``.  This is the differential oracle for
         :meth:`locate_batch`.
         """
         if not 0 <= row < self.n_rows:
             raise IndexError(f"row {row} out of range [0, {self.n_rows})")
         steps = 0
-        while row % self.k != 0:
+        while not self.marks.access(row):
             row = lf(row)
             steps += 1
-        pos = int(self.samples[row // self.k]) + steps
-        return pos % self.n_rows
+        return int(self.samples[self.marks.rank1(row)]) * self.k + steps
 
     def locate_range(self, start: int, end: int, lf, lf_many=None) -> np.ndarray:
         """Text positions for rows ``[start, end)``.
@@ -147,40 +166,55 @@ class SampledSA:
     def locate_batch(self, starts, ends, lf_many) -> tuple[np.ndarray, np.ndarray]:
         """Positions of every interval ``[starts[i], ends[i])`` of a batch.
 
-        All rows of all intervals walk toward their sampled rows together:
-        each iteration advances the still-unsampled rows with one
-        ``lf_many`` call, and rows drop out as they land, so a batch costs
-        as many calls as its longest walk has steps.  Interval ``i``'s
-        positions are ``positions[offsets[i]:offsets[i + 1]]``, in row
-        order — identical to :meth:`locate` row by row.
+        All rows of all intervals walk toward marked rows together.  Each
+        step asks "landed?" of every live row with one ``rank1_many``
+        call over ``cur`` and ``cur + 1``: a row is marked exactly when
+        the two ranks differ, and the lower rank is then its sample
+        index.  The rest advance with one ``lf_many`` call, so a batch
+        costs at most ``k - 1`` of them.  Interval ``i``'s positions are
+        ``positions[offsets[i]:offsets[i + 1]]``, in row order —
+        identical to :meth:`locate` row by row.
         """
         rows, offsets = _interval_rows(starts, ends, self.n_rows)
-        steps = np.zeros(rows.size, dtype=np.int64)
-        walking = np.flatnonzero(rows % self.k != 0)
-        cur = rows[walking]
-        n_steps = 0
-        while walking.size:
-            cur = lf_many(cur)
-            n_steps += 1
-            landed = cur % self.k == 0
-            rows[walking[landed]] = cur[landed]
-            steps[walking[landed]] = n_steps
-            walking = walking[~landed]
-            cur = cur[~landed]
-        pos = self.samples[rows // self.k] + steps
-        return pos % self.n_rows, offsets
+        pos = np.empty(rows.size, dtype=np.int64)
+        live = np.arange(rows.size)
+        cur = rows
+        step = 0
+        while True:
+            ranks = self.marks.rank1_many(np.concatenate([cur, cur + 1]))
+            idx = ranks[: cur.size]
+            landed = ranks[cur.size :] != idx
+            pos[live[landed]] = self.samples[idx[landed]] * np.int64(self.k) + step
+            walking = ~landed
+            if not walking.any():
+                return pos, offsets
+            live = live[walking]
+            cur = lf_many(cur[walking])
+            step += 1
 
     def size_in_bytes(self) -> int:
-        return self.samples.nbytes
+        return self.samples.nbytes + self.marks.size_in_bytes()
 
     def export_arrays(self) -> tuple[dict, dict[str, np.ndarray]]:
-        return {"k": self.k, "n_rows": self.n_rows}, {"samples": self.samples}
+        marks_meta, marks_arrays = self.marks.export_arrays()
+        meta = {"k": self.k, "n_rows": self.n_rows, "marks": marks_meta}
+        arrays = {"samples": self.samples}
+        arrays.update((f"marks/{name}", arr) for name, arr in marks_arrays.items())
+        return meta, arrays
 
     @classmethod
     def from_arrays(cls, meta: dict, arrays: dict[str, np.ndarray]) -> "SampledSA":
-        """Wrap externally owned samples (no copy)."""
+        """Wrap externally owned samples and mark arrays (no copy)."""
         self = cls.__new__(cls)
         self.k = int(meta["k"])
         self.n_rows = int(meta["n_rows"])
         self.samples = arrays["samples"]
+        self.marks = RRRVector.from_arrays(
+            meta["marks"],
+            {
+                name.removeprefix("marks/"): arr
+                for name, arr in arrays.items()
+                if name.startswith("marks/")
+            },
+        )
         return self

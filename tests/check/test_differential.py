@@ -21,7 +21,7 @@ class TestRegistry:
         # change every reproduction recipe in the corpus.
         assert [c.name for c in ALL_CHECKS] == [
             "rrr", "wavelet", "fm", "batch", "mapper", "kernel", "flat", "pool",
-            "ftab", "coalesce", "router",
+            "ftab", "coalesce", "router", "locate",
         ]
 
     def test_get_check_unknown(self):
@@ -257,6 +257,14 @@ def _plant_router(mp):
         lambda self: {n: -i for i, n in enumerate(self.names)}))
 
 
+def _plant_locate(mp):
+    from repro.sequence.sampled_sa import SampledSA
+
+    # Off by one in the sample index: marked row i answers with sample i - 1.
+    _wrap(mp, SampledSA, "from_arrays", lambda f: lambda meta, arrays: f(
+        meta, {**arrays, "samples": np.roll(arrays["samples"], 1)}))
+
+
 QUICK = PROFILES["quick"]
 #: ``pool`` runs only under a profile that includes it.
 QUICK_POOL = dataclasses.replace(QUICK, name="quick+pool", include_pool=True)
@@ -274,6 +282,7 @@ PLANTED = [
     ("ftab", _plant_ftab, QUICK, 6, "patterns"),
     ("coalesce", _plant_coalesce, QUICK, 3, "requests"),
     ("router", _plant_router, QUICK, 6, "reads"),
+    ("locate", _plant_locate, QUICK, 3, "patterns"),
 ]
 
 

@@ -9,6 +9,9 @@ deltas for the rank kernels, values for LF and locate.
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,8 @@ from repro import build_index
 from repro.core.bwt_structure import BWTStructure
 from repro.core.counters import CounterScope
 from repro.core.rrr import RRRVector
+from repro.index.flat import load_index_flat, save_index_flat
+from repro.index.fm_index import FMIndex
 from repro.index.occ_table import OccTable
 from repro.mapper.mapper import Mapper
 from repro.sequence.bwt import bwt_from_codes
@@ -130,9 +135,11 @@ def _scalar_concat(loc, lf, starts, ends):
     return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
 
 
-def _walk_length(sampled: SampledSA, row: int, lf) -> int:
+def _walk_length(sa: np.ndarray, k: int, row: int, lf) -> int:
+    """LF steps from ``row`` to the first row whose suffix starts at a
+    multiple of ``k`` (the rows a text-sampled SA keeps)."""
     steps = 0
-    while row % sampled.k != 0:
+    while sa[row] % k != 0:
         row = lf(row)
         steps += 1
     return steps
@@ -162,6 +169,17 @@ class TestLocateBatch:
         full_pos, full_offsets = FullSA(bwt.sa).locate_batch(starts, ends)
         assert np.array_equal(full_pos, pos)
         assert np.array_equal(full_offsets, offsets)
+        # The flat container round trip locates every row the same way.
+        every = [0], [n_rows]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "index.bwvr"
+            save_index_flat(FMIndex(backend, locate_structure=sampled), path)
+            reopened = load_index_flat(path, verify=True)
+            got, _ = reopened.locate_structure.locate_batch(
+                *every, reopened.backend.lf_many
+            )
+            assert np.array_equal(got, FullSA(bwt.sa).locate_batch(*every)[0])
+            del reopened
 
     def test_no_intervals(self):
         bwt, backend = make_backend("rrr", np.zeros(20, dtype=np.uint8))
@@ -175,19 +193,24 @@ class TestLocateBatch:
         with pytest.raises(IndexError):
             FullSA(bwt.sa).locate_batch([0], [bwt.length + 1])
 
-    def test_walk_longer_than_k(self):
-        """Sampling is by row, so a walk can take far more than k - 1 LF
-        steps; batch locate must follow it to the end."""
+    def test_walk_is_bounded_by_k(self):
+        """Sampling is by text position, so every row reaches a sampled
+        one within k - 1 LF steps: batch locate over all rows of the text
+        (whose ``lf_many`` calls number its longest walk) stops within
+        k - 1 calls and agrees with the full SA and the scalar walk."""
         codes = np.random.default_rng(5).integers(0, 4, 4000).astype(np.uint8)
         bwt, backend = make_backend("rrr", codes)
         k = 32
         sampled = SampledSA(bwt.sa, k=k)
-        walks = [_walk_length(sampled, r, backend.lf) for r in range(0, bwt.length, 7)]
-        long_rows = [7 * i for i, w in enumerate(walks) if w > k]
-        assert long_rows, "expected at least one walk longer than k"
-        row = long_rows[0]
-        pos, _ = sampled.locate_batch([row], [row + 1], backend.lf_many)
-        assert pos[0] == sampled.locate(row, backend.lf) == bwt.sa[row]
+        calls = []
+        pos, _ = sampled.locate_batch(
+            [0], [bwt.length], lambda rows: calls.append(rows.size) or backend.lf_many(rows)
+        )
+        assert len(calls) <= k - 1
+        assert np.array_equal(pos, bwt.sa)
+        rows = range(0, bwt.length, 7)
+        assert [sampled.locate(r, backend.lf) for r in rows] == pos[::7].tolist()
+        assert max(_walk_length(bwt.sa, k, r, backend.lf) for r in rows) <= k - 1
 
 
 class TestMapperLocateStructure:
@@ -212,7 +235,8 @@ class TestMapperLocateStructure:
         return calls, results
 
     def test_lf_many_calls_do_not_grow_with_hits(self, sampled_index, repetitive_text):
-        sampled = sampled_index.locate_structure
+        k = sampled_index.locate_structure.k
+        sa = sampled_index.backend.bwt.sa
         lf = sampled_index.backend.lf
         for n_reads in (8, 64):
             reads = [repetitive_text[i * 11 : i * 11 + 24] for i in range(n_reads)]
@@ -220,4 +244,5 @@ class TestMapperLocateStructure:
             hits = [h.interval for r in results for h in (r.forward, r.reverse) if h.found]
             rows = [row for iv in hits for row in range(iv.start, iv.end)]
             assert len(hits) >= n_reads
-            assert len(calls) == max(_walk_length(sampled, r, lf) for r in rows)
+            assert len(calls) == max(_walk_length(sa, k, r, lf) for r in rows)
+            assert len(calls) <= k - 1

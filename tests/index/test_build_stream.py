@@ -73,6 +73,28 @@ def test_blockwise_matches_across_configs(tmp_path, backend, locate, ftab_k):
     assert out.read_bytes() == mono
 
 
+@pytest.mark.parametrize("k", [1, 7, 32])
+def test_blockwise_sampled_marks_match(tmp_path, k):
+    """The marks and samples streamed from the SA pass over many chunks
+    equal the monolithic ones, also after a kill in the BWT stage."""
+    text = random_sequence(3_000, np.random.default_rng(50 + k))
+    kw = dict(locate="sampled", sa_sample_rate=k)
+    mono = _mono_bytes(tmp_path, text, **kw)
+    out = tmp_path / "blk.bwvr"
+    build_index_blockwise(text, out, block_rows=97, **kw)
+    assert out.read_bytes() == mono
+
+    def killer(label):
+        if label == "bwt":
+            raise _Kill(label)
+
+    resumed = tmp_path / "resumed.bwvr"
+    with pytest.raises(_Kill):
+        build_index_blockwise(text, resumed, block_rows=97, checkpoint_callback=killer, **kw)
+    assert build_index_blockwise(text, resumed, block_rows=97, resume=True, **kw).resumed
+    assert resumed.read_bytes() == mono
+
+
 def test_blockwise_segment_crcs_match(tmp_path):
     """Per-segment CRCs in the manifests agree, not just the whole file."""
     rng = np.random.default_rng(21)
@@ -198,6 +220,12 @@ def test_resume_fingerprint_mismatch_raises(tmp_path):
     other = random_sequence(2_000, np.random.default_rng(14))
     with pytest.raises(BuildResumeError):
         build_index_blockwise(other, out, block_rows=256, resume=True)
+    # Same input and options, written by an older builder version.
+    state_path = tmp_path / "x.bwvr.build" / "state.json"
+    state = json.loads(state_path.read_text())
+    state_path.write_text(json.dumps({**state, "version": 1}))
+    with pytest.raises(BuildResumeError, match="builder version"):
+        build_index_blockwise(text, out, block_rows=256, resume=True)
 
 
 def test_resume_detects_corrupted_checkpoint(tmp_path):

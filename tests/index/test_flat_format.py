@@ -172,6 +172,22 @@ class TestSuffixArraySegment:
         pat = small_text[300:320]
         assert loaded.locate(pat).tolist() == index.locate(pat).tolist()
 
+    def test_row_sampled_container_rejected(self, small_text, flat_path):
+        """The row-sampled layout (``locate/samples`` = every k-th row's
+        int64 SA entry, no mark vector) is refused with a rebuild hint."""
+        index, _ = build_index(small_text, sf=8, locate="sampled", sa_sample_rate=8)
+        meta, segments = export_index(index)
+        sa = index.backend.bwt.sa
+        meta["locate_meta"] = {"k": 8, "n_rows": int(sa.size)}
+        segments = {n: a for n, a in segments.items() if not n.startswith("locate/")}
+        segments["locate/samples"] = sa[::8].copy()
+        with FlatWriter(flat_path) as writer:
+            for name, arr in segments.items():
+                writer.add_segment(name, arr)
+            writer.finalize(meta)
+        with pytest.raises(IndexFormatError, match="no longer read.*rebuild"):
+            load_index_flat(flat_path, verify=True)
+
     def test_full_locate_without_sa_rejected(self, small_text, flat_path):
         index, _ = build_index(small_text, sf=8, locate="full")
         meta, segments = export_index(index)

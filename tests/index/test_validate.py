@@ -116,3 +116,46 @@ class TestValidateBroken:
         broken = FMIndex(good_index.backend, locate_structure=FullSA(sa))
         with pytest.raises(IndexValidationError, match="permutation"):
             validate_index(broken)
+
+
+class TestValidateSampled:
+    @pytest.fixture(scope="class")
+    def sampled_index(self):
+        rng = np.random.default_rng(84)
+        text = "".join("ACGT"[c] for c in rng.integers(0, 4, 400))
+        index, _ = build_index(text, locate="sampled", sa_sample_rate=8, sf=4)
+        return index
+
+    def _with_samples(self, index, samples):
+        from repro.index.fm_index import FMIndex
+        from repro.sequence.sampled_sa import SampledSA
+
+        loc = index.locate_structure
+        meta, arrays = loc.export_arrays()
+        broken = SampledSA.from_arrays(meta, {**arrays, "samples": samples})
+        return FMIndex(index.backend, locate_structure=broken)
+
+    def test_passes_and_records_checks(self, sampled_index):
+        report = validate_index(sampled_index)
+        loc = sampled_index.locate_structure
+        assert report.checks["sampled_counts"] == 1
+        assert report.checks["sampled_permutation"] == loc.samples.size
+        # 51 marked rows: at most 64 marked plus 64 random rows.
+        assert report.checks["sampled_lf_step"] == loc.samples.size + 64
+
+    def test_detects_swapped_sample(self, sampled_index):
+        samples = sampled_index.locate_structure.samples.copy()
+        samples[[3, 17]] = samples[[17, 3]]
+        with pytest.raises(IndexValidationError, match="breaks LF"):
+            validate_index(self._with_samples(sampled_index, samples))
+
+    def test_detects_non_permutation_samples(self, sampled_index):
+        samples = sampled_index.locate_structure.samples.copy()
+        samples[3] = samples[17]
+        with pytest.raises(IndexValidationError, match="permutation"):
+            validate_index(self._with_samples(sampled_index, samples))
+
+    def test_detects_missing_sample(self, sampled_index):
+        samples = sampled_index.locate_structure.samples[:-1]
+        with pytest.raises(IndexValidationError, match="marks"):
+            validate_index(self._with_samples(sampled_index, samples))

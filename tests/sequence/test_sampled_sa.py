@@ -78,7 +78,10 @@ class TestSampledSA:
     def test_k1_is_full(self, setup):
         bwt, struct = setup
         sampled = SampledSA(bwt.sa, k=1)
-        assert sampled.size_in_bytes() == bwt.sa.nbytes
+        assert np.array_equal(sampled.samples, bwt.sa)
+        assert sampled.size_in_bytes() == (
+            sampled.samples.nbytes + sampled.marks.size_in_bytes()
+        )
 
 
 class TestBatchedLocate:
