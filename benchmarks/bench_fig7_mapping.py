@@ -125,7 +125,7 @@ def bench_fig7_mapping_time(benchmark, save_report, fig7_rows):
         assert on_row["fpga_ms_240k"] < off_row["fpga_ms_240k"], key
 
 
-def bench_fig7_ftab_count_only(benchmark, save_report, record_trajectory):
+def bench_fig7_ftab_count_only(benchmark, save_report):
     """Count-only search throughput, jump-start table off vs on.
 
     Unmapped-heavy input is where the table bites: a random length-k
@@ -178,16 +178,4 @@ def bench_fig7_ftab_count_only(benchmark, save_report, record_trajectory):
         ),
     )
     save_report("fig7_ftab_count_only", text)
-    record_trajectory(
-        "fig7",
-        {
-            "count_only_ms_ftab_off": t_off * 1e3,
-            "count_only_ms_ftab_on": t_on * 1e3,
-            "ftab_speedup": speedup,
-            "reads_per_s_ftab_on": N_READS / t_on,
-        },
-        seed=9,
-        n_reads=N_READS,
-        ftab_k=FTAB_K,
-    )
     assert speedup >= 1.5, f"ftab count-only speedup {speedup:.2f}x < 1.5x"

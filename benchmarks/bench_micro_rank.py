@@ -125,7 +125,7 @@ def bench_occ_many_pair(benchmark, occ_structure, occ_bounds):
     assert len(out) == 4
 
 
-def bench_occ2_many_fused(benchmark, save_report, record_trajectory, occ_structure, occ_bounds):
+def bench_occ2_many_fused(benchmark, save_report, occ_structure, occ_bounds):
     import time
 
     from repro.bench.reporting import render_table
@@ -167,14 +167,3 @@ def bench_occ2_many_fused(benchmark, save_report, record_trajectory, occ_structu
         title="Fused lo/hi occ kernel vs two independent occ_many calls",
     )
     save_report("micro_rank_occ_fused", text)
-    record_trajectory(
-        "micro_rank",
-        {
-            "occ_many_pair_ms": t_pair * 1e3,
-            "occ2_fused_ms": t_fused * 1e3,
-            "fused_speedup": t_pair / t_fused,
-        },
-        seed=79,
-        n_queries=N_QUERIES,
-        text_length=OCC_TEXT_LENGTH,
-    )

@@ -8,7 +8,7 @@ Two claims are pinned here:
 * the out-of-core blockwise pipeline's construction throughput, on a
   scaled chr21 profile, alongside its peak-allocation ratio against the
   monolithic builder (the quantity gated by the bench platform's
-  ``blockwise-build`` hot path and tracked in ``BENCH_build.json``).
+  ``blockwise-build`` hot path).
 """
 
 import time
@@ -17,7 +17,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.bench.fixtures import profile_reference
+from repro.bench.harness import get_reference
 from repro.sequence.alphabet import encode
 from repro.sequence.suffix_array import sais, suffix_array
 
@@ -50,8 +50,8 @@ def bench_sa_doubling(benchmark, sa_codes):
     assert out.size == SA_N + 1
 
 
-def bench_sa_construction_report(save_report, record_trajectory):
-    """Render the micro table and push the build trajectory point."""
+def bench_sa_construction_report(save_report):
+    """Render the SA micro table and the blockwise build comparison."""
     from repro.core.global_tables import get_global_tables
     from repro.index.build_stream import build_index_blockwise
     from repro.index.builder import build_index
@@ -75,7 +75,7 @@ def bench_sa_construction_report(save_report, record_trajectory):
     # Blockwise build on the scaled chr21 profile: wall time and the
     # peak-allocation ratio against the monolithic builder.
     scale = 0.01
-    ref = profile_reference("chr21", scale=scale)
+    ref = get_reference("chr21", scale=scale)
     get_global_tables(15)  # shared tables: keep out of both peaks
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -111,22 +111,6 @@ def bench_sa_construction_report(save_report, record_trajectory):
         f"peak ratio {ratio:.2f}x   byte-identical: {identical}",
     ]
     save_report("sa_construction", "\n".join(lines))
-    record_trajectory(
-        "build",
-        {
-            "build_median_seconds": t_blk,
-            "bases_per_second": len(ref) / t_blk if t_blk > 0 else 0.0,
-            "n_bases": len(ref),
-            "structure_bytes": report.structure_bytes,
-            "peak_ratio": ratio,
-            "mono_peak_bytes": int(mono_peak),
-            "blockwise_peak_bytes": int(report.peak_alloc_bytes),
-            "byte_identical": int(identical),
-            "sais_numpy_ms": t_numpy * 1e3,
-            "sais_legacy_ms": t_legacy * 1e3,
-        },
-        seed=55,
-    )
     # Acceptance: the numpy SA-IS path beats the list implementation,
     # the blockwise peak sits >=3x under the monolithic one, and the
     # containers match byte for byte.

@@ -56,7 +56,7 @@ def bench_open_flat_mmap(benchmark, flat_path):
     benchmark(lambda: load_index_flat(flat_path))
 
 
-def bench_startup_report(save_report, record_trajectory, serving_index, flat_path):
+def bench_startup_report(save_report, serving_index, flat_path):
     """One table: open, hand-off, and throughput — with acceptance gates."""
     t_flat = _best_of(lambda: load_index_flat(flat_path))
 
@@ -119,18 +119,6 @@ def bench_startup_report(save_report, record_trajectory, serving_index, flat_pat
     )
     text += "\n(pool rate reflects this machine's core count; on one core the IPC overhead dominates)"
     save_report("serving_startup", text)
-    record_trajectory(
-        "serving_startup",
-        {
-            "open_flat_ms": t_flat * 1e3,
-            "handoff_pickle_ms": t_pickle * 1e3,
-            "handoff_attach_ms": t_attach * 1e3,
-            "handoff_speedup": t_pickle / t_attach,
-            "pool2_reads_per_s": outcome.n_reads / t_pool,
-        },
-        seed=17,
-        n_reads=len(reads),
-    )
 
     # Acceptance: opening the file in place beats shipping and rebuilding
     # a private copy, and shared-memory attach beats pickle.

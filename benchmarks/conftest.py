@@ -2,13 +2,9 @@
 
 Benches reuse the :mod:`repro.bench.harness` caches (references, suffix
 arrays, indexes) so the suite spends its time on the measured kernels,
-not on rebuilding substrates; read sets come from
-:mod:`repro.bench.fixtures`, the same seeded builders the test suite
-uses.  Every bench writes its reproduced table/figure rows to
+not on rebuilding substrates.  Every bench writes its reproduced table/figure rows to
 ``benchmarks/results/<name>.txt`` *and* prints them, so the artifacts
-survive pytest's output capture.  Benches that feed the perf trajectory
-additionally append a machine-readable point to
-``benchmarks/results/BENCH_<series>.json`` via ``record_trajectory``.
+survive pytest's output capture.
 """
 
 from __future__ import annotations
@@ -36,19 +32,6 @@ def save_report():
 
 
 @pytest.fixture(scope="session")
-def record_trajectory():
-    """Append a point to ``benchmarks/results/BENCH_<series>.json``."""
-    from repro.bench.platform.trajectory import append_trajectory_point
-
-    RESULTS_DIR.mkdir(exist_ok=True)
-
-    def _record(series: str, metrics: dict, **extra) -> Path:
-        return append_trajectory_point(RESULTS_DIR, series, metrics, **extra)
-
-    return _record
-
-
-@pytest.fixture(scope="session")
 def ecoli_index():
     from repro.bench.harness import get_index
 
@@ -64,13 +47,13 @@ def chr21_index():
 
 @pytest.fixture(scope="session")
 def ecoli_reference():
-    from repro.bench.fixtures import profile_reference
+    from repro.bench.harness import get_reference
 
-    return profile_reference("ecoli")
+    return get_reference("ecoli")
 
 
 @pytest.fixture(scope="session")
 def chr21_reference():
-    from repro.bench.fixtures import profile_reference
+    from repro.bench.harness import get_reference
 
-    return profile_reference("chr21")
+    return get_reference("chr21")

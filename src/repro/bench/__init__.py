@@ -21,8 +21,7 @@ from .harness import (
     get_index,
     get_reference,
 )
-from .profiling import ProfileResult, profile_build, profile_call, profile_mapping
-from .reporting import fmt_bytes, fmt_ms, fmt_ratio, render_dict_rows, render_table, side_by_side
+from .reporting import fmt_bytes, fmt_ms, fmt_ratio, render_table
 
 __all__ = [
     "DEFAULT_BOWTIE2_MODEL",
@@ -34,10 +33,6 @@ __all__ = [
     "PAPER_TABLE1",
     "PAPER_TABLE2",
     "PAPER_TRENDS",
-    "ProfileResult",
-    "profile_build",
-    "profile_call",
-    "profile_mapping",
     "experiment_fig5",
     "experiment_fig6",
     "experiment_fig7",
@@ -49,7 +44,5 @@ __all__ = [
     "fmt_ratio",
     "get_index",
     "get_reference",
-    "render_dict_rows",
     "render_table",
-    "side_by_side",
 ]

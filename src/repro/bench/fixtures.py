@@ -4,17 +4,16 @@ Benchmark workloads and the test suite must measure and assert on the
 *same* inputs: a perf delta observed by ``repro bench run`` is only
 comparable with a correctness property checked in ``tests/`` if both
 built their reference and read set from the same seeded generators.
-This module is that single source — ``benchmarks/conftest.py``,
-``tests/conftest.py``, and :mod:`repro.bench.platform.workloads` all
-import from here instead of keeping private copies.
+This module is that single source — ``tests/conftest.py`` and
+:mod:`repro.bench.platform.workloads` import from here instead of
+keeping private copies.  Named-profile references (``ecoli``/``chr21``)
+come from :func:`repro.bench.harness.get_reference`.
 
 Everything is deterministic in its ``seed`` argument and cheap enough to
 call from session-scoped fixtures.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -45,19 +44,6 @@ def make_repetitive_dna(
     return (unit * repeats) + make_dna(tail_length, seed=seed + 1) + unit[:50] * 4
 
 
-def profile_reference(profile: str, scale: float | None = None, seed: int = 7) -> str:
-    """Cached synthetic reference for a named profile (``ecoli``/``chr21``).
-
-    Thin forwarding wrapper so callers that only need inputs don't import
-    the whole experiment harness.
-    """
-    from .harness import get_reference
-
-    if scale is None:
-        return get_reference(profile, seed=seed)
-    return get_reference(profile, scale=scale, seed=seed)
-
-
 def seeded_reads(
     reference: str,
     n_reads: int,
@@ -81,16 +67,3 @@ def seeded_reads(
         mapping_ratio=mapping_ratio,
         seed=seed * READ_SEED_OFFSET + 17 + int(mapping_ratio * 100),
     ).reads
-
-
-@lru_cache(maxsize=8)
-def small_index_cached(n_bases: int = 20_000, seed: int = 42, ftab_k: int | None = None):
-    """Cached small succinct index over :func:`make_dna` text.
-
-    Platform workloads at the ``small`` scale share this so a config
-    matrix doesn't rebuild the substrate per experiment.  Returns
-    ``(index, report)`` as :func:`repro.build_index` does.
-    """
-    from ..index.builder import build_index
-
-    return build_index(make_dna(n_bases, seed=seed), b=15, sf=50, ftab_k=ftab_k)

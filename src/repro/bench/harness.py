@@ -34,7 +34,6 @@ from ..mapper.batch import run_mapping_batch
 from ..sequence.alphabet import encode
 from ..sequence.bwt import bwt_from_codes
 from ..sequence.suffix_array import suffix_array
-from ..telemetry import get_telemetry
 from .calibration import (
     DEFAULT_BOWTIE2_MODEL,
     DEFAULT_CPU_MODEL,
@@ -44,23 +43,6 @@ from .calibration import (
 
 PROFILES = {"ecoli": E_COLI_LIKE, "chr21": CHR21_LIKE}
 
-
-def _record_experiment(name: str, rows: list[dict]) -> list[dict]:
-    """Telemetry hook shared by every experiment function.
-
-    Counts the rows each experiment produced (so a bench sweep shows up
-    on ``/metrics`` / ``--metrics-out`` next to the pipeline metrics) and
-    logs a one-line completion event.  Free when telemetry is disabled.
-    """
-    tel = get_telemetry()
-    if tel.enabled:
-        tel.metrics.counter(
-            "bench_experiment_rows_total",
-            "Result rows produced by the benchmark harness, per experiment",
-            labelnames=("experiment",),
-        ).inc(len(rows), experiment=name)
-        tel.log.info("bench.experiment.done", experiment=name, n_rows=len(rows))
-    return rows
 
 #: Paper-scale reference lengths (bases) used for modeled structure sizes.
 PAPER_REF_BASES = {"ecoli": 4_641_652, "chr21": 40_088_619}
@@ -173,7 +155,7 @@ def experiment_fig5(
                         "paper_scale_uncompressed_mb": (paper_n + 1) / 1e6,
                     }
                 )
-    return _record_experiment("fig5", rows)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +189,7 @@ def experiment_fig6(
                         "encode_seconds": best,
                     }
                 )
-    return _record_experiment("fig6", rows)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -288,15 +270,8 @@ def experiment_fig7(
                         "native_cpu_ms_240k": native_cpu_s * 1e3,
                         "fpga_ms_240k": fpga_s * 1e3,
                     }
-                    if get_telemetry().enabled:
-                        # Op-count provenance for the modeled columns, so a
-                        # telemetry-enabled sweep is self-describing.
-                        row["telemetry"] = {
-                            "op_counts": dict(run.op_counts),
-                            "wall_seconds": run.wall_seconds,
-                        }
                     rows.append(row)
-    return _record_experiment("fig7", rows)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +369,7 @@ def experiment_table(
                     "mapping_ratio": succinct_run.mapping_ratio,
                 }
             )
-    return _record_experiment("table", rows)
+    return rows
 
 
 def _paper_times_for(paper_table: dict, profile: str, n_reads: int) -> dict[str, float]:

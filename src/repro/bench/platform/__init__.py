@@ -11,15 +11,14 @@ The pieces (DESIGN.md §11):
   through the shared-memory MapperPool) with warmup separation and
   per-trial telemetry snapshots;
 * :mod:`store` — JSON trial documents + a SQLite trajectory DB, keyed
-  by git hash, config hash, seed, and host fingerprint;
+  by git hash, config hash, seed, and host fingerprint — the
+  platform's one machine-readable record;
 * :mod:`stats` — bootstrap CIs and rank tests behind every verdict;
 * :mod:`gate` — the named-hot-path regression gate (non-zero exit on a
-  significant slowdown past a path's threshold);
+  significant slowdown past a path's threshold, against a baseline
+  from the same host only);
 * :mod:`report` — fuzzbench-style lazily-computed report context
-  rendered to a self-contained HTML file;
-* :mod:`trajectory` — the ``BENCH_*.json`` machine-readable series;
-* :mod:`legacy` — seed-baseline migration from the historical ``.txt``
-  result tables.
+  rendered to a self-contained HTML file.
 """
 
 from .configs import (
@@ -31,12 +30,10 @@ from .configs import (
     save_suite,
 )
 from .gate import HOT_PATHS, GateReport, HotPath, PathVerdict, run_gate
-from .legacy import migrate_legacy_results, parse_legacy_seconds, synthesize_baseline
 from .report import ReportContext, render_html, write_report
 from .runner import RunReport, run_experiments
 from .stats import Comparison, bootstrap_ci, compare, mann_whitney_u
 from .store import ResultsStore, TrialRecord, git_revision, host_fingerprint
-from .trajectory import append_trajectory_point, load_trajectory, trajectory_path
 from .workloads import WORKLOADS, Workload, create_workload
 
 __all__ = [
@@ -54,23 +51,17 @@ __all__ = [
     "RunReport",
     "TrialRecord",
     "Workload",
-    "append_trajectory_point",
     "bootstrap_ci",
     "compare",
     "create_workload",
     "git_revision",
     "host_fingerprint",
     "load_suite",
-    "load_trajectory",
     "mann_whitney_u",
-    "migrate_legacy_results",
-    "parse_legacy_seconds",
     "render_html",
     "resolve_suite",
     "run_experiments",
     "run_gate",
     "save_suite",
-    "synthesize_baseline",
-    "trajectory_path",
     "write_report",
 ]

@@ -184,8 +184,8 @@ BUILTIN_SUITES: dict[str, list[ExperimentConfig]] = {
     ],
     # Nightly out-of-core build at the bench scale: each rep is a whole
     # cold blockwise build, so a few reps dominate the job's wall clock.
-    # Feeds the ``BENCH_build.json`` trajectory at a scale the smoke
-    # suite is too small to exercise meaningfully.
+    # Measures the build at a scale the smoke suite is too small to
+    # exercise meaningfully.
     "build": [
         ExperimentConfig(name="blockwise_build_nightly",
                          workload="blockwise_build", scale="medium",

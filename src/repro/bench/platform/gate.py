@@ -7,9 +7,9 @@ and exits non-zero on a statistically significant slowdown beyond the
 path's threshold (see :func:`repro.bench.platform.stats.compare` for
 the two-part decision rule).
 
-Cross-host comparisons are advisory by default — wall clock from a
-different machine is not evidence of a code regression — and only
-hard-fail under ``strict_cross_host``.
+A baseline counts only when it was measured on the host that produced
+the current samples: wall clock from a different machine is not
+evidence of a code regression, so such a path is skipped, never failed.
 """
 
 from __future__ import annotations
@@ -59,24 +59,15 @@ class PathVerdict:
     path: HotPath
     comparison: Comparison | None
     skipped_reason: str | None = None
-    cross_host: bool = False
-    advisory: bool = False
 
     @property
     def failed(self) -> bool:
-        if self.comparison is None or self.advisory:
-            return False
-        return self.comparison.regressed
+        return self.comparison is not None and self.comparison.regressed
 
     def describe(self) -> str:
         if self.comparison is None:
             return f"{self.path.name}: SKIPPED ({self.skipped_reason})"
-        note = ""
-        if self.cross_host:
-            note = " [cross-host baseline%s]" % (
-                ", advisory" if self.advisory else ""
-            )
-        return f"{self.path.name}: {self.comparison.describe()}{note}"
+        return f"{self.path.name}: {self.comparison.describe()}"
 
 
 @dataclass
@@ -110,13 +101,13 @@ def run_gate(
     host: str | None = None,
     threshold_override: float | None = None,
     alpha: float = 0.01,
-    strict_cross_host: bool = False,
     paths: tuple[HotPath, ...] = HOT_PATHS,
 ) -> GateReport:
     """Evaluate every registered hot path at ``git_hash`` against baseline.
 
     ``git_hash`` defaults to the most recent non-baseline run in the
-    store.  Paths without current samples or without a baseline are
+    store; ``host`` defaults to the one host that produced its samples.
+    Paths without current samples or without a same-host baseline are
     reported as skipped, never failed — an absent measurement is a
     coverage gap, not a regression.
     """
@@ -129,7 +120,7 @@ def run_gate(
         )
         current = store.samples(
             path.workload, metric=path.metric, git_hash=git_hash,
-            is_baseline=False,
+            host=host, is_baseline=False,
         ) if git_hash else []
         if not current:
             report.verdicts.append(
@@ -139,35 +130,22 @@ def run_gate(
         current_hosts = {
             r.host for r in store.query(
                 workload=path.workload, phase="steady", git_hash=git_hash,
-                is_baseline=False,
+                host=host, is_baseline=False,
             )
         }
-        effective_host = host or (
-            next(iter(current_hosts)) if len(current_hosts) == 1 else None
-        )
-        baseline = store.baseline_samples(
-            path.workload, metric=path.metric, host=effective_host
-        )
+        # Current samples from several hosts have no one host to match.
+        baseline = store.samples(
+            path.workload, metric=path.metric, is_baseline=True,
+            host=current_hosts.pop(),
+        ) if len(current_hosts) == 1 else []
         if not baseline:
             report.verdicts.append(
-                PathVerdict(path, None, skipped_reason="no baseline samples")
+                PathVerdict(path, None, skipped_reason="no same-host baseline")
             )
             continue
-        baseline_hosts = {
-            r.host for r in store.query(
-                workload=path.workload, phase="steady", is_baseline=True
-            )
-        }
-        cross_host = bool(
-            effective_host is not None and effective_host not in baseline_hosts
-        )
-        comparison = compare(baseline, current, threshold=threshold, alpha=alpha)
         report.verdicts.append(
             PathVerdict(
-                path,
-                comparison,
-                cross_host=cross_host,
-                advisory=cross_host and not strict_cross_host,
+                path, compare(baseline, current, threshold=threshold, alpha=alpha)
             )
         )
     return report

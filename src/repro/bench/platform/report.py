@@ -139,7 +139,6 @@ class ReportContext:
                         "ci_lo_ms": lo * 1e3,
                         "ci_hi_ms": hi * 1e3,
                         "baseline": all(r.is_baseline for r in recs),
-                        "synthetic": any(r.synthetic for r in recs),
                         "degraded": any(
                             r.metrics.get("degraded") or
                             r.metrics.get("fpga_cpu_fallbacks_total")
@@ -212,8 +211,6 @@ def render_html(context: ReportContext) -> str:
         flags = []
         if r["baseline"]:
             flags.append("baseline")
-        if r["synthetic"]:
-            flags.append("synthetic")
         if r["degraded"]:
             flags.append("degraded")
         rows_html.append(

@@ -16,7 +16,7 @@ config it
    :class:`~repro.bench.platform.store.ResultsStore`.
 
 Trial records carry git hash, config hash, seed, and host fingerprint —
-the full provenance key the gate and trajectory need.
+the full provenance key the gate and report need.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import numpy as np
 from ...telemetry import Telemetry, get_telemetry, set_telemetry
 from .configs import ExperimentConfig
 from .store import ResultsStore, TrialRecord, git_revision, host_fingerprint
-from .trajectory import append_trajectory_point
 from .workloads import create_workload, warm_clock
 
 #: Telemetry counter prefixes copied into each trial's metrics snapshot.
@@ -93,15 +92,12 @@ def run_experiments(
     as_baseline: bool = False,
     git_hash: str | None = None,
     host: str | None = None,
-    bench_json_dir: str | Path | None = None,
     progress: Callable[[str], None] | None = None,
 ) -> RunReport:
     """Execute every config and persist all trials.
 
     ``as_baseline`` flags the run's records as the comparison baseline
-    for later gates (e.g. the first half of a two-run CI job).  With
-    ``bench_json_dir`` set, per-workload medians are appended to the
-    ``BENCH_hotpaths.json`` trajectory there.
+    for later gates (e.g. the first half of a two-run CI job).
     """
     say = progress or (lambda msg: None)
     report = RunReport(
@@ -122,133 +118,7 @@ def run_experiments(
         report.records.extend(records)
         steady = [r.wall_seconds for r in records if r.phase == "steady"]
         say(f"  median {np.median(steady) * 1e3:.3f} ms over {len(steady)} reps")
-    if bench_json_dir is not None and report.steady():
-        append_trajectory_point(
-            bench_json_dir,
-            "hotpaths",
-            {
-                f"{w}_median_seconds": report.median_seconds(w)
-                for w in sorted({r.workload for r in report.steady()})
-            },
-            git_hash=report.git_hash,
-            host=report.host,
-            seed=configs[0].seed if configs else None,
-            baseline=as_baseline,
-        )
-        _append_coalesce_trajectory(report, configs, bench_json_dir, as_baseline)
-        _append_router_trajectory(report, configs, bench_json_dir, as_baseline)
-        _append_build_trajectory(report, configs, bench_json_dir, as_baseline)
     return report
-
-
-def _append_coalesce_trajectory(
-    report: RunReport,
-    configs: list[ExperimentConfig],
-    bench_json_dir: str | Path,
-    as_baseline: bool,
-) -> None:
-    """Emit the ``BENCH_coalesce.json`` series when the run covered the
-    coalescing ablation pair: on/off medians, aggregate reads/sec,
-    speedup, and the p95 added latency of the windowed path."""
-    on = report.steady("coalesced_mapping")
-    off = report.steady("uncoalesced_mapping")
-    if not on or not off:
-        return
-    on_med = report.median_seconds("coalesced_mapping")
-    off_med = report.median_seconds("uncoalesced_mapping")
-    reads = int(on[0].metrics.get("reads", 0))
-    requests = int(on[0].metrics.get("requests", 0))
-    metrics = {
-        "coalesced_median_seconds": on_med,
-        "uncoalesced_median_seconds": off_med,
-        "coalesced_reads_per_second": reads / on_med if on_med > 0 else 0.0,
-        "uncoalesced_reads_per_second": reads / off_med if off_med > 0 else 0.0,
-        "speedup": off_med / on_med if on_med > 0 else 0.0,
-        "wait_p95_ms": float(on[0].metrics.get("wait_p95_ms", 0.0)),
-        "added_wait_p95_ms": float(on[0].metrics.get("added_wait_p95_ms", 0.0)),
-        "requests": requests,
-        "reads": reads,
-    }
-    append_trajectory_point(
-        bench_json_dir,
-        "coalesce",
-        metrics,
-        git_hash=report.git_hash,
-        host=report.host,
-        seed=configs[0].seed if configs else None,
-        baseline=as_baseline,
-    )
-
-
-def _append_router_trajectory(
-    report: RunReport,
-    configs: list[ExperimentConfig],
-    bench_json_dir: str | Path,
-    as_baseline: bool,
-) -> None:
-    """Emit the ``BENCH_router.json`` series when the run covered the
-    sharded fan-out workload: median wall, aggregate fan-out throughput,
-    shard count, and the eviction total (non-zero only when the run
-    squeezed the catalog under a memory budget)."""
-    rows = report.steady("sharded_mapping")
-    if not rows:
-        return
-    med = report.median_seconds("sharded_mapping")
-    reads = int(rows[0].metrics.get("reads", 0))
-    metrics = {
-        "sharded_median_seconds": med,
-        "fanout_reads_per_second": reads / med if med > 0 else 0.0,
-        "shards": int(rows[0].metrics.get("shards", 0)),
-        "reads": reads,
-        "mapped": int(rows[0].metrics.get("mapped", 0)),
-        "hits": int(rows[0].metrics.get("hits", 0)),
-        "evictions": int(rows[-1].metrics.get("evictions", 0)),
-    }
-    append_trajectory_point(
-        bench_json_dir,
-        "router",
-        metrics,
-        git_hash=report.git_hash,
-        host=report.host,
-        seed=configs[0].seed if configs else None,
-        baseline=as_baseline,
-    )
-
-
-def _append_build_trajectory(
-    report: RunReport,
-    configs: list[ExperimentConfig],
-    bench_json_dir: str | Path,
-    as_baseline: bool,
-) -> None:
-    """Emit the ``BENCH_build.json`` series when the run covered the
-    out-of-core build workload: median build wall, bases/sec, the
-    monolithic-vs-blockwise peak-allocation ratio measured in setup,
-    and whether the containers matched byte for byte."""
-    rows = report.steady("blockwise_build")
-    if not rows:
-        return
-    med = report.median_seconds("blockwise_build")
-    n_bases = int(rows[0].metrics.get("n_bases", 0))
-    metrics = {
-        "build_median_seconds": med,
-        "bases_per_second": n_bases / med if med > 0 else 0.0,
-        "n_bases": n_bases,
-        "structure_bytes": int(rows[0].metrics.get("structure_bytes", 0)),
-        "peak_ratio": float(rows[0].metrics.get("peak_ratio", 0.0)),
-        "mono_peak_bytes": int(rows[0].metrics.get("mono_peak_bytes", 0)),
-        "blockwise_peak_bytes": int(rows[0].metrics.get("blockwise_peak_bytes", 0)),
-        "byte_identical": int(rows[0].metrics.get("byte_identical", 0)),
-    }
-    append_trajectory_point(
-        bench_json_dir,
-        "build",
-        metrics,
-        git_hash=report.git_hash,
-        host=report.host,
-        seed=configs[0].seed if configs else None,
-        baseline=as_baseline,
-    )
 
 
 def _run_one(

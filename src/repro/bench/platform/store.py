@@ -44,7 +44,6 @@ CREATE TABLE IF NOT EXISTS trials (
     phase         TEXT NOT NULL,
     wall_seconds  REAL NOT NULL,
     is_baseline   INTEGER NOT NULL DEFAULT 0,
-    synthetic     INTEGER NOT NULL DEFAULT 0,
     metrics_json  TEXT NOT NULL DEFAULT '{}'
 );
 CREATE INDEX IF NOT EXISTS idx_trials_workload
@@ -55,7 +54,7 @@ CREATE INDEX IF NOT EXISTS idx_trials_git ON trials (git_hash);
 
 @dataclass
 class TrialRecord:
-    """One executed (or synthesized) trial, fully provenance-keyed."""
+    """One executed trial, fully provenance-keyed."""
 
     experiment: str
     workload: str
@@ -68,7 +67,6 @@ class TrialRecord:
     wall_seconds: float
     created_utc: float
     is_baseline: bool = False
-    synthetic: bool = False
     metrics: dict = field(default_factory=dict)
     id: str = ""
 
@@ -81,6 +79,9 @@ class TrialRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrialRecord":
+        # Documents from older stores carry a ``synthetic`` flag that is
+        # no longer a field; drop it so they still load.
+        d = {k: v for k, v in d.items() if k != "synthetic"}
         return cls(**d)
 
 
@@ -100,7 +101,7 @@ def host_fingerprint() -> str:
     """Short stable id of the measuring machine.
 
     Perf numbers are only comparable within one fingerprint; the gate
-    refuses hard verdicts across fingerprints unless told otherwise.
+    never compares samples across fingerprints.
     """
     raw = "|".join(
         (
@@ -166,15 +167,14 @@ class ResultsStore:
         self._conn.execute(
             "INSERT OR REPLACE INTO trials "
             "(id, created_utc, experiment, workload, config_hash, git_hash, "
-            " seed, host, rep, phase, wall_seconds, is_baseline, synthetic, "
-            " metrics_json) "
-            "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+            " seed, host, rep, phase, wall_seconds, is_baseline, metrics_json) "
+            "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
             (
                 record.id, record.created_utc, record.experiment,
                 record.workload, record.config_hash, record.git_hash,
                 record.seed, record.host, record.rep, record.phase,
                 record.wall_seconds, int(record.is_baseline),
-                int(record.synthetic), json.dumps(record.metrics, sort_keys=True),
+                json.dumps(record.metrics, sort_keys=True),
             ),
         )
         self._conn.commit()
@@ -184,7 +184,7 @@ class ResultsStore:
             self.insert(r)
 
     def import_records(self, path: str | Path) -> int:
-        """Load trial records from a committed JSON export (seed baseline)."""
+        """Load trial records from a JSON export (``export_records``)."""
         doc = json.loads(Path(path).read_text())
         records = [TrialRecord.from_dict(d) for d in doc["trials"]]
         self.insert_many(records)
@@ -212,7 +212,7 @@ class ResultsStore:
     _COLUMNS = (
         "id", "created_utc", "experiment", "workload", "config_hash",
         "git_hash", "seed", "host", "rep", "phase", "wall_seconds",
-        "is_baseline", "synthetic", "metrics_json",
+        "is_baseline", "metrics_json",
     )
 
     def query(
@@ -244,7 +244,6 @@ class ResultsStore:
             d = dict(zip(self._COLUMNS, row))
             d["metrics"] = json.loads(d.pop("metrics_json"))
             d["is_baseline"] = bool(d["is_baseline"])
-            d["synthetic"] = bool(d["synthetic"])
             out.append(TrialRecord.from_dict(d))
         return out
 
@@ -270,22 +269,6 @@ class ResultsStore:
             "SELECT git_hash FROM trials WHERE is_baseline = 0 "
             "ORDER BY created_utc DESC LIMIT 1").fetchone()
         return row[0] if row else None
-
-    def baseline_samples(
-        self, workload: str, *, metric: str = "wall_seconds", host: str | None = None
-    ) -> list[float]:
-        """Baseline samples, preferring the same host's most recent baseline.
-
-        Falls back to any-host baseline records (synthetic seed migration
-        included) when no same-host baseline exists.
-        """
-        if host is not None:
-            same_host = self.samples(
-                workload, metric=metric, is_baseline=True, host=host
-            )
-            if same_host:
-                return same_host
-        return self.samples(workload, metric=metric, is_baseline=True)
 
     def count(self) -> int:
         return int(self._conn.execute("SELECT COUNT(*) FROM trials").fetchone()[0])

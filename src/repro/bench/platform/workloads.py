@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..fixtures import make_dna, profile_reference, seeded_reads
+from ..fixtures import make_dna, seeded_reads
 from .configs import ExperimentConfig
 
 WORKLOADS: dict[str, Callable[[ExperimentConfig], "Workload"]] = {}
@@ -106,7 +106,9 @@ _OCC_QUERIES = {"tiny": 500, "small": 2_000, "medium": 2_000}
 def _reference_for(scale: str, seed: int) -> str:
     n_bases, _, _, _ = _MAPPING_SCALES[scale]
     if n_bases is None:
-        return profile_reference("ecoli", seed=seed)
+        from ..harness import get_reference
+
+        return get_reference("ecoli", seed=seed)
     return make_dna(n_bases, seed=seed)
 
 
@@ -468,8 +470,8 @@ class BlockwiseBuild(Workload):
     blockwise with ``tracemalloc`` armed, recording the peak-allocation
     ratio and verifying the two flat containers are byte-identical; every
     timed trial is then one cold blockwise build into scratch.  The
-    ratio/identity facts ride along in the per-trial metrics so the
-    trajectory (``BENCH_build.json``) and the gate see them.
+    ratio/identity facts ride along in the per-trial metrics, so the
+    store and the report keep them next to every timed build.
     """
 
     def setup(self, scratch: Path) -> None:
@@ -479,11 +481,10 @@ class BlockwiseBuild(Workload):
         from ...index.build_stream import build_index_blockwise
         from ...index.builder import build_index
         from ...index.flat import save_index_flat
+        from ..harness import get_reference
 
         scale_frac = _BUILD_SCALES[self.config.scale]
-        self.ref = profile_reference(
-            "chr21", scale=scale_frac, seed=self.config.seed
-        )
+        self.ref = get_reference("chr21", scale=scale_frac, seed=self.config.seed)
         self.scratch = scratch
         self.block_mb = float(self.params.get("block_mb", 64.0 * scale_frac))
         # The RRR rank tables are process-wide singletons; build them

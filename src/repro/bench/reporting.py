@@ -8,7 +8,7 @@ diffed against ``EXPERIMENTS.md``.
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
 
 def fmt_ms(seconds: float) -> str:
@@ -49,39 +49,3 @@ def render_table(
     for row in cells[1:]:
         lines.append(" | ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def render_dict_rows(
-    rows: Sequence[Mapping[str, Any]],
-    columns: Sequence[str],
-    title: str | None = None,
-) -> str:
-    """Table from dict rows, selecting and ordering ``columns``."""
-    body = [[row.get(c, "") for c in columns] for row in rows]
-    return render_table(columns, body, title=title)
-
-
-def side_by_side(
-    paper: Mapping[str, float],
-    measured: Mapping[str, float],
-    label_paper: str = "paper",
-    label_measured: str = "reproduction",
-) -> str:
-    """Two-column comparison over the union of keys (paper first)."""
-    keys = list(paper.keys()) + [k for k in measured if k not in paper]
-    rows = []
-    for k in keys:
-        p = paper.get(k)
-        m = measured.get(k)
-        ratio = (m / p) if (p not in (None, 0) and m is not None) else None
-        rows.append(
-            [
-                k,
-                f"{p:,.2f}" if p is not None else "-",
-                f"{m:,.2f}" if m is not None else "-",
-                f"{ratio:.2f}" if ratio is not None else "-",
-            ]
-        )
-    return render_table(
-        ["metric", label_paper, label_measured, "repro/paper"], rows
-    )

@@ -26,10 +26,9 @@ downstream user needs:
     ``bench run`` executes a declarative experiment suite and persists
     trials (JSON + SQLite, keyed by git hash/config hash/seed/host),
     ``bench report`` renders the HTML report with trajectory plots and
-    significance tests, ``bench gate`` exits non-zero on a significant
-    regression of any named hot path, and ``bench migrate-seed``
-    imports the legacy ``benchmarks/results/*.txt`` numbers as the
-    synthetic seed baseline.
+    significance tests, and ``bench gate`` exits non-zero on a
+    significant regression of any named hot path against a baseline
+    measured on the same host.
 
 Run ``python -m repro.cli <subcommand> --help`` for per-command options.
 """
@@ -419,23 +418,22 @@ def _cmd_selfcheck(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_run(args: argparse.Namespace) -> int:
+    from dataclasses import replace
+
     from .bench.platform import ResultsStore, resolve_suite, run_experiments
 
     try:
         configs = resolve_suite(args.suite)
+        if args.reps is not None:
+            configs = [replace(c, repetitions=args.reps) for c in configs]
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.reps is not None:
-        from dataclasses import replace
-
-        configs = [replace(c, repetitions=args.reps) for c in configs]
     with ResultsStore(args.store) as store:
         report = run_experiments(
             configs,
             store,
             as_baseline=args.as_baseline,
-            bench_json_dir=args.bench_json,
             progress=lambda msg: print(msg, file=sys.stderr),
         )
     print("\n".join(report.summary_lines()))
@@ -465,28 +463,12 @@ def _cmd_bench_gate(args: argparse.Namespace) -> int:
             git_hash=args.git_hash,
             threshold_override=args.threshold,
             alpha=args.alpha,
-            strict_cross_host=args.strict_cross_host,
         )
     print("\n".join(report.summary_lines()))
     if args.require_evaluated and report.evaluated == 0:
         print("error: gate evaluated no hot paths", file=sys.stderr)
         return 2
     return 0 if report.ok else 1
-
-
-def _cmd_bench_migrate_seed(args: argparse.Namespace) -> int:
-    from .bench.platform import ResultsStore, migrate_legacy_results
-
-    with ResultsStore(args.store) as store:
-        records = migrate_legacy_results(
-            args.results, store, reps=args.reps, seed=args.seed
-        )
-    workloads = sorted({r.workload for r in records})
-    print(
-        f"migrated {len(records)} synthetic baseline trials "
-        f"({len(workloads)} hot paths: {', '.join(workloads)}) -> {args.store}"
-    )
-    return 0 if records else 1
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -708,10 +690,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="flag this run's trials as the gate's comparison baseline",
     )
     bp.add_argument(
-        "--bench-json", type=Path, default=None, metavar="DIR",
-        help="also append per-workload medians to DIR/BENCH_hotpaths.json",
-    )
-    bp.add_argument(
         "--strict", action="store_true",
         help="exit non-zero if any experiment in the suite failed to run",
     )
@@ -737,27 +715,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bp.add_argument("--alpha", type=float, default=0.01, help="significance level")
     bp.add_argument(
-        "--strict-cross-host", action="store_true",
-        help="hard-fail on cross-host comparisons too (default: advisory)",
-    )
-    bp.add_argument(
         "--require-evaluated", action="store_true",
-        help="exit 2 when no hot path had both samples and a baseline",
+        help="exit 2 when no hot path had both samples and a same-host baseline",
     )
     bp.set_defaults(func=_cmd_bench_gate)
-
-    bp = bench_sub.add_parser(
-        "migrate-seed",
-        help="import legacy benchmarks/results/*.txt numbers as the seed baseline",
-    )
-    bp.add_argument(
-        "--results", type=Path, default=Path("benchmarks/results"),
-        help="legacy results directory",
-    )
-    bp.add_argument("--store", type=Path, default=Path("bench-store"))
-    bp.add_argument("--reps", type=int, default=8, help="synthetic samples per path")
-    bp.add_argument("--seed", type=int, default=0)
-    bp.set_defaults(func=_cmd_bench_migrate_seed)
 
     p = sub.add_parser("serve", help="start the web application")
     p.add_argument("--host", default="127.0.0.1")

@@ -22,9 +22,7 @@ from repro.bench.reporting import (
     fmt_bytes,
     fmt_ms,
     fmt_ratio,
-    render_dict_rows,
     render_table,
-    side_by_side,
 )
 
 SCALE = 0.002  # tiny scale so harness tests stay fast
@@ -175,11 +173,3 @@ class TestReporting:
         assert lines[0] == "T"
         assert "a" in lines[1] and "bb" in lines[1]
         assert len(lines) == 5
-
-    def test_render_dict_rows(self):
-        out = render_dict_rows([{"x": 1, "y": 2}], ["y", "x"])
-        assert out.splitlines()[0].startswith("y")
-
-    def test_side_by_side(self):
-        out = side_by_side({"t": 100.0}, {"t": 110.0})
-        assert "1.10" in out

@@ -1,6 +1,6 @@
 """Unit tests for the continuous-benchmarking platform.
 
-Covers the ISSUE's test checklist: config parsing and hash stability,
+Covers config parsing and hash stability,
 the results-store round-trip (provenance recorded, schema migration
 from empty), significance decisions on synthetic known-effect samples,
 and the gate verdicts — a planted 50% slowdown must fail, 1% jitter
@@ -31,20 +31,7 @@ from repro.bench.platform import (
     run_gate,
     save_suite,
 )
-from repro.bench.platform.legacy import (
-    SEED_GIT_HASH,
-    SEED_HOST,
-    LegacyParseError,
-    migrate_legacy_results,
-    parse_legacy_seconds,
-    synthesize_baseline,
-)
 from repro.bench.platform.store import SCHEMA_VERSION, git_revision, host_fingerprint
-from repro.bench.platform.trajectory import (
-    append_trajectory_point,
-    load_trajectory,
-    trajectory_path,
-)
 
 # --- configs ------------------------------------------------------------
 
@@ -196,13 +183,25 @@ class TestResultsStore:
     def test_export_import_roundtrip(self, tmp_path):
         out = tmp_path / "export.json"
         with ResultsStore(tmp_path / "a") as store:
-            store.insert(_record(is_baseline=True, synthetic=True))
+            store.insert(_record(is_baseline=True))
             store.insert(_record(rep=1))
             assert store.export_records(out, is_baseline=True) == 1
         with ResultsStore(tmp_path / "b") as other:
             assert other.import_records(out) == 1
             (got,) = other.query()
-            assert got.is_baseline and got.synthetic
+            assert got.is_baseline
+
+    def test_old_documents_with_synthetic_flag_still_load(self, tmp_path):
+        # Trial documents written while the store kept a ``synthetic``
+        # column carry the flag; they must load and rebuild unchanged.
+        doc = _record(wall=3.0).to_dict()
+        doc["synthetic"] = False
+        assert TrialRecord.from_dict(doc).wall_seconds == 3.0
+        with ResultsStore(tmp_path / "store") as store:
+            (store.trials_dir / f"{doc['id']}.json").write_text(json.dumps(doc))
+            assert store.rebuild_db() == 1
+            (got,) = store.query()
+        assert got.id == doc["id"] and got.wall_seconds == 3.0
 
     def test_samples_filters_phase_and_metric(self, tmp_path):
         with ResultsStore(tmp_path / "store") as store:
@@ -210,15 +209,6 @@ class TestResultsStore:
             store.insert(_record(wall=1.0, metrics={"reads": 400}))
             assert store.samples("w") == [1.0]
             assert store.samples("w", metric="reads") == [400.0]
-
-    def test_baseline_prefers_same_host(self, tmp_path):
-        with ResultsStore(tmp_path / "store") as store:
-            store.insert(_record(is_baseline=True, host="hostA", wall=1.0))
-            store.insert(_record(is_baseline=True, host="hostB", wall=5.0, rep=1))
-            assert store.baseline_samples("w", host="hostA") == [1.0]
-            assert store.baseline_samples("w", host="hostB") == [5.0]
-            # Unknown host falls back to the full baseline pool.
-            assert sorted(store.baseline_samples("w", host="hostC")) == [1.0, 5.0]
 
     def test_latest_git_hash_skips_baselines(self, tmp_path):
         with ResultsStore(tmp_path / "store") as store:
@@ -370,33 +360,37 @@ class TestGate:
         assert report.ok
         by_name = {v.path.workload: v for v in report.verdicts}
         assert by_name["count_only_mapping"].skipped_reason == "no current samples"
-        assert by_name["occ2_fused"].skipped_reason == "no baseline samples"
+        assert by_name["occ2_fused"].skipped_reason == "no same-host baseline"
         assert by_name["flat_open"].comparison is not None
 
-    def test_cross_host_regression_is_advisory(self, tmp_path):
-        with ResultsStore(tmp_path / "store") as store:
-            rng = np.random.default_rng(0)
-            for rep in range(10):
-                store.insert(_record(
-                    workload="flat_open", host=SEED_HOST, git_hash=SEED_GIT_HASH,
-                    rep=rep, is_baseline=True, synthetic=True,
-                    wall=1e-3 * (1 + rng.uniform(-0.01, 0.01)),
-                    created_utc=1000.0 + rep,
-                ))
-            for rep in range(10):
-                store.insert(_record(
-                    workload="flat_open", host="realhost", git_hash="feedface",
-                    rep=rep, wall=2e-3 * (1 + rng.uniform(-0.01, 0.01)),
-                    created_utc=2000.0 + rep,
-                ))
-            advisory = run_gate(store)
-            strict = run_gate(store, strict_cross_host=True)
-        (v,) = [v for v in advisory.verdicts if v.comparison is not None]
-        assert v.cross_host and v.advisory and not v.failed
-        assert advisory.ok
-        (v,) = [v for v in strict.verdicts if v.comparison is not None]
-        assert v.cross_host and not v.advisory and v.failed
-        assert not strict.ok
+    def test_other_host_baseline_is_skipped_same_host_fails(self, tmp_path):
+        # A planted 50% slowdown is only evidence against a baseline from
+        # the same machine: across hosts the path is skipped, not failed.
+        for baseline_host, expect_fail in (("otherhost", False), ("realhost", True)):
+            with ResultsStore(tmp_path / baseline_host) as store:
+                rng = np.random.default_rng(0)
+                for rep in range(10):
+                    store.insert(_record(
+                        workload="count_only_mapping", host=baseline_host,
+                        git_hash="baserev", rep=rep, is_baseline=True,
+                        wall=1e-3 * (1 + rng.uniform(-0.01, 0.01)),
+                        created_utc=1000.0 + rep,
+                    ))
+                    store.insert(_record(
+                        workload="count_only_mapping", host="realhost",
+                        git_hash="feedface", rep=rep,
+                        wall=1.5e-3 * (1 + rng.uniform(-0.01, 0.01)),
+                        created_utc=2000.0 + rep,
+                    ))
+                report = run_gate(store)
+            (v,) = [v for v in report.verdicts if v.path.workload == "count_only_mapping"]
+            if expect_fail:
+                assert v.comparison is not None and v.failed
+                assert not report.ok
+            else:
+                assert v.comparison is None and not v.failed
+                assert v.skipped_reason == "no same-host baseline"
+                assert report.ok and report.evaluated == 0
 
     def test_threshold_override_widens_the_bar(self, tmp_path):
         with ResultsStore(tmp_path / "store") as store:
@@ -408,140 +402,3 @@ class TestGate:
         with ResultsStore(tmp_path / "store") as store:
             report = run_gate(store)
         assert report.ok and report.evaluated == 0
-
-
-# --- legacy migration ---------------------------------------------------
-
-
-LEGACY_FIG7 = """\
-Count-only search, ftab k=10, 1200 unmapped reads (bit-identical intervals)
-path                       | ftab | best ms | reads/s
----------------------------+------+---------+--------
-search_batch (count-only)  | off  | 64.41   | 18631
-search_batch (count-only)  | on   | 31.68   | 37874
-"""
-
-LEGACY_SERVING = """\
-Serving startup
-path                             | best time | speed-up / rate
----------------------------------+-----------+----------------
-open .npz (np.load + rebuild)    | 45.0 ms   | 1.0x
-open flat (mmap)                 | 0.40 ms   | 112x
-hand-off: pickle-ship + rebuild  | 60.0 ms   | 1.0x
-hand-off: shm attach             | 0.52 ms   | 115x
-"""
-
-LEGACY_RANK = """\
-Fused lo/hi occ kernel vs two independent occ_many calls
-kernel                            | best ms (4 symbols x 2k bounds) | relative
-----------------------------------+---------------------------------+---------
-occ_many x2 (lo, hi separately)   | 3.521                           | 1.00x
-occ2_many (fused descent)         | 2.684                           | 1.31x
-"""
-
-
-@pytest.fixture
-def legacy_dir(tmp_path):
-    d = tmp_path / "results"
-    d.mkdir()
-    (d / "fig7_ftab_count_only.txt").write_text(LEGACY_FIG7)
-    (d / "serving_startup.txt").write_text(LEGACY_SERVING)
-    (d / "micro_rank_occ_fused.txt").write_text(LEGACY_RANK)
-    return d
-
-
-class TestLegacyMigration:
-    def test_parses_all_four_hot_paths(self, legacy_dir):
-        seconds = parse_legacy_seconds(legacy_dir)
-        assert seconds == pytest.approx({
-            "count_only_mapping": 31.68e-3,
-            "flat_open": 0.40e-3,
-            "pool_attach": 0.52e-3,
-            "occ2_fused": 2.684e-3,
-        })
-
-    def test_missing_files_are_skipped_not_fatal(self, legacy_dir):
-        (legacy_dir / "serving_startup.txt").unlink()
-        seconds = parse_legacy_seconds(legacy_dir)
-        assert set(seconds) == {"count_only_mapping", "occ2_fused"}
-
-    def test_garbled_table_raises(self, legacy_dir):
-        (legacy_dir / "serving_startup.txt").write_text("format changed entirely\n")
-        with pytest.raises(LegacyParseError, match="serving_startup"):
-            parse_legacy_seconds(legacy_dir)
-
-    def test_synthesized_records_are_honest_and_deterministic(self):
-        records = synthesize_baseline({"flat_open": 1e-3}, reps=8, seed=0)
-        assert len(records) == 8
-        for r in records:
-            assert r.is_baseline and r.synthetic
-            assert r.git_hash == SEED_GIT_HASH and r.host == SEED_HOST
-            assert abs(r.wall_seconds - 1e-3) <= 1e-3 * 0.01 + 1e-12
-        again = synthesize_baseline({"flat_open": 1e-3}, reps=8, seed=0)
-        assert [r.wall_seconds for r in again] == [r.wall_seconds for r in records]
-
-    def test_migrate_then_gate_uses_seed_baseline(self, legacy_dir, tmp_path):
-        with ResultsStore(tmp_path / "store") as store:
-            records = migrate_legacy_results(legacy_dir, store, reps=8, seed=0)
-            assert store.count() == len(records) == 32
-            # A same-magnitude current run gates green against the seed.
-            rng = np.random.default_rng(1)
-            # Hot paths added after the legacy era (coalesced-mapping) have
-            # no seed baseline — the gate reports them skipped, not failed.
-            seeded = [
-                p for p in HOT_PATHS
-                if any(r.workload == p.workload for r in records)
-            ]
-            for path in seeded:
-                base = next(r for r in records if r.workload == path.workload)
-                for rep in range(10):
-                    store.insert(_record(
-                        workload=path.workload, host="realhost",
-                        git_hash="feedface", rep=rep,
-                        wall=base.metrics["point_seconds"]
-                        * (1 + rng.uniform(-0.01, 0.01)),
-                        created_utc=3000.0 + rep,
-                    ))
-            report = run_gate(store)
-        assert report.evaluated == len(seeded)
-        assert report.ok
-        # Every comparison leaned on the synthetic cross-host baseline.
-        assert all(v.advisory for v in report.verdicts if v.comparison)
-
-
-# --- trajectory files ---------------------------------------------------
-
-
-class TestTrajectory:
-    def test_append_and_load(self, tmp_path):
-        path = append_trajectory_point(
-            tmp_path, "fig7", {"speedup": np.float64(2.0)},
-            git_hash="abc", host="h1", seed=9, n_reads=1200,
-        )
-        assert path == trajectory_path(tmp_path, "fig7")
-        doc = load_trajectory(tmp_path, "fig7")
-        (point,) = doc["points"]
-        assert point["git_hash"] == "abc" and point["seed"] == 9
-        assert point["n_reads"] == 1200
-        assert point["metrics"]["speedup"] == 2.0
-        assert isinstance(point["metrics"]["speedup"], float)
-
-    def test_same_commit_and_host_replaces_point(self, tmp_path):
-        append_trajectory_point(tmp_path, "s", {"v": 1}, git_hash="abc", host="h1")
-        append_trajectory_point(tmp_path, "s", {"v": 2}, git_hash="abc", host="h1")
-        append_trajectory_point(tmp_path, "s", {"v": 3}, git_hash="def", host="h1")
-        points = load_trajectory(tmp_path, "s")["points"]
-        assert [(p["git_hash"], p["metrics"]["v"]) for p in points] == [
-            ("abc", 2), ("def", 3),
-        ]
-
-    def test_committed_trajectories_parse_and_carry_provenance(self):
-        from pathlib import Path
-
-        results = Path(__file__).resolve().parents[2] / "benchmarks" / "results"
-        for series in ("fig7", "micro_rank", "serving_startup"):
-            doc = load_trajectory(results, series)
-            assert doc["points"], f"BENCH_{series}.json has no committed point"
-            for point in doc["points"]:
-                assert point["git_hash"] and point["host"]
-                assert point["metrics"]
