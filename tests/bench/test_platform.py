@@ -203,6 +203,25 @@ class TestResultsStore:
             (got,) = store.query()
         assert got.id == doc["id"] and got.wall_seconds == 3.0
 
+    def test_baseline_prefers_same_host(self, tmp_path):
+        with ResultsStore(tmp_path / "store") as store:
+            store.insert(_record(is_baseline=True, host="hostA", wall=1.0))
+            store.insert(_record(is_baseline=True, host="hostB", wall=5.0, rep=1))
+            assert store.samples("w", host="hostA", is_baseline=True) == [1.0]
+            assert store.samples("w", host="hostB", is_baseline=True) == [5.0]
+            # An unknown host has no baseline: there is no any-host fallback.
+            assert store.samples("w", host="hostC", is_baseline=True) == []
+            # The gate compares hostB's current samples with hostB's own
+            # baseline; against hostA's they would read as a 5x slowdown.
+            _fill_store(store, "flat_open", baseline_s=1e-3, current_s=1e-3,
+                        host="hostA")
+            _fill_store(store, "flat_open", baseline_s=5e-3, current_s=5e-3,
+                        host="hostB", git_hash="beefcafe", seed=1)
+            report = run_gate(store, git_hash="beefcafe", host="hostB")
+        (v,) = [v for v in report.verdicts if v.path.workload == "flat_open"]
+        assert v.comparison is not None and not v.failed
+        assert report.ok
+
     def test_samples_filters_phase_and_metric(self, tmp_path):
         with ResultsStore(tmp_path / "store") as store:
             store.insert(_record(phase="warmup", wall=9.0))
