@@ -220,6 +220,8 @@ class TestResultsStore:
             report = run_gate(store, git_hash="beefcafe", host="hostB")
         (v,) = [v for v in report.verdicts if v.path.workload == "flat_open"]
         assert v.comparison is not None and not v.failed
+        assert v.comparison.baseline_n == 10
+        assert v.comparison.baseline_median == pytest.approx(5e-3, rel=0.02)
         assert report.ok
 
     def test_samples_filters_phase_and_metric(self, tmp_path):
