@@ -10,6 +10,9 @@ the two-part decision rule).
 A baseline counts only when it was measured on the host that produced
 the current samples: wall clock from a different machine is not
 evidence of a code regression, so such a path is skipped, never failed.
+Likewise a baseline counts only for the configuration (``config_hash``)
+it was measured at: one workload at two scales is two measurements, so
+each (workload, ``config_hash``) pair gets its own verdict.
 """
 
 from __future__ import annotations
@@ -59,6 +62,8 @@ class PathVerdict:
     path: HotPath
     comparison: Comparison | None
     skipped_reason: str | None = None
+    #: Configuration the samples were measured at (None: none were).
+    config_hash: str | None = None
 
     @property
     def failed(self) -> bool:
@@ -66,8 +71,12 @@ class PathVerdict:
 
     def describe(self) -> str:
         if self.comparison is None:
-            return f"{self.path.name}: SKIPPED ({self.skipped_reason})"
-        return f"{self.path.name}: {self.comparison.describe()}"
+            text = f"{self.path.name}: SKIPPED ({self.skipped_reason})"
+        else:
+            text = f"{self.path.name}: {self.comparison.describe()}"
+        if self.config_hash is not None:
+            text += f" [config {self.config_hash}]"
+        return text
 
 
 @dataclass
@@ -88,7 +97,7 @@ class GateReport:
     def summary_lines(self) -> list[str]:
         lines = [
             f"bench gate @ {self.git_hash or 'unknown'}: "
-            f"{self.evaluated}/{len(self.verdicts)} hot paths evaluated"
+            f"{self.evaluated}/{len(self.verdicts)} verdicts evaluated"
         ]
         lines += ["  " + v.describe() for v in self.verdicts]
         lines.append("gate: " + ("PASS" if self.ok else "FAIL"))
@@ -118,34 +127,41 @@ def run_gate(
         threshold = (
             threshold_override if threshold_override is not None else path.threshold
         )
-        current = store.samples(
-            path.workload, metric=path.metric, git_hash=git_hash,
+        records = store.query(
+            workload=path.workload, phase="steady", git_hash=git_hash,
             host=host, is_baseline=False,
         ) if git_hash else []
-        if not current:
+        configs = list(dict.fromkeys(r.config_hash for r in records))
+        if not configs:
             report.verdicts.append(
                 PathVerdict(path, None, skipped_reason="no current samples")
             )
-            continue
-        current_hosts = {
-            r.host for r in store.query(
-                workload=path.workload, phase="steady", git_hash=git_hash,
-                host=host, is_baseline=False,
-            )
-        }
-        # Current samples from several hosts have no one host to match.
-        baseline = store.samples(
-            path.workload, metric=path.metric, is_baseline=True,
-            host=current_hosts.pop(),
-        ) if len(current_hosts) == 1 else []
-        if not baseline:
-            report.verdicts.append(
-                PathVerdict(path, None, skipped_reason="no same-host baseline")
-            )
-            continue
-        report.verdicts.append(
-            PathVerdict(
-                path, compare(baseline, current, threshold=threshold, alpha=alpha)
-            )
-        )
+        for config_hash in configs:
+            report.verdicts.append(_verdict(
+                store, path, [r for r in records if r.config_hash == config_hash],
+                host, threshold=threshold, alpha=alpha,
+            ))
     return report
+
+
+def _verdict(store, path, records, host, *, threshold, alpha) -> PathVerdict:
+    """Compare one configuration's current trials with its own baseline."""
+    config_hash = records[0].config_hash
+    current = store.samples(
+        path.workload, metric=path.metric, git_hash=records[0].git_hash,
+        host=host, is_baseline=False, config_hash=config_hash,
+    )
+    if not current:
+        return PathVerdict(path, None, "no current samples", config_hash)
+    hosts = {r.host for r in records}
+    # Current samples from several hosts have no one host to match.
+    baseline = store.samples(
+        path.workload, metric=path.metric, is_baseline=True,
+        host=hosts.pop(), config_hash=config_hash,
+    ) if len(hosts) == 1 else []
+    if not baseline:
+        return PathVerdict(path, None, "no same-host baseline", config_hash)
+    return PathVerdict(
+        path, compare(baseline, current, threshold=threshold, alpha=alpha),
+        config_hash=config_hash,
+    )

@@ -228,7 +228,7 @@ def render_html(context: ReportContext) -> str:
     gate_html = [
         f'<p class="{"pass" if gate.ok else "fail"}">'
         f'gate: {"PASS" if gate.ok else "FAIL"} '
-        f"({gate.evaluated}/{len(gate.verdicts)} hot paths evaluated)</p>",
+        f"({gate.evaluated}/{len(gate.verdicts)} verdicts evaluated)</p>",
         "<ul>",
         *(f"<li>{e(v.describe())}</li>" for v in gate.verdicts),
         "</ul>",

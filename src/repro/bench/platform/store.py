@@ -223,11 +223,12 @@ class ResultsStore:
         host: str | None = None,
         is_baseline: bool | None = None,
         experiment: str | None = None,
+        config_hash: str | None = None,
     ) -> list[TrialRecord]:
         clauses, args = [], []
         for col, val in (
             ("workload", workload), ("phase", phase), ("git_hash", git_hash),
-            ("host", host), ("experiment", experiment),
+            ("host", host), ("experiment", experiment), ("config_hash", config_hash),
         ):
             if val is not None:
                 clauses.append(f"{col} = ?")

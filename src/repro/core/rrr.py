@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-from .bitio import pack_fields, read_field, read_fields
+from .bitio import IncrementalBitPacker, read_field, read_fields
 from .bitvector import BitVector
 from .counters import UNCOUNTED, current_counters
 from .global_tables import (
@@ -46,6 +46,39 @@ DEFAULT_BLOCK_SIZE = 15
 #: The paper allows any superblock factor >= 50 in hardware and uses 50
 #: for the Table I/II runs.
 DEFAULT_SUPERBLOCK_FACTOR = 50
+
+
+#: Blocks encoded per pass of :meth:`RRRVector._build`; bounds its
+#: transient arrays independently of the vector's length.
+_BUILD_CHUNK_BLOCKS = 1 << 14
+
+
+def encode_blocks(
+    bits: np.ndarray, b: int, tables: GlobalRankTables
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(classes, offsets, widths)`` of every ``b``-bit block of a 0/1
+    array; a trailing partial block is 0-padded.
+
+    A block's value is LSB-first (bit j of the block is bit j of the
+    value), read from the bit-packed bytes as one little-endian 32-bit
+    window — ``b <= 24`` plus a shift of at most 7 fits — so the
+    transient memory is a few int64 per block rather than per bit.
+    """
+    n_blocks = (bits.size + b - 1) // b
+    packed = np.packbits(bits, bitorder="little")
+    buf = np.zeros(packed.size + 4, dtype=np.uint8)
+    buf[: packed.size] = packed
+    start = np.arange(n_blocks, dtype=np.int64) * b
+    byte = start >> 3
+    values = np.zeros(n_blocks, dtype=np.int64)
+    for i in range(3, -1, -1):
+        values <<= 8
+        values |= buf[byte + i]
+    values >>= start & 7
+    values &= (1 << b) - 1
+    classes = popcount_block(values, b)
+    offsets = encode_offsets(values, b, tables.binomials)
+    return classes, offsets, tables.widths[classes]
 
 
 class RRRVector:
@@ -114,37 +147,30 @@ class RRRVector:
         b, sf = self.b, self.sf
         n_blocks = (self.n + b - 1) // b
         n_super = (n_blocks + sf - 1) // sf
-        # Pad to a whole number of superblocks of bits; padding bits are 0
-        # so they never contribute to any class or partial sum.
-        padded_len = max(n_super, 1) * sf * b
-        padded = np.zeros(padded_len, dtype=np.uint8)
-        padded[: self.n] = bit_arr
-        block_bits = padded.reshape(-1, b)
-        # Block value, LSB-first: bit j of the block is bit j of the value.
-        weights = (np.int64(1) << np.arange(b, dtype=np.int64))
-        values_all = block_bits.astype(np.int64) @ weights
-        values = values_all[:n_blocks] if n_blocks else values_all[:0]
-        classes = popcount_block(values, b)
-        if np.any(classes > b):  # pragma: no cover - internal invariant
-            raise AssertionError("block class exceeded block size")
         self.n_blocks = n_blocks
         self.n_superblocks = n_super
-        self.classes = classes.astype(np.uint8)
+        # Classes, and offsets (combinadic rank of each block value within
+        # its class) packed into one stream, a bounded chunk at a time.
+        self.classes = np.empty(n_blocks, dtype=np.uint8)
+        packer = IncrementalBitPacker()
+        step = _BUILD_CHUNK_BLOCKS
+        for lo in range(0, n_blocks, step):
+            classes, offsets, widths = encode_blocks(
+                bit_arr[lo * b : (lo + step) * b], b, self.tables
+            )
+            self.classes[lo : lo + classes.size] = classes
+            packer.append(offsets.astype(np.uint64), widths)
+        self.offset_words, self.offset_bits = packer.finalize()
         # Partial sums: ones strictly before each superblock's first bit.
         # One extra entry (the grand total) serves rank queries at p == n
         # when n falls exactly on a superblock boundary.
-        cls_cum = np.concatenate(([0], np.cumsum(classes, dtype=np.int64)))
+        cls_cum = np.concatenate(([0], np.cumsum(self.classes, dtype=np.int64)))
         boundaries = np.minimum(np.arange(n_super + 1) * sf, n_blocks)
         psums = cls_cum[boundaries]
         if psums.size and psums.max(initial=0) > np.iinfo(np.uint32).max:
             raise ValueError("bit-vector too long for 32-bit partial sums")
         self.partial_sums = psums.astype(np.uint32)
-        # Offsets: combinadic rank of each block value within its class.
-        offsets = encode_offsets(values, b, self.tables.binomials)
-        widths = self.tables.widths[classes]
-        self.offset_words, self.offset_bits = pack_fields(
-            offsets.astype(np.uint64), widths
-        )
+        widths = self.tables.widths[self.classes]
         # Offset sums: bit position of each superblock's first offset field.
         width_cum = np.concatenate(([0], np.cumsum(widths)))
         self.offset_sums = width_cum[boundaries[:-1]].astype(np.uint32)

@@ -7,13 +7,17 @@ module rebuilds the same pipeline as a streaming, resumable sequence of
 on-disk stages so that peak resident memory stays
 ``O(block + rank array)`` instead of ``O(many full-size temporaries)``:
 
-1. **Blockwise suffix array** — prefix-doubling where each round sorts
-   fixed-size blocks independently (numpy ``argsort`` per block, sorted
-   runs spilled to disk) and then k-way merges the runs with a bounded
-   number of in-flight rows.  Ranks for the next round are reassigned
+1. **Blockwise suffix array** — a seed round sorts every suffix by its
+   packed 21-symbol prefix; refinement rounds (Larsson–Sadakane) then
+   double the sorted prefix of only the suffixes still tied.  Every
+   round sorts fixed-size blocks independently (numpy ``argsort`` per
+   block, sorted runs spilled to disk) and k-way merges the runs with a
+   bounded number of in-flight rows, assigning group-start ranks
    *during* the merge, so no full-size sort key ever exists in memory.
-   The monolithic ``suffix_array(..., method="doubling")`` remains the
-   differential oracle.
+   When no suffix is tied, the rank array is the inverse SA and one
+   bounded pass writes the SA.  The monolithic
+   ``suffix_array(..., method="doubling")`` remains the differential
+   oracle.
 2. **Streaming BWT emission** — one chunked pass over the on-disk SA
    producing ``bwt.bin`` plus symbol counts, run statistics and entropy.
 3. **Incremental encoding** — a streaming RRR encoder (bit-identical to
@@ -47,8 +51,8 @@ import numpy as np
 
 from ..core.bitio import IncrementalBitPacker
 from ..core.bwt_structure import BWTStructure
-from ..core.global_tables import encode_offsets, get_global_tables, popcount_block
-from ..core.rrr import DEFAULT_BLOCK_SIZE, DEFAULT_SUPERBLOCK_FACTOR
+from ..core.global_tables import get_global_tables
+from ..core.rrr import DEFAULT_BLOCK_SIZE, DEFAULT_SUPERBLOCK_FACTOR, encode_blocks
 from ..sequence.alphabet import encode
 from ..sequence.bwt import BWT
 from ..sequence.sampled_sa import MARK_B, MARK_SF, FullSA, SampledSA
@@ -63,14 +67,16 @@ SIGMA = 4
 
 _STATE_NAME = "state.json"
 #: Version of ``state.json`` and the work files it names; 2 added the
-#: sampled-locate marks and samples written by the BWT stage.
-_STATE_VERSION = 2
+#: sampled-locate marks and samples written by the BWT stage, 3 the
+#: seed/refinement suffix sort (group-start ranks plus a tied-row file).
+_STATE_VERSION = 3
 
-#: Rough bytes of resident working set per suffix-array row in the
-#: doubling rounds: the persistent int64 rank array (8 B/row) plus the
-#: per-block key/order/second temporaries (3 x 8 B over one block) and
-#: merge gather buffers, amortized.  ``block_rows = budget / 48`` keeps
-#: the *variable* part of the footprint near the requested budget.
+#: Rough bytes of working set per row of one suffix-sort block: a
+#: block's int64 key, row and argsort columns (3 x 8 B), or the merge's
+#: in-flight window with its positions, sort order and rank temporaries
+#: (~4-5 x 8 B).  The persistent int64 rank array (8 B per text row)
+#: comes on top.  ``block_rows = budget / 48`` keeps the *variable* part
+#: of the footprint near the requested budget.
 _BYTES_PER_ROW = 48
 
 
@@ -78,8 +84,9 @@ _BYTES_PER_ROW = 48
 #: returns them and the work directory stores them.
 _RRR_ARRAYS = ("classes", "partial_sums", "offset_words", "offset_sums")
 
-#: Rows per chunk of the streaming CRC below (bounds its transient copy).
-_CRC_CHUNK_ROWS = 1 << 16
+#: Rows per chunk of the streaming passes (the CRC below, the run spill):
+#: bounds their transient copies.
+_CHUNK_ROWS = 1 << 16
 
 
 def _crc_stream(arr: np.ndarray) -> int:
@@ -92,8 +99,8 @@ def _crc_stream(arr: np.ndarray) -> int:
     """
     arr = np.ascontiguousarray(arr).reshape(-1)
     crc = 0
-    for lo in range(0, arr.size, _CRC_CHUNK_ROWS):
-        crc = zlib.crc32(arr[lo : lo + _CRC_CHUNK_ROWS].tobytes(), crc)
+    for lo in range(0, arr.size, _CHUNK_ROWS):
+        crc = zlib.crc32(arr[lo : lo + _CHUNK_ROWS].tobytes(), crc)
     return crc & 0xFFFFFFFF
 
 
@@ -132,7 +139,6 @@ class StreamingRRREncoder:
         self.b = int(b)
         self.sf = int(sf)
         self.tables = get_global_tables(self.b)
-        self._weights = np.int64(1) << np.arange(self.b, dtype=np.int64)
         self._pending = np.zeros(0, dtype=np.uint8)
         self._packer = IncrementalBitPacker()
         self._classes: list[np.ndarray] = []
@@ -157,12 +163,8 @@ class StreamingRRREncoder:
         self._pending = bits[n_full * self.b :].copy()
 
     def _encode_blocks(self, bits: np.ndarray) -> None:
-        b, sf = self.b, self.sf
-        block_bits = bits.reshape(-1, b)
-        values = block_bits.astype(np.int64) @ self._weights
-        classes = popcount_block(values, b)
-        offsets = encode_offsets(values, b, self.tables.binomials)
-        widths = self.tables.widths[classes]
+        sf = self.sf
+        classes, offsets, widths = encode_blocks(bits, self.b, self.tables)
         self._classes.append(classes.astype(np.uint8))
         self._packer.append(offsets.astype(np.uint64), widths.astype(np.int64))
         cls_cum = np.cumsum(classes, dtype=np.int64)
@@ -355,12 +357,13 @@ def _open_state(work: Path, fp: dict, resume: bool) -> tuple[dict, bool]:
         "version": _STATE_VERSION,
         "fingerprint": fp,
         "stage": "sa",
-        "sa_init": False,
         "sa_round": 0,
-        "sa_k": 1,
-        "n_distinct": 0,
+        "sa_k": 0,
+        "n_tied": 0,
         "rank_file": None,
         "rank_crc": None,
+        "tied_file": None,
+        "tied_crc": None,
     }
     return state, False
 
@@ -382,126 +385,238 @@ def _load_rank(work: Path, state: dict) -> np.ndarray:
     return rank
 
 
-def _prune_rank_files(work: Path, state: dict) -> None:
+def _prune_work_files(work: Path, state: dict) -> None:
     # Older round files are deleted only once the state referencing the
-    # new one is durable, so a crash in between always leaves the file
+    # new ones is durable, so a crash in between always leaves the files
     # the state points at intact.
-    keep = state.get("rank_file")
-    for p in work.glob("rank_*.npy"):
-        if p.name != keep:
+    keep = {state.get("rank_file"), state.get("tied_file")}
+    for p in [*work.glob("rank_*.npy"), *work.glob("tied_*.bin")]:
+        if p.name not in keep:
             p.unlink(missing_ok=True)
 
 
 # --------------------------------------------------------------------------
-# Stage 1: blockwise suffix array (prefix doubling, external runs).
+# Stage 1: blockwise suffix array (packed seed sort, tied-group refinement).
 # --------------------------------------------------------------------------
 
+#: Symbols in one packed seed key.  Each takes 3 bits (``$`` = 0,
+#: A..T = 1..4), so 21 of them fill 63 bits of a non-negative int64.
+_SEED_SYMBOLS = 21
 
-def _sa_round(
-    rank: np.ndarray, k: int, n1: int, block_rows: int, work: Path
-) -> int:
-    """One doubling round at shift ``k``; rewrites ``sa.bin`` and ``rank``.
 
-    Each block sorts its ``(rank[i], rank[i+k])`` keys independently and
-    spills the sorted run; the runs are then merged with at most
-    ``~block_rows`` gathered rows in flight.  Ranks for the next round
-    are reassigned on the fly as rows are emitted in globally sorted
-    order.  Returns the number of distinct ranks after the round.
+def _seed_blocks(codes: np.ndarray, n1: int, block_rows: int):
+    """Yield ``(key, row)`` blocks: each suffix keyed by its packed
+    21-symbol prefix (symbols past ``$`` read as 0)."""
+    n = n1 - 1
+    for lo in range(0, n1, block_rows):
+        hi = min(lo + block_rows, n1)
+        m = hi - lo
+        window = np.zeros(m + _SEED_SYMBOLS - 1, dtype=np.uint8)
+        seg = codes[lo : min(hi + _SEED_SYMBOLS - 1, n)]
+        window[: seg.size] = seg + 1
+        key = np.zeros(m, dtype=np.int64)
+        for j in range(_SEED_SYMBOLS):
+            key <<= 3
+            key |= window[j : j + m]
+        yield key, np.arange(lo, hi, dtype=np.int64)
+
+
+def _refine_blocks(rank: np.ndarray, tied: np.ndarray, k: int, block_rows: int):
+    """Yield ``(key, row)`` blocks of the tied rows keyed by
+    ``(rank[i], rank[i+k])``.
+
+    A tied row shares its k-prefix with another row, so that prefix holds
+    no ``$`` and ``i + k`` is always a valid row.
+    """
+    mult = np.int64(rank.size)
+    for lo in range(0, tied.size, block_rows):
+        rows = np.array(tied[lo : lo + block_rows])
+        yield rank[rows] * mult + rank[rows + k], rows
+
+
+def _spill_runs(blocks, work: Path) -> list[tuple[int, int]]:
+    """Sort every ``(key, row)`` block and append it to the run files as
+    one sorted run; return each run's ``(start, end)`` in them."""
+    bounds: list[tuple[int, int]] = []
+    pos = 0
+    with open(work / "runs_key.bin", "wb") as kf, open(work / "runs_idx.bin", "wb") as xf:
+        for key, rows in blocks:
+            order = np.argsort(key)
+            # Gathered in slices so no full-block sorted copy is resident.
+            for lo in range(0, order.size, _CHUNK_ROWS):
+                part = order[lo : lo + _CHUNK_ROWS]
+                key[part].tofile(kf)
+                rows[part].tofile(xf)
+            bounds.append((pos, pos + key.size))
+            pos += key.size
+            del key, rows, order, part  # before the next block is made
+    return bounds
+
+
+def _merge_runs(
+    bounds: list[tuple[int, int]],
+    merge_rows: int,
+    work: Path,
+    emit: Callable[[np.ndarray, np.ndarray], None],
+) -> None:
+    """K-way merge of the spilled runs with ``~merge_rows`` rows in flight.
+
+    ``emit(keys, rows)`` receives consecutive chunks of the globally
+    sorted stream; rows with equal keys may arrive in any order.
     """
     key_path = work / "runs_key.bin"
     idx_path = work / "runs_idx.bin"
-    run_bounds: list[tuple[int, int]] = []
-    pos = 0
-    mult = np.int64(n1 + 1)
-    with open(key_path, "wb") as kf, open(idx_path, "wb") as xf:
-        for lo in range(0, n1, block_rows):
-            hi = min(lo + block_rows, n1)
-            m = hi - lo
-            src = np.arange(lo + k, hi + k, dtype=np.int64)
-            second = np.zeros(m, dtype=np.int64)
-            in_range = src < n1
-            second[in_range] = rank[src[in_range]] + 1
-            key = rank[lo:hi] * mult + second
-            order = np.argsort(key)
-            key[order].tofile(kf)
-            (order + np.int64(lo)).tofile(xf)
-            run_bounds.append((pos, pos + m))
-            pos += m
-    keys = np.memmap(key_path, dtype=np.int64, mode="r")
-    idxs = np.memmap(idx_path, dtype=np.int64, mode="r")
-    cur = np.array([s for s, _ in run_bounds], dtype=np.int64)
-    ends = np.array([e for _, e in run_bounds], dtype=np.int64)
-    merge_rows = block_rows
-    r = -1
-    prev_key: int | None = None
-    with open(work / "sa.bin", "wb") as sa_f:
-
-        def emit(keys_c: np.ndarray, idx_c: np.ndarray) -> None:
-            nonlocal r, prev_key
-            if keys_c.size == 0:
-                return
-            inc = np.empty(keys_c.size, dtype=np.int64)
-            inc[0] = 1 if (prev_key is None or int(keys_c[0]) != prev_key) else 0
-            if keys_c.size > 1:
-                inc[1:] = keys_c[1:] != keys_c[:-1]
-            ranks_c = r + np.cumsum(inc)
-            # Safe in-place update: the merge reads only the spilled
-            # run files, never ``rank`` itself.
-            rank[idx_c] = ranks_c
-            r = int(ranks_c[-1])
-            prev_key = int(keys_c[-1])
-            np.ascontiguousarray(idx_c).tofile(sa_f)
-
-        while True:
-            active = np.flatnonzero(cur < ends)
-            if active.size == 0:
-                break
-            c_sub = max(1, merge_rows // int(active.size))
-            # Pivot: the minimum over active runs of the key closing each
-            # run's next c_sub-row window.  Every strictly-smaller key in
-            # any run then lies inside that run's window (its window tail
-            # is >= pivot), so one bounded gather is globally complete.
-            piv: int | None = None
-            for j in active:
-                e = min(int(cur[j]) + c_sub, int(ends[j]))
-                v = int(keys[e - 1])
-                if piv is None or v < piv:
-                    piv = v
-            gathered_k: list[np.ndarray] = []
-            gathered_i: list[np.ndarray] = []
-            for j in active:
+    # Plain ndarray views of the maps: slicing a memmap subclass costs
+    # more than the small windows of a many-run merge.
+    keys = np.asarray(np.memmap(key_path, dtype=np.int64, mode="r"))
+    idxs = np.asarray(np.memmap(idx_path, dtype=np.int64, mode="r"))
+    cur = np.array([s for s, _ in bounds], dtype=np.int64)
+    ends = np.array([e for _, e in bounds], dtype=np.int64)
+    while True:
+        active = np.flatnonzero(cur < ends)
+        if active.size == 0:
+            break
+        c_sub = max(1, merge_rows // int(active.size))
+        starts = cur[active]
+        lens = np.minimum(starts + c_sub, ends[active]) - starts
+        # Pivot: the minimum over active runs of the key closing each
+        # run's next c_sub-row window.  Every key <= pivot in any run
+        # then lies inside that run's window, except for further copies
+        # of the pivot itself, so one bounded gather is globally complete.
+        piv = keys[starts + lens - 1].min()
+        first = np.cumsum(lens) - lens
+        pos = np.repeat(starts - first, lens)
+        pos += np.arange(pos.size)
+        window = keys[pos]
+        take = window <= piv
+        cnt = np.add.reduceat(take, first)
+        cur[active] += cnt
+        if not take.all():
+            window, pos = window[take], pos[take]
+        del take
+        # The gather is a concatenation of sorted windows; the stable
+        # sort merges those runs instead of sorting from scratch.
+        order = np.argsort(window, kind="stable")
+        window = window[order]
+        pos = pos[order]
+        del order
+        rows = idxs[pos]
+        del pos
+        emit(window, rows)
+        del window, rows
+        # Drain the remaining copies of the pivot from runs whose whole
+        # window was taken.  Equal keys share a rank, so their order is
+        # irrelevant and no sort is needed.
+        more = active[(cnt == lens) & (cur[active] < ends[active])]
+        for j in more[keys[cur[more]] == piv]:
+            while cur[j] < ends[j]:
                 lo_j = int(cur[j])
-                e = min(lo_j + c_sub, int(ends[j]))
-                window = keys[lo_j:e]
-                cnt = int(np.searchsorted(window, piv, side="left"))
-                if cnt:
-                    gathered_k.append(np.asarray(window[:cnt]))
-                    gathered_i.append(np.asarray(idxs[lo_j : lo_j + cnt]))
-                    cur[j] += cnt
-            if gathered_k:
-                gk = np.concatenate(gathered_k)
-                gi = np.concatenate(gathered_i)
-                order = np.argsort(gk)
-                emit(gk[order], gi[order])
-            # Drain keys equal to the pivot from every run.  Equal keys
-            # share a rank, so their relative order is irrelevant and no
-            # sort is needed; window-bounded slices keep memory flat.
-            for j in active:
-                while cur[j] < ends[j]:
-                    lo_j = int(cur[j])
-                    e = min(lo_j + merge_rows, int(ends[j]))
-                    window = keys[lo_j:e]
-                    cnt = int(np.searchsorted(window, piv, side="right"))
-                    if cnt == 0:
-                        break
-                    emit(np.asarray(window[:cnt]), np.asarray(idxs[lo_j : lo_j + cnt]))
-                    cur[j] += cnt
-                    if cnt < window.size:
-                        break
+                run = keys[lo_j : min(lo_j + merge_rows, int(ends[j]))]
+                n_eq = int(np.searchsorted(run, piv, side="right"))
+                if n_eq == 0:
+                    break
+                emit(np.asarray(run[:n_eq]), np.asarray(idxs[lo_j : lo_j + n_eq]))
+                cur[j] += n_eq
+                if n_eq < run.size:
+                    break
     del keys, idxs
     key_path.unlink(missing_ok=True)
     idx_path.unlink(missing_ok=True)
-    return r + 1
+
+
+def _run_starts(vals: np.ndarray, prev: int, carry: int, pos: np.ndarray):
+    """For a chunk of a sorted stream at positions ``pos``: whether each
+    value equals its predecessor, and the position its run of equal
+    values began (``prev``/``carry``: last value and run start so far)."""
+    same = np.empty(vals.size, dtype=bool)
+    same[0] = int(vals[0]) == prev
+    np.equal(vals[1:], vals[:-1], out=same[1:])
+    starts = np.where(same, carry, pos)
+    np.maximum.accumulate(starts, out=starts)
+    return same, starts
+
+
+class _GroupRanker:
+    """Rank rows arriving in sorted key order; record the still-tied ones.
+
+    Every rank is a *group start*: the number of rows strictly smaller
+    under the prefix sorted so far.  A key is ``old * mult + second`` (or
+    a seed key with no old part, ``mult == 0``); the rows of one old group
+    arrive together, and a row's new rank is its old rank plus the offset,
+    inside that old group, of the first row with an equal key.  A row
+    whose key no other row shares is resolved — its rank is its final SA
+    position.  The others are appended to ``tied_f`` in stream order, so
+    the file lists each tied group contiguously, in rank order.
+    """
+
+    def __init__(self, rank: np.ndarray, tied_f, mult: int) -> None:
+        self.rank = rank
+        self.tied_f = tied_f
+        self.mult = np.int64(mult)
+        self.n_tied = 0
+        self.crc = 0
+        self._seen = 0
+        self._prev_key = self._prev_old = -1  # keys are non-negative
+        self._key_start = self._old_start = 0
+        # The last row seen waits for its successor to know if it is tied.
+        self._pending: np.ndarray | None = None
+        self._pending_tied = False
+
+    def __call__(self, keys: np.ndarray, rows: np.ndarray) -> None:
+        m = int(keys.size)
+        pos = np.arange(self._seen, self._seen + m, dtype=np.int64)
+        shared, new_rank = _run_starts(keys, self._prev_key, self._key_start, pos)
+        self._prev_key, self._key_start = int(keys[-1]), int(new_rank[-1])
+        if self.mult:
+            old = keys // self.mult
+            _, old_start = _run_starts(old, self._prev_old, self._old_start, pos)
+            self._prev_old, self._old_start = int(old[-1]), int(old_start[-1])
+            new_rank -= old_start
+            new_rank += old
+            del old, old_start
+        del pos  # at full merge width every temporary is a block of int64
+        self.rank[rows] = new_rank
+        del new_rank
+        if self._pending is not None and (self._pending_tied or shared[0]):
+            self._write(self._pending)
+        self._write(rows[:-1][shared[:-1] | shared[1:]])
+        self._pending = rows[-1:].copy()
+        self._pending_tied = bool(shared[-1])
+        self._seen += m
+
+    def _write(self, rows: np.ndarray) -> None:
+        if rows.size:
+            data = rows.tobytes()
+            self.tied_f.write(data)
+            self.crc = zlib.crc32(data, self.crc)
+            self.n_tied += int(rows.size)
+
+    def close(self) -> None:
+        if self._pending is not None and self._pending_tied:
+            self._write(self._pending)
+        self._pending = None
+
+
+def _load_tied(work: Path, state: dict) -> np.ndarray:
+    path = work / str(state.get("tied_file"))
+    n_tied = int(state["n_tied"])
+    if not path.exists() or path.stat().st_size != 8 * n_tied:
+        raise BuildResumeError("missing tied-row checkpoint; rebuild without resume")
+    tied = np.memmap(path, dtype=np.int64, mode="r")
+    if _crc_stream(tied) != state.get("tied_crc"):
+        raise BuildResumeError("tied-row checkpoint failed CRC; rebuild without resume")
+    return tied
+
+
+def _write_sa(rank: np.ndarray, n1: int, block_rows: int, work: Path) -> None:
+    """Invert the final ranks into ``sa.bin`` (``sa[rank[i]] = i``), one
+    block of rows at a time."""
+    sa = np.memmap(work / "sa.bin", dtype=np.int64, mode="w+", shape=(n1,))
+    for lo in range(0, n1, block_rows):
+        hi = min(lo + block_rows, n1)
+        sa[rank[lo:hi]] = np.arange(lo, hi, dtype=np.int64)
+    sa.flush()
+    del sa
 
 
 def _stage_sa(
@@ -512,41 +627,40 @@ def _stage_sa(
     state: dict,
     save_state: Callable[[str], None],
 ) -> None:
-    if not state["sa_init"]:
-        s = np.zeros(n1, dtype=np.uint8)
-        if n1 > 1:
-            s[: n1 - 1] = codes + 1
-        counts = np.bincount(s, minlength=1)
-        present = np.flatnonzero(counts > 0)
-        lut = np.zeros(int(present.max()) + 1, dtype=np.int64)
-        lut[present] = np.arange(present.size, dtype=np.int64)
-        rank = lut[s]
-        del s
-        state["n_distinct"] = int(present.size)
-        state["sa_init"] = True
-        state["sa_round"] = 0
-        state["sa_k"] = 1
-        _save_rank(work, state, rank, 0)
-        save_state("sa:init")
-        _prune_rank_files(work, state)
+    """Round 1 sorts every row by its packed seed key; each later round
+    doubles the sorted prefix of the rows still tied.  Every round ends
+    with a rank (and tied-row) checkpoint."""
+    if int(state["sa_round"]) == 0:
+        rank = np.empty(n1, dtype=np.int64)
     else:
         rank = _load_rank(work, state)
-    while state["n_distinct"] < n1:
-        k = int(state["sa_k"])
-        n_distinct = _sa_round(rank, k, n1, block_rows, work)
+    while int(state["sa_round"]) == 0 or int(state["n_tied"]):
         round_no = int(state["sa_round"]) + 1
+        tied_name = f"tied_{round_no}.bin"
+        if round_no == 1:
+            h, mult = _SEED_SYMBOLS, 0
+            blocks = _seed_blocks(codes, n1, block_rows)
+        else:
+            k = int(state["sa_k"])
+            h, mult = 2 * k, n1
+            blocks = _refine_blocks(rank, _load_tied(work, state), k, block_rows)
+        bounds = _spill_runs(blocks, work)
+        del blocks  # releases the previous round's tied-row memmap
+        with open(work / tied_name, "wb") as tied_f:
+            ranker = _GroupRanker(rank, tied_f, mult)
+            _merge_runs(bounds, block_rows, work, ranker)
+            ranker.close()
         _save_rank(work, state, rank, round_no)
-        state["sa_round"] = round_no
-        state["sa_k"] = k * 2
-        state["n_distinct"] = n_distinct
-        save_state(f"sa:round{round_no}")
-        _prune_rank_files(work, state)
-    if int(state["sa_round"]) == 0:
-        # Tiny inputs where first characters already distinguish every
-        # suffix: no doubling round ran, so emit the SA directly.
-        sa = np.argsort(rank, kind="stable").astype(np.int64)
-        with open(work / "sa.bin", "wb") as f:
-            sa.tofile(f)
+        # ``sa_k``: the prefix length every rank now sorts by.
+        state.update(
+            sa_round=round_no, sa_k=h, n_tied=ranker.n_tied,
+            tied_file=tied_name, tied_crc=ranker.crc,
+        )
+        save_state("sa:seed" if round_no == 1 else f"sa:round{round_no}")
+        _prune_work_files(work, state)
+    # No tied group is left: ``rank`` is the inverse suffix array.
+    _write_sa(rank, n1, block_rows, work)
+    del rank
     sa_mm = np.memmap(work / "sa.bin", dtype=np.int64, mode="r")
     state["sa_crc"] = _crc_stream(sa_mm)
     del sa_mm

@@ -413,6 +413,39 @@ class TestGate:
                 assert v.skipped_reason == "no same-host baseline"
                 assert report.ok and report.evaluated == 0
 
+    def test_verdicts_are_keyed_by_config(self, tmp_path):
+        # One workload at two scales, same commit and host: a small-scale
+        # run is ~3x a tiny-scale run by size alone, never a regression.
+        def plant(store, config_hash, wall, *, baseline, seed):
+            rng = np.random.default_rng(seed)
+            for rep in range(10):
+                store.insert(_record(
+                    workload="blockwise_build", config_hash=config_hash,
+                    host="hostA", git_hash="baserev" if baseline else "feedface",
+                    is_baseline=baseline, rep=rep,
+                    wall=wall * (1 + rng.uniform(-0.01, 0.01)),
+                    created_utc=(1000.0 if baseline else 2000.0) + rep,
+                ))
+
+        with ResultsStore(tmp_path / "store") as store:
+            plant(store, "tiny", 1.0, baseline=True, seed=0)
+            plant(store, "tiny", 1.0, baseline=False, seed=1)
+            plant(store, "small", 3.2, baseline=False, seed=2)
+            assert len(store.samples("blockwise_build", config_hash="small")) == 10
+            report = run_gate(store)
+            verdicts = {v.config_hash: v for v in report.verdicts
+                        if v.path.workload == "blockwise_build"}
+            assert report.ok and report.evaluated == 1
+            assert verdicts["tiny"].comparison is not None
+            assert verdicts["small"].skipped_reason == "no same-host baseline"
+            assert "[config small]" in verdicts["small"].describe()
+            # With its own baseline each scale is judged on its own: a
+            # planted 50% slowdown at one scale fails that verdict only.
+            plant(store, "small", 3.2 / 1.5, baseline=True, seed=3)
+            report = run_gate(store)
+        failed = [v.config_hash for v in report.verdicts if v.failed]
+        assert failed == ["small"] and not report.ok
+
     def test_threshold_override_widens_the_bar(self, tmp_path):
         with ResultsStore(tmp_path / "store") as store:
             _fill_store(store, "flat_open", baseline_s=1e-3, current_s=1.6e-3)

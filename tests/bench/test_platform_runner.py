@@ -160,6 +160,27 @@ class TestCLI:
         assert main(["bench", "gate", "--store", str(store),
                      "--require-evaluated"]) == 2
 
+    def test_gate_keeps_build_scales_apart(self, tmp_path, capsys):
+        # Tiny and small blockwise builds measured at one commit: each
+        # scale is compared with its own baseline, never pooled, so no
+        # code change means no regression.  Five reps per side let a
+        # pooled comparison reach significance (n = 5/10 here).
+        configs = [
+            ExperimentConfig(name=f"blockwise_build_{scale}",
+                             workload="blockwise_build", scale=scale,
+                             repetitions=5, warmup=0)
+            for scale in ("tiny", "small")
+        ]
+        with ResultsStore(tmp_path / "store") as store:
+            run_experiments(configs[:1], store, as_baseline=True,
+                            git_hash="rev", host="h1")
+            run_experiments(configs, store, git_hash="rev", host="h1")
+        assert main(["bench", "gate", "--store", str(tmp_path / "store")]) == 0
+        out = capsys.readouterr().out
+        assert "REGRESSED" not in out and "gate: PASS" in out
+        assert "blockwise-build: ok" in out
+        assert f"SKIPPED (no same-host baseline) [config {configs[1].config_hash()}]" in out
+
     def test_run_rejects_zero_reps(self, tmp_path, capsys):
         store = tmp_path / "store"
         assert main(["bench", "run", "--suite", "tiny", "--reps", "0",

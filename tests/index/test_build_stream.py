@@ -57,6 +57,34 @@ def test_blockwise_matches_monolithic_bytes(tmp_path, seed, n, block_rows):
     assert set(report.stage_seconds) == {"sa", "bwt", "encode", "finalize"}
 
 
+def _repeat_text(kind: str) -> str:
+    """Texts whose suffixes stay tied long after the seed round."""
+    rng = np.random.default_rng(61)
+    if kind == "homopolymer":
+        return "A" * 5_000
+    if kind == "period3":
+        return ("ACG" * 1_700)[:5_000]
+    if kind == "period37":
+        return (random_sequence(37, rng) * 140)[:5_000]
+    return random_sequence(3_000, rng) * 3  # a 3 kbp segment, three times
+
+
+@pytest.mark.parametrize("block_rows", [64, 1024, 16_384])
+@pytest.mark.parametrize("kind", ["homopolymer", "period3", "period37", "segment_x3"])
+def test_blockwise_matches_monolithic_on_repeats(tmp_path, kind, block_rows):
+    """Refinement rounds that spill (more tied rows than ``block_rows``:
+    2.3k-9k rows stay tied until the last round) and rounds that fit in
+    one block (16k rows) both give the monolithic bytes."""
+    text = _repeat_text(kind)
+    mono = _mono_bytes(tmp_path, text)
+    out = tmp_path / "blk.bwvr"
+    labels: list[str] = []
+    build_index_blockwise(text, out, block_rows=block_rows, checkpoint_callback=labels.append)
+    assert out.read_bytes() == mono
+    # The seed round resolves 21 symbols; these repeats need refinement.
+    assert labels[1] == "sa:seed" and "sa:round2" in labels
+
+
 @pytest.mark.parametrize("backend", ["rrr", "occ"])
 @pytest.mark.parametrize("locate,ftab_k", [
     ("full", None),
@@ -191,6 +219,29 @@ def test_resume_after_kill_at_every_checkpoint(tmp_path):
         assert out.read_bytes() == mono
 
 
+def test_resume_after_kill_at_every_checkpoint_on_repeats(tmp_path):
+    """Killed after any refinement round, the build resumes from that
+    round's rank and tied-row checkpoint."""
+    text = _repeat_text("period37")
+    kw = dict(locate="sampled", block_rows=256)
+    mono = _mono_bytes(tmp_path, text, locate="sampled")
+    labels = _checkpoint_labels(tmp_path, text, **kw)
+    assert sum(label.startswith("sa:round") for label in labels) >= 3
+    for kill_at in range(len(labels)):
+        out = tmp_path / f"kill{kill_at}.bwvr"
+        seen = [0]
+
+        def killer(label, kill_at=kill_at, seen=seen):
+            seen[0] += 1
+            if seen[0] == kill_at + 1:
+                raise _Kill(label)
+
+        with pytest.raises(_Kill):
+            build_index_blockwise(text, out, checkpoint_callback=killer, **kw)
+        assert build_index_blockwise(text, out, resume=True, **kw).resumed
+        assert out.read_bytes() == mono
+
+
 def test_resume_of_finished_build_is_idempotent(tmp_path):
     text = random_sequence(1_500, np.random.default_rng(9))
     out = tmp_path / "x.bwvr"
@@ -223,9 +274,10 @@ def test_resume_fingerprint_mismatch_raises(tmp_path):
     # Same input and options, written by an older builder version.
     state_path = tmp_path / "x.bwvr.build" / "state.json"
     state = json.loads(state_path.read_text())
-    state_path.write_text(json.dumps({**state, "version": 1}))
-    with pytest.raises(BuildResumeError, match="builder version"):
-        build_index_blockwise(text, out, block_rows=256, resume=True)
+    for version in (1, 2):
+        state_path.write_text(json.dumps({**state, "version": version}))
+        with pytest.raises(BuildResumeError, match="builder version"):
+            build_index_blockwise(text, out, block_rows=256, resume=True)
 
 
 def test_resume_detects_corrupted_checkpoint(tmp_path):
@@ -243,6 +295,26 @@ def test_resume_detects_corrupted_checkpoint(tmp_path):
     data[100] ^= 0xFF
     sa_bin.write_bytes(bytes(data))
     with pytest.raises(BuildResumeError):
+        build_index_blockwise(text, out, block_rows=256, resume=True)
+
+
+def test_resume_detects_corrupted_tied_rows(tmp_path):
+    text = _repeat_text("period3")
+    out = tmp_path / "x.bwvr"
+
+    def killer(label):
+        if label == "sa:round2":
+            raise _Kill(label)
+
+    with pytest.raises(_Kill):
+        build_index_blockwise(text, out, block_rows=256, checkpoint_callback=killer)
+    work = tmp_path / "x.bwvr.build"
+    assert json.loads((work / "state.json").read_text())["tied_file"] == "tied_2.bin"
+    tied = work / "tied_2.bin"
+    data = bytearray(tied.read_bytes())
+    data[8] ^= 0x01
+    tied.write_bytes(bytes(data))
+    with pytest.raises(BuildResumeError, match="tied-row checkpoint"):
         build_index_blockwise(text, out, block_rows=256, resume=True)
 
 
