@@ -412,6 +412,17 @@ def _probe_wavelet(inputs: dict) -> Iterator[Probe]:
     for i in _probe_positions(n)[:-1]:
         if i < n:
             yield f"access({i})", int(codes[i]), tree.access(i)
+    # The batch descent, one symbol per position: four rotations of a
+    # mixed symbol column put every symbol at every probe position.
+    ps = np.array(_probe_positions(n), dtype=np.int64)
+    for shift in range(4):
+        syms = (np.arange(ps.size) + shift) % 4
+        want = [naive_occ(codes, int(a), int(p)) for a, p in zip(syms, ps)]
+        yield from _each(f"rank_many(mixed+{shift})", want, tree.rank_many(syms, ps).tolist())
+        lo, hi = tree.rank2_many(syms, ps, ps[::-1])
+        yield from _each(f"rank2_many(mixed+{shift}) lo", want, lo.tolist())
+        want_hi = [naive_occ(codes, int(a), int(p)) for a, p in zip(syms, ps[::-1])]
+        yield from _each(f"rank2_many(mixed+{shift}) hi", want_hi, hi.tolist())
 
 
 def _probe_fm(inputs: dict) -> Iterator[Probe]:

@@ -80,19 +80,23 @@ def _cmd_index(args: argparse.Namespace) -> int:
         return 2
     print(f"reference {rec.name}: {rec.length:,} bp")
     if args.blockwise:
-        from .index.build_stream import build_index_blockwise
+        from .index.build_stream import BuildResumeError, build_index_blockwise
 
-        report = build_index_blockwise(
-            rec.sequence,
-            args.output,
-            b=args.block_size,
-            sf=args.superblock_factor,
-            backend=args.backend,
-            locate=args.locate,
-            ftab_k=args.ftab_k or None,
-            block_mb=args.block_mb,
-            resume=args.resume,
-        )
+        try:
+            report = build_index_blockwise(
+                rec.sequence,
+                args.output,
+                b=args.block_size,
+                sf=args.superblock_factor,
+                backend=args.backend,
+                locate=args.locate,
+                ftab_k=args.ftab_k or None,
+                block_mb=args.block_mb,
+                resume=args.resume,
+            )
+        except BuildResumeError as exc:
+            print(f"error: cannot resume: {exc}", file=sys.stderr)
+            return 2
         resumed = " (resumed)" if report.resumed else ""
         stages = ", ".join(
             f"{name} {secs:.2f}s" for name, secs in report.stage_seconds.items()
@@ -165,10 +169,9 @@ def _cmd_map(args: argparse.Namespace) -> int:
     if args.pool > 1:
         return _map_pooled(args, index)
 
-    from .fpga.accelerator import FPGAAccelerator
-
     if args.device == "fpga":
         from .faults import FaultPlan, RetryPolicy
+        from .fpga.accelerator import FPGAAccelerator
 
         # FPGA path: functional kernel + modeled time, then host locate.
         with _open_text(args.fastq) as fh:

@@ -27,8 +27,10 @@ WORD_BITS = 64
 
 # 16-bit popcount lookup table: popcount of any uint16 in one gather.  Used
 # to popcount uint64 words four lanes at a time without Python loops.
-_POP16 = np.array(
-    [bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8
+_POP16 = (
+    np.unpackbits(np.arange(1 << 16, dtype="<u2").view(np.uint8))
+    .reshape(-1, 16)
+    .sum(axis=1, dtype=np.uint8)
 )
 
 

@@ -111,7 +111,7 @@ class BWTStructure:
         p = np.asarray(positions, dtype=np.int64)
         if self.store_sentinel_in_tree:
             return p
-        return np.where(p > self.dollar_pos, p - 1, p)
+        return p - (p > self.dollar_pos)
 
     def occ_many(self, symbols, positions: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`occ` for batch backward search.
@@ -130,9 +130,10 @@ class BWTStructure:
 
         Backward search updates ``lo`` and ``hi`` with the same symbol
         every step; one wavelet descent answers both bound sets of every
-        interval, each with its own symbol, while sharing every node's
-        decode work.  Results and counter charges are identical to two
-        per-symbol :meth:`occ_many` calls per symbol present.
+        interval, each with its own symbol, with one arena gather per
+        tree level for all of them.  Results and counter charges are
+        identical to two per-symbol :meth:`occ_many` calls per symbol
+        present.
         """
         return self.tree.rank2_many(
             self._tree_symbols(symbols),
@@ -261,6 +262,9 @@ class BWTStructure:
         return self.n_rows
 
     def build_batch_cache(self) -> None:
+        """Build the wavelet tree's batch-rank arena now rather than on
+        the first batch query (scratch memory, excluded from
+        :meth:`size_in_bytes`)."""
         self.tree.build_batch_cache()
 
     def __repr__(self) -> str:

@@ -146,6 +146,31 @@ def encode_offsets(values: np.ndarray, b: int, C: np.ndarray | None = None) -> n
     return offsets
 
 
+def decode_offsets(
+    classes: np.ndarray, offsets: np.ndarray, b: int, C: np.ndarray | None = None
+) -> np.ndarray:
+    """Vectorized :func:`decode_offset`: block values of many
+    ``(class, offset)`` pairs, ``b`` numpy passes for the whole batch.
+
+    The decoder of block sizes without a materialized permutation table.
+    """
+    if C is None:
+        C = binomial_table(b)
+    k = np.asarray(classes, dtype=np.int64).copy()
+    off = np.asarray(offsets, dtype=np.int64).copy()
+    values = np.zeros_like(off)
+    # Guard column of zeros: C[p, k] with k > p reads 0 (take the bit).
+    Cg = np.zeros((b + 1, b + 2), dtype=np.int64)
+    Cg[:, : b + 1] = C
+    for p in range(b - 1, -1, -1):
+        below = np.where(k <= p, Cg[p, np.minimum(k, b + 1)], 0)
+        bit = off >= below
+        values |= bit.astype(np.int64) << p
+        off -= np.where(bit, below, 0)
+        k -= bit
+    return values
+
+
 def popcount_block(values: np.ndarray, b: int) -> np.ndarray:
     """Popcount of block values known to fit in ``b <= 24`` bits."""
     v = np.asarray(values, dtype=np.int64)

@@ -32,10 +32,12 @@ import math
 import numpy as np
 
 from .bitio import IncrementalBitPacker, read_field, read_fields
-from .bitvector import BitVector
-from .counters import UNCOUNTED, current_counters
+from .bitvector import _POP16, BitVector
+from .counters import UNCOUNTED, OpCounters, current_counters
 from .global_tables import (
+    MAX_TABLE_B,
     GlobalRankTables,
+    decode_offsets,
     encode_offsets,
     get_global_tables,
     popcount_block,
@@ -48,9 +50,27 @@ DEFAULT_BLOCK_SIZE = 15
 DEFAULT_SUPERBLOCK_FACTOR = 50
 
 
-#: Blocks encoded per pass of :meth:`RRRVector._build`; bounds its
-#: transient arrays independently of the vector's length.
+#: Blocks encoded per pass of :meth:`RRRVector._build` (and decoded per
+#: pass of a :class:`BlockRankCache` fill); bounds their transient arrays
+#: independently of the vector's length.
 _BUILD_CHUNK_BLOCKS = 1 << 14
+
+
+def charge_batch_ranks(
+    c: OpCounters, p: np.ndarray, block: np.ndarray, r: np.ndarray, sf: int
+) -> None:
+    """Charge a batch of ranks at positions ``p`` (``block, r =
+    divmod(p, b)``) exactly as the scalar Algorithm 1 would: one binary
+    rank per query; a partial-sum read for ``p > 0`` plus an offset-sum
+    read, an offset read and a table lookup on the general branch
+    (``r > 0``); class-sum iterations from the superblock's first block
+    to the query's block."""
+    n_partial = int(np.count_nonzero(r))
+    c.binary_ranks += int(p.size)
+    c.superblock_reads += int(np.count_nonzero(p)) + n_partial
+    c.offset_reads += n_partial
+    c.table_lookups += n_partial
+    c.class_sum_iterations += int((block % sf).sum())
 
 
 def encode_blocks(
@@ -112,8 +132,7 @@ class RRRVector:
         "offset_bits",
         "offset_sums",
         "tables",
-        "_class_cum",
-        "_offset_cum",
+        "_block_cache",
     )
 
     def __init__(
@@ -138,8 +157,7 @@ class RRRVector:
         self.b = int(b)
         self.sf = int(sf)
         self._build(bit_arr)
-        self._class_cum: np.ndarray | None = None
-        self._offset_cum: np.ndarray | None = None
+        self._block_cache: BlockRankCache | None = None
 
     # -- construction (fully vectorized) -----------------------------------
 
@@ -243,8 +261,7 @@ class RRRVector:
         self.partial_sums = arrays["partial_sums"]
         self.offset_words = arrays["offset_words"]
         self.offset_sums = arrays["offset_sums"]
-        self._class_cum = None
-        self._offset_cum = None
+        self._block_cache = None
         return self
 
     # -- queries ------------------------------------------------------------
@@ -332,81 +349,71 @@ class RRRVector:
     # -- batch (vectorized) queries ------------------------------------------
 
     def build_batch_cache(self) -> None:
-        """Precompute prefix sums enabling O(1) vectorized batch ranks.
+        """Decode every block once into a :class:`BlockRankCache`.
 
-        The cache is *scratch* memory for the software batch mapper and the
-        test oracle — it is excluded from :meth:`size_in_bytes` because the
-        hardware design never materializes it (the FPGA walks classes
-        sequentially, which the counters model instead).
+        The cache holds, per block, the ones before it (``uint32``) and
+        its decoded ``b``-bit value (``uint16``, ``uint32`` when
+        ``b > 16``) — at most 8 bytes per block — so a batch rank is two
+        gathers and an in-block count, with no offset-stream walk.  It is
+        *scratch* memory for the software batch mapper and the test
+        oracle, excluded from :meth:`size_in_bytes` because the hardware
+        never materializes it (the FPGA walks classes sequentially, which
+        the counters model instead).  A wavelet tree builds one cache
+        spanning all its nodes instead of one per node.
         """
-        cls64 = self.classes.astype(np.int64)
-        self._class_cum = np.concatenate(([0], np.cumsum(cls64)))
-        w = self.tables.widths[self.classes]
-        self._offset_cum = np.concatenate(([0], np.cumsum(w)))
+        self._block_cache = BlockRankCache([self])
 
     def drop_batch_cache(self) -> None:
-        self._class_cum = None
-        self._offset_cum = None
+        self._block_cache = None
+
+    def _fill_block_cache(self, cum: np.ndarray, vals: np.ndarray) -> None:
+        """Write this vector's ``n_blocks + 1`` cache entries into ``cum``
+        and ``vals``; the extra entry (grand total, zero block) answers
+        ``p == n`` on a block edge."""
+        if self.count() > np.iinfo(np.uint32).max:
+            raise ValueError("bit-vector too long for 32-bit partial sums")
+        cum[0] = 0
+        np.cumsum(self.classes, dtype=np.uint32, out=cum[1:])
+        vals[-1] = 0
+        tables = self.tables
+        opos = 0
+        for lo in range(0, self.n_blocks, _BUILD_CHUNK_BLOCKS):
+            cls = self.classes[lo : lo + _BUILD_CHUNK_BLOCKS]
+            widths = tables.widths[cls]
+            ends = np.cumsum(widths)
+            offs = read_fields(self.offset_words, opos + ends - widths, widths)
+            opos += int(ends[-1])
+            if tables.permutations is not None:
+                block_vals = tables.permutations[tables.class_offsets[cls] + offs]
+            else:
+                block_vals = decode_offsets(cls, offs, self.b, tables.binomials)
+            vals[lo : lo + cls.size] = block_vals
 
     def rank1_many(self, positions: np.ndarray) -> np.ndarray:
         """Vectorized rank over an array of positions.
 
-        Builds the prefix-array batch cache lazily on first use and
-        memoizes it on the instance (rebuilding it per call dominated
-        batch rank cost before).  Results are bit-identical to
-        :meth:`rank1`.
+        Builds the :class:`BlockRankCache` lazily on first use and
+        memoizes it on the instance; a rank is then the ones before the
+        query's block plus an in-block count of its decoded value.
+        Results are bit-identical to :meth:`rank1`, and the counter
+        charges equal the scalar Algorithm 1's.
         """
         p = np.asarray(positions, dtype=np.int64)
         if p.size == 0:
             return np.zeros(0, dtype=np.int64)
         if p.min() < 0 or p.max() > self.n:
             raise IndexError("rank position out of range")
-        if self._class_cum is None or self._offset_cum is None:
+        cache = self._block_cache
+        if cache is None:
             self.build_batch_cache()
-        class_cum, offset_cum = self._class_cum, self._offset_cum
-        assert class_cum is not None and offset_cum is not None
-        b = self.b
-        block, r = np.divmod(p, b)
-        block_c = np.minimum(block, self.n_blocks)  # p == n on block edge
-        counts = class_cum[block_c]
-        partial = r > 0
+            cache = self._block_cache
+        block = p // self.b
+        r = block * self.b  # then p - r: cheaper than np.divmod
+        np.subtract(p, r, out=r)
         c = current_counters()
         if c is not UNCOUNTED:
-            # Charge exactly as the scalar Algorithm 1 would: one binary
-            # rank per query; a partial-sum read for p > 0 plus an
-            # offset-sum read on the general branch; class-sum iterations
-            # spanning from the superblock start to the query's block.
-            n_partial = int(np.count_nonzero(partial))
-            c.binary_ranks += int(p.size)
-            c.superblock_reads += int(np.count_nonzero(p > 0)) + n_partial
-            c.offset_reads += n_partial
-            c.table_lookups += n_partial
-            sfb = self.sf * b
-            c.class_sum_iterations += int((block - self.sf * (p // sfb)).sum())
-        if np.any(partial):
-            blocks_p = block[partial]
-            classes_p = self.classes[blocks_p].astype(np.int64)
-            widths_p = self.tables.widths[classes_p]
-            starts = offset_cum[blocks_p]
-            offs = read_fields(self.offset_words, starts, widths_p)
-            if self.tables.block_rank is not None:
-                values = self.tables.permutations[
-                    self.tables.class_offsets[classes_p] + offs
-                ].astype(np.int64)
-                inblock = self.tables.block_rank[values, r[partial]].astype(np.int64)
-            else:
-                inblock = np.array(
-                    [
-                        self.tables.rank_in_block(
-                            self.tables.decode_block(int(c_), int(o_)), int(rr)
-                        )
-                        for c_, o_, rr in zip(classes_p, offs, r[partial])
-                    ],
-                    dtype=np.int64,
-                )
-            counts = counts.copy()
-            counts[partial] += inblock
-        return counts.astype(np.int64)
+            charge_batch_ranks(c, p, block, r, self.sf)
+        return cache.rank(block, r)
 
     # -- select ------------------------------------------------------------------
 
@@ -522,3 +529,60 @@ class RRRVector:
             f"RRRVector(n={self.n}, b={self.b}, sf={self.sf}, "
             f"bytes={self.size_in_bytes()})"
         )
+
+
+class BlockRankCache:
+    """Decoded-block rank scratch for one or more RRR vectors of one ``b``.
+
+    The vectors' blocks lie end to end, vector ``i`` from ``bases[i]``:
+    entry ``k`` holds ``cum[k]``, the vector's ones before block ``k``,
+    and ``vals[k]``, that block's decoded value.  Each vector has one
+    extra entry (its grand total and a zero block).  The rank of
+    position ``p`` in vector ``i`` is then ``rank(bases[i] + p // b,
+    p % b)``: two gathers and one in-block count, whichever vector each
+    query addresses — which is what lets a wavelet tree answer a whole
+    level of its descent with one call.
+
+    The in-block count is chosen once here: the shared ``block_rank``
+    table for ``b <= 16``, a masked popcount for larger blocks (which
+    have no table).
+    """
+
+    __slots__ = ("b", "bases", "cum", "vals", "_block_rank")
+
+    def __init__(self, vectors: list[RRRVector]):
+        b = vectors[0].b
+        if any(v.b != b for v in vectors):
+            raise ValueError("a block rank cache needs one block size")
+        sizes = np.array([v.n_blocks + 1 for v in vectors], dtype=np.int64)
+        self.b = b
+        self.bases = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+        total = int(sizes.sum())
+        self.cum = np.empty(total, dtype=np.uint32)
+        self.vals = np.empty(total, dtype=np.uint16 if b <= MAX_TABLE_B else np.uint32)
+        for v, base, size in zip(vectors, self.bases.tolist(), sizes.tolist()):
+            v._fill_block_cache(
+                self.cum[base : base + size], self.vals[base : base + size]
+            )
+        table = vectors[0].tables.block_rank
+        self._block_rank = None if table is None else table.ravel()
+
+    @property
+    def nbytes(self) -> int:
+        return self.cum.nbytes + self.vals.nbytes
+
+    def rank(self, blocks: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """Ones before in-block offset ``r`` of each cache entry in
+        ``blocks``, as int64."""
+        out = self.cum.take(blocks).astype(np.int64)
+        if self._block_rank is not None:
+            idx = self.vals.take(blocks).astype(np.int64)
+            idx *= self.b + 1
+            idx += r
+            out += self._block_rank.take(idx)
+        else:
+            vals = self.vals.take(blocks)
+            vals &= (np.uint32(1) << r.astype(np.uint32)) - np.uint32(1)
+            out += _POP16.take(vals & 0xFFFF)
+            out += _POP16.take(vals >> 16)
+        return out

@@ -28,8 +28,14 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .bitvector import BitVector
-from .counters import current_counters
-from .rrr import DEFAULT_BLOCK_SIZE, DEFAULT_SUPERBLOCK_FACTOR, RRRVector
+from .counters import UNCOUNTED, current_counters
+from .rrr import (
+    DEFAULT_BLOCK_SIZE,
+    DEFAULT_SUPERBLOCK_FACTOR,
+    BlockRankCache,
+    RRRVector,
+    charge_batch_ranks,
+)
 
 
 class WaveletNode:
@@ -109,11 +115,7 @@ class WaveletTree:
             else _default_factory(b, sf)
         )
         self.root = self._build(codes, tuple(range(sigma)))
-        # Per-symbol routing: the path (node, side) list is fixed by the
-        # alphabet, so precompute it once for scalar queries.
-        self._paths: dict[int, list[tuple[WaveletNode, int]]] = {
-            s: self._path_for(s) for s in range(sigma)
-        }
+        self._init_routing()
 
     # -- construction --------------------------------------------------------
 
@@ -211,8 +213,45 @@ class WaveletTree:
             node.child0 = nodes[nm["child0"]] if nm["child0"] >= 0 else None
             node.child1 = nodes[nm["child1"]] if nm["child1"] >= 0 else None
         self.root = nodes[0]
-        self._paths = {s: self._path_for(s) for s in range(self.sigma)}
+        self._init_routing()
         return self
+
+    def _init_routing(self) -> None:
+        """Per-symbol paths, and the level table of the batch descent.
+
+        The path (node, side) list of a symbol is fixed by the alphabet.
+        For the batch descent it is also laid out as ``(depth, sigma)``
+        tables: ``_level_node[d, s]`` indexes :meth:`nodes` and
+        ``_level_side[d, s]`` is the side taken at depth ``d``;
+        ``_level_live`` marks the depths a symbol's path reaches, and is
+        ``None`` when every path has the full depth (a power-of-two
+        alphabet).  Trees whose nodes are all RRR vectors of one ``(b,
+        sf)`` answer batches from one :class:`BlockRankCache` arena
+        spanning every node (built on first use); others descend node by
+        node.
+        """
+        self._paths: dict[int, list[tuple[WaveletNode, int]]] = {
+            s: self._path_for(s) for s in range(self.sigma)
+        }
+        order = self.nodes()
+        index = {id(node): i for i, node in enumerate(order)}
+        depth = max(len(path) for path in self._paths.values())
+        self._level_node = np.zeros((depth, self.sigma), dtype=np.int64)
+        self._level_side = np.zeros((depth, self.sigma), dtype=bool)
+        live = np.zeros((depth, self.sigma), dtype=bool)
+        for s, path in self._paths.items():
+            for d, (node, side) in enumerate(path):
+                self._level_node[d, s] = index[id(node)]
+                self._level_side[d, s] = bool(side)
+                live[d, s] = True
+        self._level_live = None if live.all() else live
+        bits = [node.bits for node in order]
+        uniform = all(
+            isinstance(v, RRRVector) and (v.b, v.sf) == (bits[0].b, bits[0].sf)
+            for v in bits
+        )
+        self._arena_sf: int | None = bits[0].sf if uniform else None
+        self._arena: tuple[BlockRankCache, np.ndarray] | None = None
 
     def _path_for(self, symbol: int) -> list[tuple[WaveletNode, int]]:
         path: list[tuple[WaveletNode, int]] = []
@@ -254,10 +293,9 @@ class WaveletTree:
 
         ``symbols`` is one symbol for the whole batch or an array with one
         symbol per position.  Either way the batch takes a single descent
-        that calls ``rank1_many`` once per node it visits, over every
-        position routed through that node — three calls on the
-        four-symbol tree, whatever the symbol mix.  Results and counter
-        charges equal per-symbol calls over the same positions.
+        with one rank gather per tree level — two on the four-symbol
+        tree, whatever the symbol mix.  Results and counter charges equal
+        per-symbol calls over the same positions.
         """
         return self._descend(
             np.asarray(symbols, dtype=np.int64), np.array(positions, dtype=np.int64)
@@ -268,11 +306,9 @@ class WaveletTree:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Fused :meth:`rank_many` at paired interval boundaries.
 
-        One descent serves both bound sets: each node issues a single
-        ``rank1_many`` over the concatenated positions, so the per-node
-        decode work (prefix arrays, offset-stream gather, rank-table
-        lookups) is shared between ``lo`` and ``hi`` instead of being
-        paid twice.  ``symbols`` is one symbol or one per interval.
+        One descent serves both bound sets, so each level's gather and
+        in-block counts cover ``lo`` and ``hi`` together instead of
+        being paid twice.  ``symbols`` is one symbol or one per interval.
         Results and counter charges match two separate :meth:`rank_many`
         calls.
         """
@@ -283,17 +319,86 @@ class WaveletTree:
         p = self._descend(both, np.concatenate([lo, hi]))
         return p[: lo.size], p[lo.size :]
 
+    def build_batch_cache(self) -> None:
+        """Build the batch-rank scratch: for RRR trees one
+        :class:`BlockRankCache` arena over every node (no per-node
+        caches), otherwise each node's own cache."""
+        if self._arena_sf is None:
+            for node in self.nodes():
+                if hasattr(node.bits, "build_batch_cache"):
+                    node.bits.build_batch_cache()
+            return
+        cache = BlockRankCache([node.bits for node in self.nodes()])
+        self._arena = (cache, cache.bases[self._level_node])
+
     def _descend(self, sym: np.ndarray, p: np.ndarray) -> np.ndarray:
         """Ranks of ``sym`` (0-d or one per position) at positions ``p``.
 
-        ``p`` is scratch that callers allocate for this call: the
-        one-symbol descent overwrites it node by node instead of keeping
-        one position array per level alive, which matters on the largest
-        batches (the ftab build).
+        ``p`` is scratch that callers allocate for this call.  On an RRR
+        tree every level is one :meth:`BlockRankCache.rank` call over all
+        positions, each addressing its own node's span of the arena; a
+        position then moves to ``r1`` (side 1) or ``p - r1`` (side 0).
+        Counters are charged per level exactly as per-node
+        ``rank1_many`` calls over the same positions would charge them.
         """
-        if sym.size and (sym.min() < 0 or sym.max() >= self.sigma):
+        # Viewed as unsigned, a negative int64 compares above any bound.
+        if sym.size and sym.view(np.uint64).max() >= self.sigma:
             raise ValueError(f"symbol outside alphabet [0, {self.sigma})")
-        current_counters().wt_ranks += int(p.size)
+        c = current_counters()
+        c.wt_ranks += int(p.size)
+        if sym.ndim and sym.shape != p.shape:
+            raise ValueError("symbols and positions must have the same shape")
+        if self._arena_sf is None:
+            return self._descend_nodes(sym, p)
+        if p.size == 0:
+            return p
+        if p.view(np.uint64).max() > self.n:
+            raise IndexError("rank position out of range")
+        if self._arena is None:
+            self.build_batch_cache()
+        arena, level_base = self._arena
+        b, sf = arena.b, self._arena_sf
+        counted = c is not UNCOUNTED
+        s = int(sym) if sym.ndim == 0 else None
+        for d in range(level_base.shape[0] if s is None else len(self._paths[s])):
+            sel = None
+            if s is None:
+                base = level_base[d].take(sym)
+                side = self._level_side[d].take(sym)
+                if self._level_live is not None:
+                    live = self._level_live[d].take(sym)
+                    if not live.all():  # uneven tree: some paths ended above
+                        sel = np.flatnonzero(live)
+                        base, side = base[sel], side[sel]
+            else:
+                base, side = level_base[d, s], self._level_side[d, s]
+            pd = p if sel is None else p[sel]
+            q = pd // b
+            r = q * b
+            np.subtract(pd, r, out=r)
+            if counted:
+                charge_batch_ranks(c, pd, q, r, sf)
+            q += base
+            r1 = arena.rank(q, r)
+            if s is None:
+                pd -= r1
+                np.copyto(pd, r1, where=side)
+            elif side:
+                pd = r1
+            else:
+                pd -= r1
+            if sel is None:
+                p = pd
+            else:
+                p[sel] = pd
+        return p
+
+    def _descend_nodes(self, sym: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """The descent node by node, one ``rank1_many`` per visited node
+        over the positions routed through it: the path of trees whose
+        nodes are not uniform RRR vectors (the structure ablation's
+        plain and interleaved bit-vectors), and the oracle of the arena
+        descent."""
         if sym.ndim == 0:
             for node, side in self._paths[int(sym)]:
                 r1 = node.bits.rank1_many(p)
@@ -302,8 +407,6 @@ class WaveletTree:
                 else:
                     p[...] = r1
             return p
-        if sym.shape != p.shape:
-            raise ValueError("symbols and positions must have the same shape")
         out = np.empty_like(p)
         # (node, batch indices, positions at this node, their symbols)
         pending = [(self.root, np.arange(p.size), p, sym)]
@@ -413,11 +516,6 @@ class WaveletTree:
             else:
                 total += bits.size_in_bytes()
         return total
-
-    def build_batch_cache(self) -> None:
-        for node in self.nodes():
-            if hasattr(node.bits, "build_batch_cache"):
-                node.bits.build_batch_cache()
 
     def to_codes(self) -> np.ndarray:
         """Reconstruct the full code sequence (test oracle for losslessness)."""

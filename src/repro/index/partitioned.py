@@ -23,14 +23,16 @@ trade-off (capacity vs reload cost) is quantifiable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..fpga.cost_model import DEFAULT_COST_MODEL, FPGACostModel
 from ..sequence.alphabet import reverse_complement
 from .builder import build_index
 from .fm_index import FMIndex
+
+if TYPE_CHECKING:  # the FPGA model is imported only by modeled_fpga_seconds
+    from ..fpga.cost_model import FPGACostModel
 
 
 @dataclass(frozen=True)
@@ -129,7 +131,7 @@ class PartitionedIndex:
         self,
         hw_steps_total: int,
         n_reads: int,
-        cost_model: FPGACostModel = DEFAULT_COST_MODEL,
+        cost_model: FPGACostModel | None = None,
     ) -> float:
         """Modeled device time for one batch run across all chunks.
 
@@ -138,7 +140,12 @@ class PartitionedIndex:
         ``hw_steps_total`` is the per-chunk step budget (conservatively
         the same for every chunk: unmapped-in-this-chunk reads terminate
         early, which the caller's measured counts already reflect).
+        ``cost_model`` defaults to the calibrated device model.
         """
+        if cost_model is None:
+            from ..fpga.cost_model import DEFAULT_COST_MODEL
+
+            cost_model = DEFAULT_COST_MODEL
         total = 0.0
         for size in self.structure_bytes_per_chunk():
             total += cost_model.run_seconds(size, hw_steps_total, n_reads)

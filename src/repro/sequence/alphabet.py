@@ -154,6 +154,15 @@ class EncodedBatch:
         """
         lengths = self.lengths
         width = int(lengths.max(initial=0))
+        if lengths.size and lengths.min() == width:
+            # Equal lengths (the usual read batch): the codes reshape into
+            # the matrix, a forward row being its string reversed.
+            first = int(self.offsets[0])
+            rows = self.codes[first : first + lengths.size * width]
+            rows = rows.reshape(lengths.size, width)
+            if not self.both_strands:
+                return rows[:, ::-1], lengths
+            return np.concatenate([rows[:, ::-1], 3 - rows]), np.concatenate([lengths, lengths])
         t = np.arange(width, dtype=np.int64)
         live = t < lengths[:, None]
         starts = self.offsets[:-1, None]

@@ -35,10 +35,9 @@ import time
 import traceback
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Literal
+from typing import TYPE_CHECKING, Literal
 
 from ..faults import FaultError, FaultPlan, RetryPolicy
-from ..fpga.accelerator import FPGAAccelerator
 from ..index.builder import build_index
 from ..io.fasta import read_fasta_str
 from ..io.fastq import read_fastq_str
@@ -46,6 +45,9 @@ from ..mapper.mapper import Mapper
 from ..mapper.results import mapping_ratio, write_hits_tsv
 from ..serving.executor import BoundedExecutor, Overloaded
 from ..telemetry import correlate, get_telemetry
+
+if TYPE_CHECKING:  # device jobs import the FPGA model on first use
+    from ..fpga.accelerator import FPGAAccelerator
 
 Device = Literal["cpu", "fpga"]
 
@@ -422,6 +424,8 @@ class JobManager:
         like the accelerator's own internal degradation — completes the
         job via the CPU path in the ``DEGRADED`` state.
         """
+        from ..fpga.accelerator import FPGAAccelerator
+
         deadline = self.policy.deadline_for("sequence_mapping")
         acc = FPGAAccelerator.for_index(
             index, fault_plan=job.fault_plan, retry_policy=self.retry_policy

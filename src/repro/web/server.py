@@ -700,14 +700,21 @@ def _sigterm_as_sigint():
 
     Both raise ``KeyboardInterrupt`` out of ``serve_forever``, so either
     signal runs the clean-up that stops pool workers and unlinks their
-    shared-memory segments.  Signal handlers can only be installed from
-    the main thread; elsewhere this is a no-op.
+    shared-memory segments.  SIGINT gets the same handler too: a server
+    started as a shell background job inherits SIGINT ignored, and would
+    otherwise only stop on SIGTERM.  The previous handlers come back on
+    exit.  Signal handlers can only be installed from the main thread;
+    elsewhere this is a no-op.
     """
     if threading.current_thread() is not threading.main_thread():
         yield
         return
-    previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
+    previous = {
+        sig: signal.signal(sig, signal.default_int_handler)
+        for sig in (signal.SIGTERM, signal.SIGINT)
+    }
     try:
         yield
     finally:
-        signal.signal(signal.SIGTERM, previous)
+        for sig, handler in previous.items():
+            signal.signal(sig, handler)

@@ -290,6 +290,25 @@ PLANTED = [
     "name, plant, profile, rounds, key", PLANTED, ids=[row[0] for row in PLANTED]
 )
 def test_planted_bug_is_caught_and_shrunk(monkeypatch, name, plant, profile, rounds, key):
+    _assert_caught_and_shrunk(monkeypatch, name, plant, profile, rounds, key)
+
+
+def _plant_wavelet_descent(mp):
+    from repro.core.wavelet_tree import WaveletTree
+
+    # A batch with one symbol per position ranks each position with its
+    # neighbour's symbol; scalar ranks and one-symbol batches stay right.
+    _wrap(mp, WaveletTree, "_descend", lambda f: lambda self, sym, p: f(
+        self, np.roll(sym, 1) if sym.ndim else sym, p))
+
+
+def test_planted_batch_descent_bug_is_caught_and_shrunk(monkeypatch):
+    """The wavelet row's ``rank_many``/``rank2_many`` probes catch a
+    batch descent bug that only mixed-symbol batches show."""
+    _assert_caught_and_shrunk(monkeypatch, "wavelet", _plant_wavelet_descent, QUICK, 3, "text")
+
+
+def _assert_caught_and_shrunk(monkeypatch, name, plant, profile, rounds, key):
     plant(monkeypatch)
     report = SelfCheck(seed=0, profile=profile, checks=[name]).run(rounds)
     assert not report.ok, f"planted {name} bug went unnoticed"

@@ -92,9 +92,9 @@ class TestOcc2ManySymbolArray:
         lo, hi = backend.occ2_many(empty, empty, empty)
         assert lo.size == 0 and hi.size == 0
 
-    def test_one_descent_per_call(self, small_index, monkeypatch):
-        """The four-symbol tree answers a mixed batch with three node
-        ranks (root plus both children), not one descent per symbol."""
+    def test_no_per_node_rank_calls(self, small_index, monkeypatch):
+        """An RRR tree answers a mixed batch from its level arena: no
+        node's own ``rank1_many`` runs, whatever the symbol mix."""
         calls = []
         orig = RRRVector.rank1_many
 
@@ -103,10 +103,13 @@ class TestOcc2ManySymbolArray:
             return orig(self, p)
 
         monkeypatch.setattr(RRRVector, "rank1_many", counted)
-        small_index.backend.occ2_many(
+        backend = small_index.backend
+        got = backend.occ2_many(
             np.array([0, 1, 2, 3]), np.array([1, 2, 3, 4]), np.array([9, 9, 9, 9])
         )
-        assert sorted(calls) == [4, 4, 8]
+        backend.occ_many(2, np.array([0, 5, 9]))
+        assert calls == []
+        assert got[0].tolist() == [backend.occ(a, p) for a, p in zip(range(4), (1, 2, 3, 4))]
 
 
 class TestLfMany:

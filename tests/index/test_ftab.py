@@ -371,13 +371,13 @@ class TestFusedKernels:
         rng = np.random.default_rng(5)
         bits = (rng.random(3000) < 0.4).astype(np.uint8)
         vec = RRRVector(bits, b=15, sf=8)
-        assert vec._class_cum is None
+        assert vec._block_cache is None
         positions = np.arange(0, 3001, 7, dtype=np.int64)
         first = vec.rank1_many(positions)
-        cum = vec._class_cum
-        assert cum is not None  # built lazily on first call...
+        cache = vec._block_cache
+        assert cache is not None  # built lazily on first call...
         second = vec.rank1_many(positions)
-        assert vec._class_cum is cum  # ...and reused, not rebuilt
+        assert vec._block_cache is cache  # ...and reused, not rebuilt
         assert np.array_equal(first, second)
         want = np.array([vec.rank1(int(p)) for p in positions])
         assert np.array_equal(first, want)

@@ -148,6 +148,30 @@ class TestEncodeBatch:
             consumed = encode(p)[::-1].tolist()  # right to left
             assert row == consumed + [-1] * (5 - len(p))
 
+    @pytest.mark.parametrize("both", [False, True])
+    def test_step_matrix_equal_lengths(self, both):
+        """Equal-length batches (the reshaped-view path) give the same
+        rows as the general path, invalid codes included."""
+        from repro.sequence.alphabet import EncodedBatch, encode_batch
+
+        seqs = ["ACGTA", "ggUca", "ACNTT"]
+        batch = encode_batch(seqs)
+        # The same strings behind two leading codes of another string.
+        shifted = EncodedBatch(
+            codes=np.concatenate([np.array([1, 2], dtype=batch.codes.dtype), batch.codes]),
+            offsets=batch.offsets + 2,
+            valid=batch.valid,
+        )
+        for b in (batch, shifted):
+            if both:
+                b = b.with_reverse_complements()
+            mat, lengths = b.step_matrix()
+            codes = [batch.codes[i * 5 : i * 5 + 5] for i in range(3)]
+            want = [c[::-1] for c in codes] + ([3 - c for c in codes] if both else [])
+            assert lengths.tolist() == [5] * len(want)
+            assert mat.dtype == batch.codes.dtype
+            assert mat.tolist() == [w.tolist() for w in want]
+
     def test_take_repacks_segments(self):
         from repro.sequence.alphabet import encode_batch
 

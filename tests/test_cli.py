@@ -70,6 +70,23 @@ class TestIndexCommand:
         out = tmp / "occ.bwvr"
         assert main(["index", str(fasta), "-o", str(out), "--backend", "occ"]) == 0
 
+    def test_resume_of_older_builder_state_is_one_error_line(self, workspace, capsys):
+        """A work directory written by an older builder cannot be resumed:
+        one ``error:`` line and exit 2, no traceback, no container."""
+        import json
+
+        tmp, _, fasta, _, _ = workspace
+        out = tmp / "old.bwvr"
+        work = tmp / "old.bwvr.build"
+        work.mkdir()
+        (work / "state.json").write_text(json.dumps({"version": 2}))
+        rc = main(["index", str(fasta), "-o", str(out), "--blockwise", "--resume"])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "builder version" in err[0] and "without resume" in err[0]
+        assert not out.exists()
+
 
 class TestMapCommand:
     def test_cpu_mapping(self, workspace, capsys):

@@ -5,7 +5,8 @@ pool workers (``--map-index --map-pool 1`` and ``--catalog
 --shard-workers 1``), sends one request through each so every worker is
 running, then delivers the signal.  After the server exits, no process
 it started may still run and no ``/dev/shm`` segment it created may be
-left behind.
+left behind.  One case starts the server with SIGINT ignored, as a shell
+starts a background job, and still stops it with SIGINT.
 """
 
 from __future__ import annotations
@@ -98,8 +99,12 @@ def inputs(tmp_path_factory):
     return work, ref
 
 
-@pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGINT], ids=["SIGTERM", "SIGINT"])
-def test_stop_leaves_no_process_or_shm_segment(inputs, sig):
+@pytest.mark.parametrize(
+    "sig,background",
+    [(signal.SIGTERM, False), (signal.SIGINT, False), (signal.SIGINT, True)],
+    ids=["SIGTERM", "SIGINT", "SIGINT-background-job"],
+)
+def test_stop_leaves_no_process_or_shm_segment(inputs, sig, background):
     work, ref = inputs
     port = _free_port()
     shm_before = set(os.listdir(SHM))
@@ -107,17 +112,24 @@ def test_stop_leaves_no_process_or_shm_segment(inputs, sig):
     src = str(Path(__file__).resolve().parents[2] / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     err = tempfile.TemporaryFile()
-    proc = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro.cli", "serve", "--port", str(port),
-            "--map-index", str(work / "ref.fa"), "--map-pool", "1",
-            "--catalog", str(work / "catalog.json"), "--shard-workers", "1",
-        ],
-        env=env,
-        stdout=subprocess.DEVNULL,
-        stderr=err,
-        start_new_session=True,
-    )
+    # An ignored signal stays ignored across fork and exec, so the server
+    # starts with SIGINT ignored, like a job started with `&`.
+    previous = signal.signal(signal.SIGINT, signal.SIG_IGN) if background else None
+    try:
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.cli", "serve", "--port", str(port),
+                "--map-index", str(work / "ref.fa"), "--map-pool", "1",
+                "--catalog", str(work / "catalog.json"), "--shard-workers", "1",
+            ],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=err,
+            start_new_session=True,
+        )
+    finally:
+        if background:
+            signal.signal(signal.SIGINT, previous)
     children: list[int] = []
     try:
         deadline = time.monotonic() + 120
