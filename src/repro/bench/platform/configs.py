@@ -177,19 +177,21 @@ BUILTIN_SUITES: dict[str, list[ExperimentConfig]] = {
     "smoke": _hot_path_suite("small", repetitions=10, warmup=2),
     # Local regression hunt: same paths, more reps at the bench scale.
     "hotpaths": _hot_path_suite("medium", repetitions=7, warmup=2),
-    # Platform self-test matrix: minimal inputs, no pool.
+    # Platform self-test matrix: minimal inputs, no pool.  Five reps is
+    # the fewest at which the gate's rank test can reach alpha = 0.01
+    # (smallest p = 1/252); at three it never could (0.05).
     "tiny": [
-        c for c in _hot_path_suite("tiny", repetitions=3, warmup=1)
+        c for c in _hot_path_suite("tiny", repetitions=5, warmup=1)
         if c.pool_workers == 0
     ],
     # Nightly out-of-core build at the bench scale: each rep is a whole
     # cold blockwise build, so a few reps dominate the job's wall clock.
     # Measures the build at a scale the smoke suite is too small to
-    # exercise meaningfully.
+    # exercise meaningfully.  Five reps, as for ``tiny``.
     "build": [
         ExperimentConfig(name="blockwise_build_nightly",
                          workload="blockwise_build", scale="medium",
-                         repetitions=3, warmup=1),
+                         repetitions=5, warmup=1),
     ],
 }
 

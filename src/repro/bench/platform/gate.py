@@ -13,13 +13,18 @@ evidence of a code regression, so such a path is skipped, never failed.
 Likewise a baseline counts only for the configuration (``config_hash``)
 it was measured at: one workload at two scales is two measurements, so
 each (workload, ``config_hash``) pair gets its own verdict.
+
+A comparison whose sample sizes cannot reach ``alpha`` even when every
+current sample is slower than every baseline one (3/3 reps: p >= 0.05)
+could never fail, so the gate refuses it rather than pass it: the
+verdict is ``REFUSED`` and names the path and its n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .stats import Comparison, compare
+from .stats import Comparison, compare, min_p_value
 from .store import ResultsStore
 
 
@@ -64,13 +69,17 @@ class PathVerdict:
     skipped_reason: str | None = None
     #: Configuration the samples were measured at (None: none were).
     config_hash: str | None = None
+    #: Why the samples cannot decide (None: they can).
+    refused_reason: str | None = None
 
     @property
     def failed(self) -> bool:
         return self.comparison is not None and self.comparison.regressed
 
     def describe(self) -> str:
-        if self.comparison is None:
+        if self.refused_reason is not None:
+            text = f"{self.path.name}: REFUSED ({self.refused_reason})"
+        elif self.comparison is None:
             text = f"{self.path.name}: SKIPPED ({self.skipped_reason})"
         else:
             text = f"{self.path.name}: {self.comparison.describe()}"
@@ -88,7 +97,11 @@ class GateReport:
 
     @property
     def ok(self) -> bool:
-        return not any(v.failed for v in self.verdicts)
+        return not any(v.failed for v in self.verdicts) and not self.refused
+
+    @property
+    def refused(self) -> list[PathVerdict]:
+        return [v for v in self.verdicts if v.refused_reason is not None]
 
     @property
     def evaluated(self) -> int:
@@ -100,7 +113,8 @@ class GateReport:
             f"{self.evaluated}/{len(self.verdicts)} verdicts evaluated"
         ]
         lines += ["  " + v.describe() for v in self.verdicts]
-        lines.append("gate: " + ("PASS" if self.ok else "FAIL"))
+        failed = any(v.failed for v in self.verdicts)
+        lines.append("gate: " + ("FAIL" if failed else "REFUSED" if self.refused else "PASS"))
         return lines
 
 
@@ -161,6 +175,12 @@ def _verdict(store, path, records, host, *, threshold, alpha) -> PathVerdict:
     ) if len(hosts) == 1 else []
     if not baseline:
         return PathVerdict(path, None, "no same-host baseline", config_hash)
+    floor = min_p_value(len(baseline), len(current))
+    if floor >= alpha:
+        return PathVerdict(path, None, config_hash=config_hash, refused_reason=(
+            f"n={len(baseline)}/{len(current)} cannot reach alpha={alpha:g}: "
+            f"its smallest one-sided p is {floor:.3g}"
+        ))
     return PathVerdict(
         path, compare(baseline, current, threshold=threshold, alpha=alpha),
         config_hash=config_hash,

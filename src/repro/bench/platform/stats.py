@@ -91,6 +91,13 @@ def mann_whitney_u(
         return _mann_whitney_normal_approx(a, b)
 
 
+def min_p_value(n_baseline: int, n_current: int) -> float:
+    """The smallest one-sided Mann-Whitney p that samples of these sizes
+    can give: ``1 / C(n1 + n2, n1)``, reached when every current sample
+    exceeds every baseline one (0.05 at 3/3, 1/252 at 5/5)."""
+    return 1.0 / math.comb(n_baseline + n_current, n_baseline)
+
+
 @dataclass(frozen=True)
 class Comparison:
     """Outcome of one baseline-vs-current comparison."""

@@ -23,7 +23,7 @@ RNG stream, so rows are appended, never reordered):
 rrr      ``RRRVector`` and ``BitVector`` vs popcount loops
 wavelet  ``WaveletTree`` vs direct numpy counting
 fm       ``FMIndex.search/count/locate`` vs literal string scan
-batch    ``FMIndex.search_batch`` vs the scalar search
+batch    ``FMIndex.search_batch`` vs the scalar search (ftab off/on, counts)
 mapper   ``Mapper.map_read``/``map_reads`` vs both-strand scan
 kernel   FPGA functional model vs the CPU mapper (bit-identical)
 flat     flat-container round-trip vs the in-memory index
@@ -47,6 +47,7 @@ from typing import Any, Callable, Iterator, Sequence
 import numpy as np
 
 from ..core.bitvector import BitVector
+from ..core.counters import CounterScope
 from ..core.rrr import RRRVector
 from ..core.wavelet_tree import WaveletTree
 from ..index.builder import build_index
@@ -442,11 +443,39 @@ def _probe_fm(inputs: dict) -> Iterator[Probe]:
         yield f"locate({pat!r})", want, _located(index, pat)
 
 
+#: Counts a batch search charges exactly as the scalar search does (the
+#: scalar wavelet rank skips levels once a position reaches 0, so the
+#: binary-rank counts may differ).
+_SEARCH_COUNTS = (
+    "queries", "bs_steps", "ftab_lookups", "wt_ranks",
+    "occ_checkpoint_ranks", "occ_scan_chars",
+)
+
+
 def _probe_batch(inputs: dict) -> Iterator[Probe]:
-    index, patterns = _build(inputs), list(inputs["patterns"])
-    batched = _batch_fp(*index.search_batch(patterns))
-    scalar = [_search_fp(index.search(p)) for p in patterns]
-    yield from _each("search_batch vs scalar", scalar, batched, patterns)
+    """The compacted batch step loop vs the scalar search, with the
+    k-mer table off and on: the same ``(start, end, steps)`` for every
+    pattern, a batch's counts equal to its patterns' counts searched one
+    per call, and the scalar search's query, step, lookup and rank
+    counts."""
+    patterns = list(inputs["patterns"])
+    k = int(inputs.get("ftab_k", 3))
+    for label, index in (("", _build(inputs)), (f"ftab k={k} ", _build(inputs, ftab_k=k))):
+        with CounterScope() as batch_scope:
+            batched = _batch_fp(*index.search_batch(patterns))
+        with CounterScope() as single_scope:
+            for p in patterns:
+                index.search_batch([p])
+        with CounterScope() as scalar_scope:
+            scalar = [_search_fp(index.search(p)) for p in patterns]
+        yield from _each(f"{label}search_batch vs scalar", scalar, batched, patterns)
+        got = batch_scope.delta
+        yield f"{label}search_batch counts vs one pattern per call", single_scope.delta, got
+        yield (
+            f"{label}search_batch counts vs scalar",
+            {key: scalar_scope.delta[key] for key in _SEARCH_COUNTS},
+            {key: got[key] for key in _SEARCH_COUNTS},
+        )
 
 
 def _probe_mapper(inputs: dict) -> Iterator[Probe]:
@@ -646,7 +675,7 @@ ALL_CHECKS: tuple[Check, ...] = (
     Check("wavelet", _generate_wavelet, _probe_wavelet, _shrink_text),
     Check("fm", _text_with("patterns", _patterns), _probe_fm,
           _shrink_text_corpus("patterns")),
-    Check("batch", _text_with("patterns", _valid_patterns), _probe_batch,
+    Check("batch", _text_with("patterns", _valid_patterns, ftab_k=_ftab_k), _probe_batch,
           _shrink_text_corpus("patterns")),
     Check("mapper", _text_with("reads", _reads), _probe_mapper,
           _shrink_text_corpus("reads")),

@@ -28,7 +28,8 @@ downstream user needs:
     ``bench report`` renders the HTML report with trajectory plots and
     significance tests, and ``bench gate`` exits non-zero on a
     significant regression of any named hot path against a baseline
-    measured on the same host.
+    measured on the same host, or when a path has too few samples for
+    its rank test to reach the significance level.
 
 Run ``python -m repro.cli <subcommand> --help`` for per-command options.
 """
@@ -468,6 +469,10 @@ def _cmd_bench_gate(args: argparse.Namespace) -> int:
             alpha=args.alpha,
         )
     print("\n".join(report.summary_lines()))
+    for v in report.refused:
+        print(f"error: gate refused {v.describe()}", file=sys.stderr)
+    if report.refused:
+        return 2
     if args.require_evaluated and report.evaluated == 0:
         print("error: gate evaluated no hot paths", file=sys.stderr)
         return 2
@@ -705,7 +710,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bp = bench_sub.add_parser(
         "gate",
-        help="fail (exit 1) on a significant regression of a named hot path",
+        help="fail (exit 1) on a significant regression of a named hot path; "
+        "exit 2 when a path's sample sizes cannot reach --alpha",
     )
     bp.add_argument("--store", type=Path, default=Path("bench-store"))
     bp.add_argument(

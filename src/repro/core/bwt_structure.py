@@ -27,7 +27,7 @@ import numpy as np
 
 from ..sequence.bwt import BWT, count_array
 from .rrr import DEFAULT_BLOCK_SIZE, DEFAULT_SUPERBLOCK_FACTOR
-from .wavelet_tree import WaveletTree
+from .wavelet_tree import WaveletTree, pair_positions
 
 SIGMA = 4
 
@@ -101,17 +101,14 @@ class BWTStructure:
         j = i - 1 if i > self.dollar_pos else i
         return self.tree.rank(symbol, j)
 
-    def _tree_symbols(self, symbols) -> np.ndarray:
-        """Symbol codes as the wavelet tree stores them."""
-        sym = np.asarray(symbols, dtype=np.int64)
-        return sym + 1 if self.store_sentinel_in_tree else sym
-
-    def _tree_positions(self, positions) -> np.ndarray:
-        """Row positions shifted past the sentinel slot the tree omits."""
-        p = np.asarray(positions, dtype=np.int64)
+    def _tree_rank(self, symbols, p: np.ndarray) -> np.ndarray:
+        """Occ at the full-BWT rows ``p`` (int64 scratch of shape
+        ``(n,)`` or ``(2, n)``, shifted in place past the sentinel slot
+        the tree omits) in one wavelet descent."""
         if self.store_sentinel_in_tree:
-            return p
-        return p - (p > self.dollar_pos)
+            return self.tree.rank_into(np.asarray(symbols, dtype=np.int64) + 1, p)
+        p -= p > self.dollar_pos
+        return self.tree.rank_into(symbols, p)
 
     def occ_many(self, symbols, positions: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`occ` for batch backward search.
@@ -119,9 +116,7 @@ class BWTStructure:
         ``symbols`` is one symbol or an array with one symbol per
         position; either way the batch is one wavelet descent.
         """
-        return self.tree.rank_many(
-            self._tree_symbols(symbols), self._tree_positions(positions)
-        )
+        return self._tree_rank(symbols, np.array(positions, dtype=np.int64))
 
     def occ2_many(
         self, symbols, lo_positions: np.ndarray, hi_positions: np.ndarray
@@ -135,11 +130,8 @@ class BWTStructure:
         identical to two per-symbol :meth:`occ_many` calls per symbol
         present.
         """
-        return self.tree.rank2_many(
-            self._tree_symbols(symbols),
-            self._tree_positions(lo_positions),
-            self._tree_positions(hi_positions),
-        )
+        p = self._tree_rank(symbols, pair_positions(lo_positions, hi_positions))
+        return p[0], p[1]
 
     def count_smaller(self, symbol: int) -> int:
         """``C(a)``: text symbols (plus sentinel) smaller than ``symbol``."""
@@ -175,8 +167,13 @@ class BWTStructure:
         if self.bwt is not None and not self.store_sentinel_in_tree:
             # Fast path: read the BWT symbols straight from the raw codes
             # (the placeholder at the sentinel slot is masked below).
-            syms = self.bwt.codes[rows].astype(np.int64)
-            syms[rows == self.dollar_pos] = -1
+            syms = self.bwt.codes.take(rows).astype(np.int64)
+            sentinel = rows == self.dollar_pos
+            if not sentinel.any():  # a locate walk never steps off row $
+                out = self._tree_rank(syms, rows.copy())
+                out += self.C.take(syms)
+                return out
+            syms[sentinel] = -1
         else:
             syms = np.array([self.access(int(r)) for r in rows], dtype=np.int64)
         out = np.zeros(rows.size, dtype=np.int64)  # the sentinel maps to row 0

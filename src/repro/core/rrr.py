@@ -403,17 +403,46 @@ class RRRVector:
             return np.zeros(0, dtype=np.int64)
         if p.min() < 0 or p.max() > self.n:
             raise IndexError("rank position out of range")
-        cache = self._block_cache
-        if cache is None:
-            self.build_batch_cache()
-            cache = self._block_cache
-        block = p // self.b
-        r = block * self.b  # then p - r: cheaper than np.divmod
-        np.subtract(p, r, out=r)
+        block, r = self._split(p)
         c = current_counters()
         if c is not UNCOUNTED:
             charge_batch_ranks(c, p, block, r, self.sf)
-        return cache.rank(block, r)
+        return self._cache().rank(block, r)
+
+    def rank1_bit_many(self, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(rank1(p), B[p])`` per position ``p < n`` from one cache
+        entry: the ones before ``p`` and whether bit ``p`` is set.
+
+        This is the test "is ``p`` marked, and which mark is it?" that a
+        sampled-SA walk asks of every row.  It is charged as the rank
+        pair ``rank1(p)``, ``rank1(p + 1)`` whose difference is the bit,
+        exactly what :meth:`rank1_many` over both would charge.
+        """
+        p = np.asarray(positions, dtype=np.int64)
+        if p.size == 0:
+            return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool)
+        if p.min() < 0 or p.max() >= self.n:
+            raise IndexError("bit index out of range")
+        block, r = self._split(p)
+        c = current_counters()
+        if c is not UNCOUNTED:
+            charge_batch_ranks(c, p, block, r, self.sf)
+            p1 = p + 1
+            charge_batch_ranks(c, p1, *self._split(p1), self.sf)
+        return self._cache().rank_bit(block, r)
+
+    def _split(self, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``divmod(p, b)`` as ``(block, r)``."""
+        block = p // self.b
+        r = block * self.b  # then p - r: cheaper than np.divmod
+        np.subtract(p, r, out=r)
+        return block, r
+
+    def _cache(self) -> BlockRankCache:
+        """The memoized :class:`BlockRankCache`, built on first use."""
+        if self._block_cache is None:
+            self.build_batch_cache()
+        return self._block_cache
 
     # -- select ------------------------------------------------------------------
 
@@ -574,15 +603,25 @@ class BlockRankCache:
     def rank(self, blocks: np.ndarray, r: np.ndarray) -> np.ndarray:
         """Ones before in-block offset ``r`` of each cache entry in
         ``blocks``, as int64."""
+        return self._ones_before(blocks, self.vals.take(blocks), r)
+
+    def rank_bit(self, blocks: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`rank` plus bit ``r`` of each block, from the same
+        gathered entry."""
+        vals = self.vals.take(blocks)
+        bit = (vals >> r.astype(vals.dtype)) & 1
+        return self._ones_before(blocks, vals, r), bit.astype(bool)
+
+    def _ones_before(self, blocks: np.ndarray, vals: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """:meth:`rank` given the already gathered block values."""
         out = self.cum.take(blocks).astype(np.int64)
         if self._block_rank is not None:
-            idx = self.vals.take(blocks).astype(np.int64)
+            idx = vals.astype(np.int64)
             idx *= self.b + 1
             idx += r
             out += self._block_rank.take(idx)
         else:
-            vals = self.vals.take(blocks)
-            vals &= (np.uint32(1) << r.astype(np.uint32)) - np.uint32(1)
+            vals = vals & ((np.uint32(1) << r.astype(np.uint32)) - np.uint32(1))
             out += _POP16.take(vals & 0xFFFF)
             out += _POP16.take(vals >> 16)
         return out

@@ -66,6 +66,18 @@ def _default_factory(b: int, sf: int) -> Callable:
     return make
 
 
+def pair_positions(lo_positions, hi_positions) -> np.ndarray:
+    """Paired interval bounds as one ``(2, n)`` int64 scratch for
+    :meth:`WaveletTree.rank_into`: row 0 the ``lo``, row 1 the ``hi``."""
+    lo, hi = np.asarray(lo_positions), np.asarray(hi_positions)
+    if lo.shape != hi.shape:
+        raise ValueError("lo and hi positions must have the same shape")
+    p = np.empty((2, lo.size), dtype=np.int64)
+    p[0] = lo
+    p[1] = hi
+    return p
+
+
 def plain_bitvector_factory(bits: np.ndarray) -> BitVector:
     """Node factory using uncompressed packed bit-vectors (ablation)."""
     return BitVector(bits)
@@ -297,9 +309,7 @@ class WaveletTree:
         tree, whatever the symbol mix.  Results and counter charges equal
         per-symbol calls over the same positions.
         """
-        return self._descend(
-            np.asarray(symbols, dtype=np.int64), np.array(positions, dtype=np.int64)
-        )
+        return self.rank_into(symbols, np.array(positions, dtype=np.int64))
 
     def rank2_many(
         self, symbols, lo_positions: np.ndarray, hi_positions: np.ndarray
@@ -312,12 +322,20 @@ class WaveletTree:
         Results and counter charges match two separate :meth:`rank_many`
         calls.
         """
-        lo = np.asarray(lo_positions, dtype=np.int64)
-        sym = np.asarray(symbols, dtype=np.int64)
-        both = sym if sym.ndim == 0 else np.concatenate([sym, sym])
-        hi = np.asarray(hi_positions, dtype=np.int64)
-        p = self._descend(both, np.concatenate([lo, hi]))
-        return p[: lo.size], p[lo.size :]
+        p = self.rank_into(symbols, pair_positions(lo_positions, hi_positions))
+        return p[0], p[1]
+
+    def rank_into(self, symbols, p: np.ndarray) -> np.ndarray:
+        """Ranks at the int64 positions ``p``, which the call may
+        overwrite.
+
+        ``p`` is caller-owned scratch of shape ``(n,)``, or ``(2, n)``
+        for paired bounds; ``symbols`` is one symbol or ``n``, one per
+        column, so a pair shares one symbol.  This is the copy-free core
+        of :meth:`rank_many` and :meth:`rank2_many`, with their checks
+        and counter charges.
+        """
+        return self._descend(np.asarray(symbols, dtype=np.int64), p)
 
     def build_batch_cache(self) -> None:
         """Build the batch-rank scratch: for RRR trees one
@@ -332,9 +350,10 @@ class WaveletTree:
         self._arena = (cache, cache.bases[self._level_node])
 
     def _descend(self, sym: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """Ranks of ``sym`` (0-d or one per position) at positions ``p``.
+        """Ranks of ``sym`` (0-d or one per column) at positions ``p``.
 
-        ``p`` is scratch that callers allocate for this call.  On an RRR
+        ``p`` is scratch that callers allocate for this call, of shape
+        ``(n,)`` or ``(2, n)``; ``sym`` broadcasts over the rows.  On an RRR
         tree every level is one :meth:`BlockRankCache.rank` call over all
         positions, each addressing its own node's span of the arena; a
         position then moves to ``r1`` (side 1) or ``p - r1`` (side 0).
@@ -346,10 +365,13 @@ class WaveletTree:
             raise ValueError(f"symbol outside alphabet [0, {self.sigma})")
         c = current_counters()
         c.wt_ranks += int(p.size)
-        if sym.ndim and sym.shape != p.shape:
+        if sym.ndim and sym.shape != p.shape[-1:]:
             raise ValueError("symbols and positions must have the same shape")
         if self._arena_sf is None:
-            return self._descend_nodes(sym, p)
+            if p.ndim == 1:
+                return self._descend_nodes(sym, p)
+            both = sym if sym.ndim == 0 else np.tile(sym, p.shape[0])
+            return self._descend_nodes(both, p.reshape(-1)).reshape(p.shape)
         if p.size == 0:
             return p
         if p.view(np.uint64).max() > self.n:
@@ -372,7 +394,7 @@ class WaveletTree:
                         base, side = base[sel], side[sel]
             else:
                 base, side = level_base[d, s], self._level_side[d, s]
-            pd = p if sel is None else p[sel]
+            pd = p if sel is None else p[..., sel]
             q = pd // b
             r = q * b
             np.subtract(pd, r, out=r)
@@ -390,7 +412,7 @@ class WaveletTree:
             if sel is None:
                 p = pd
             else:
-                p[sel] = pd
+                p[..., sel] = pd
         return p
 
     def _descend_nodes(self, sym: np.ndarray, p: np.ndarray) -> np.ndarray:

@@ -29,6 +29,7 @@ Fig. 7 observation that mapping time scales with the *mapping ratio*
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -146,7 +147,7 @@ class FMIndex:
         """Encode a pattern list once (strings through one table lookup;
         code arrays, if any, validated one by one)."""
         patterns = list(patterns)
-        if all(isinstance(p, str) for p in patterns):
+        if all(map(isinstance, patterns, repeat(str))):
             batch = encode_batch(patterns)
             if not batch.valid.all():
                 encode(patterns[int(np.argmin(batch.valid))])  # raises with position
@@ -263,22 +264,21 @@ class FMIndex:
         nq = lengths.size
         counters = current_counters()
         counters.queries += nq
-        max_len = mat.shape[1]
         lo = np.zeros(nq, dtype=np.int64)
         hi = np.full(nq, self.n_rows, dtype=np.int64)
         # Empty patterns resolve immediately to the sentinel-free interval
         # [1, n_rows) — one match per text position, same as `search`.
         lo[lengths == 0] = min(1, self.n_rows)
         steps = np.zeros(nq, dtype=np.int64)
-        active = lengths > 0
-        backend = self.backend
         # K-mer jump-start: queries of length >= k read their first-k
         # interval (and exact step count) from the table and join the
-        # step loop at column k; shorter queries start at column 0.
-        start_col = np.zeros(nq, dtype=np.int64)
+        # step loop at column k; shorter queries start at column 0, and
+        # all of them have finished before column k.
         ftab = self.ftab if self.use_ftab else None
         ftab_steps: np.ndarray | None = None
-        if ftab is not None and max_len >= ftab.k:
+        first = np.flatnonzero(lengths)
+        joining = first[:0]
+        if ftab is not None and mat.shape[1] >= ftab.k:
             prim = np.flatnonzero(lengths >= ftab.k)
             if prim.size:
                 tidx = ftab.indices_from_reversed(mat[prim, : ftab.k])
@@ -286,37 +286,14 @@ class FMIndex:
                 hi[prim] = ftab.hi[tidx]
                 ftab_steps = ftab.steps[tidx].astype(np.int64)
                 steps[prim] = ftab_steps
-                # Entries emptied inside the table region are finished.
-                active[prim[lo[prim] >= hi[prim]]] = False
-                start_col[prim] = ftab.k
                 counters.ftab_lookups += int(prim.size)
-        # count_smaller is invariant per symbol — hoist it out of the
-        # step loop instead of re-reading C every (step, symbol) pair.
-        csmall = np.array(
-            [backend.count_smaller(a) for a in range(SIGMA)], dtype=np.int64
-        )
-        executed = 0
-        # In-flight patterns, compacted as they finish: each step makes
-        # one fused rank call over all of them, each with its own symbol.
-        live = np.flatnonzero(active)
-        t = int(start_col[live].min()) if live.size else max_len
-        while t < max_len:
-            live = live[(lengths[live] > t) & (lo[live] < hi[live])]
-            if not live.size:
-                break
-            cur = live[start_col[live] <= t]
-            if cur.size:
-                a = mat[cur, t].astype(np.int64)
-                rlo, rhi = backend.occ2_many(a, lo[cur], hi[cur])
-                new_lo = csmall[a] + rlo
-                new_hi = csmall[a] + rhi
-                emptied = new_lo >= new_hi
-                new_hi[emptied] = new_lo[emptied]
-                lo[cur] = new_lo
-                hi[cur] = new_hi
-                steps[cur] += 1
-                executed += int(cur.size)
-            t += 1
+                # Entries emptied inside the table region, and k-long
+                # queries, are finished.
+                joining = prim[(lo[prim] < hi[prim]) & (lengths[prim] > ftab.k)]
+                first = np.flatnonzero((lengths > 0) & (lengths < ftab.k))
+        executed = self._advance(mat, lengths, first, 0, lo, hi, steps)
+        if joining.size:
+            executed += self._advance(mat, lengths, joining, ftab.k, lo, hi, steps)
         counters.bs_steps += executed
         tel = get_telemetry()
         if tel.enabled:
@@ -335,6 +312,48 @@ class FMIndex:
                     "Backward-search steps resolved per k-mer table hit",
                 ).observe_many(ftab_steps)
         return lo, hi, steps
+
+    def _advance(self, mat, lengths, ids, t, lo, hi, steps) -> int:
+        """Run queries ``ids``, in flight from column ``t``, to their end.
+
+        The loop carries only the in-flight ``(id, lo, hi, length)``,
+        compacted: each step gathers its symbols with one ``mat[ids, t]``
+        read and ranks both bounds of every interval with one fused
+        ``occ2_many`` call.  A query that empties or consumes its last
+        symbol at this step is written back to ``lo``/``hi``/``steps``
+        and leaves the state; nothing else touches the full arrays.
+        Returns the number of steps executed.
+        """
+        occ2_many = self.backend.occ2_many
+        csmall = np.array(
+            [self.backend.count_smaller(a) for a in range(SIGMA)], dtype=np.int64
+        )
+        clen = lengths[ids]
+        # ends[t]: some query consumes its last symbol at column t.
+        ends = np.bincount(clen - 1, minlength=mat.shape[1]).astype(bool)
+        clo, chi = lo[ids], hi[ids]
+        executed = 0
+        while ids.size:
+            a = mat[ids, t].astype(np.int64)
+            clo, chi = occ2_many(a, clo, chi)
+            c = csmall[a]
+            clo += c
+            chi += c
+            executed += ids.size
+            # Ranks are monotone in the position, so an emptied interval
+            # has clo == chi: the scalar search's (lo, lo) result.
+            done = clo >= chi
+            if ends[t]:
+                done |= clen == t + 1
+            t += 1
+            if done.any():
+                fin = ids[done]
+                lo[fin] = clo[done]
+                hi[fin] = chi[done]
+                steps[fin] = t
+                keep = ~done
+                ids, clo, chi, clen = ids[keep], clo[keep], chi[keep], clen[keep]
+        return executed
 
     def count_batch(self, patterns: Sequence) -> np.ndarray:
         lo, hi, _ = self.search_batch(patterns)

@@ -25,18 +25,24 @@ right (``idx = sum(code[j] * 4**(k-1-j))``):
 
 Build algorithm
 ---------------
-Bottom-up over k-mer length, O(4^k) total and fully vectorized — no
-per-k-mer search.  Level 1 is ``[C(a), C(a) + Occ(a, n_rows))``; level
-``j + 1`` prepends each symbol ``a`` to every level-``j`` entry with one
-fused :meth:`occ2_many` call over all ``4**j`` intervals:
+Bottom-up over k-mer length, fully vectorized — no per-k-mer search.
+Level 1 is ``[C(a), C(a) + Occ(a, n_rows))``; level ``j + 1`` prepends
+each symbol ``a`` to every level-``j`` entry:
 
 .. math::
 
     lo' = C(a) + Occ(a, lo), \\qquad hi' = C(a) + Occ(a, hi).
 
-Entries already emptied at level ``j`` propagate unchanged (the scalar
+Only live entries are ranked, with one mixed-symbol :meth:`occ2_many`
+call per level over their four extensions (a level with more than
+``4**9`` live extensions takes one call per group of symbols, which
+bounds the rank's transient arrays).  Entries already emptied at
+level ``j`` are copied into their four extensions unchanged (the scalar
 search never reaches the prepended symbol), which is what preserves
-``steps`` parity.
+``steps`` parity; an entry emptied at step ``s`` keeps the emptying
+``lo`` on both bounds because that is what the scalar search returns.
+A short reference has few live k-mers (a 1 kbp text has under 1,000 of
+the 262,144 9-mers), so the rank work follows the text, not ``4**k``.
 """
 
 from __future__ import annotations
@@ -53,6 +59,11 @@ FTAB_FORMAT_VERSION = 1
 
 #: Sanity bound: 4**15 entries is already 1 GiB of int64 bounds.
 MAX_FTAB_K = 15
+
+#: Most intervals one build rank call takes: a level whose live
+#: extensions exceed it is ranked one group of symbols per call, so the
+#: rank's transient arrays stay at most 4**9 intervals long.
+_RANK_CHUNK = SIGMA**9
 
 
 class Ftab:
@@ -88,9 +99,10 @@ class Ftab:
         """Precompute every k-mer's interval bottom-up in O(4^k).
 
         ``backend`` is any rank backend (``occ_many``/``occ2_many``/
-        ``count_smaller``/``n_rows``).  Each level issues four fused
-        ``occ2_many`` calls over all intervals of the previous level —
-        never one search per k-mer.
+        ``count_smaller``/``n_rows``).  Each level issues fused
+        ``occ2_many`` calls over the four extensions of the previous
+        level's live intervals only (one call unless there are more than
+        ``4**9``) — never one search per k-mer.
         """
         if not 1 <= k <= MAX_FTAB_K:
             raise ValueError(f"ftab k must lie in [1, {MAX_FTAB_K}], got {k}")
@@ -110,25 +122,31 @@ class Ftab:
         dead = lo >= hi
         hi[dead] = lo[dead]
         # Levels 2..k: prepend each symbol to every existing k-mer.  The
-        # index of ``a + kmer`` is ``a * 4**level + idx(kmer)``.
+        # index of ``a + kmer`` is ``a * 4**level + idx(kmer)``.  Every
+        # extension starts as a copy of its k-mer — final for emptied
+        # ones — and mixed-symbol rank calls extend the live ones.
         for level in range(1, k):
             size = SIGMA**level
-            new_lo = np.empty(SIGMA * size, dtype=np.int64)
-            new_hi = np.empty(SIGMA * size, dtype=np.int64)
-            new_steps = np.empty(SIGMA * size, dtype=np.uint8)
-            alive = lo < hi
-            for a in range(SIGMA):
-                olo, ohi = backend.occ2_many(a, lo, hi)
-                elo = C[a] + olo
-                ehi = C[a] + ohi
-                # Emptied-now entries record the emptying lo on both
-                # bounds, exactly like the scalar search's early return.
-                ehi = np.where(elo < ehi, ehi, elo)
-                sl = slice(a * size, (a + 1) * size)
-                new_lo[sl] = np.where(alive, elo, lo)
-                new_hi[sl] = np.where(alive, ehi, hi)
-                new_steps[sl] = np.where(alive, steps + 1, steps)
-            lo, hi, steps = new_lo, new_hi, new_steps
+            live = np.flatnonzero(lo < hi)
+            live_lo, live_hi = lo[live], hi[live]
+            lo, hi, steps = np.tile(lo, SIGMA), np.tile(hi, SIGMA), np.tile(steps, SIGMA)
+            if not live.size:
+                continue
+            # One call per level while its extensions fit in a chunk;
+            # bigger levels take one call per group of symbols.
+            groups = min(SIGMA, -(-SIGMA * live.size // _RANK_CHUNK))
+            for syms in np.array_split(np.arange(SIGMA), groups):
+                a = np.repeat(syms, live.size)
+                n = syms.size
+                elo, ehi = backend.occ2_many(a, np.tile(live_lo, n), np.tile(live_hi, n))
+                c = C[a]
+                dest = a * size + np.tile(live, n)
+                lo[dest] = elo + c
+                # Ranks are monotone in the position, so a k-mer emptied
+                # now gets lo == hi: the emptying lo on both bounds,
+                # exactly like the scalar search's early return.
+                hi[dest] = ehi + c
+                steps[dest] = level + 1
         return cls(k, lo, hi, steps)
 
     # -- queries -------------------------------------------------------------

@@ -167,11 +167,12 @@ class SampledSA:
         """Positions of every interval ``[starts[i], ends[i])`` of a batch.
 
         All rows of all intervals walk toward marked rows together.  Each
-        step asks "landed?" of every live row with one ``rank1_many``
-        call over ``cur`` and ``cur + 1``: a row is marked exactly when
-        the two ranks differ, and the lower rank is then its sample
-        index.  The rest advance with one ``lf_many`` call, so a batch
-        costs at most ``k - 1`` of them.  Interval ``i``'s positions are
+        step asks "landed?" of every live row with one
+        :meth:`~repro.core.rrr.RRRVector.rank1_bit_many` call: one
+        decoded mark block per row gives both its mark bit and its rank,
+        which is a marked row's sample index.  The rest advance with one
+        ``lf_many`` call, so a batch costs at most ``k - 1`` of them.
+        Interval ``i``'s positions are
         ``positions[offsets[i]:offsets[i + 1]]``, in row order —
         identical to :meth:`locate` row by row.
         """
@@ -181,9 +182,7 @@ class SampledSA:
         cur = rows
         step = 0
         while True:
-            ranks = self.marks.rank1_many(np.concatenate([cur, cur + 1]))
-            idx = ranks[: cur.size]
-            landed = ranks[cur.size :] != idx
+            idx, landed = self.marks.rank1_bit_many(cur)
             pos[live[landed]] = self.samples[idx[landed]] * np.int64(self.k) + step
             walking = ~landed
             if not walking.any():

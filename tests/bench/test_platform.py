@@ -31,6 +31,7 @@ from repro.bench.platform import (
     run_gate,
     save_suite,
 )
+from repro.bench.platform.stats import min_p_value
 from repro.bench.platform.store import SCHEMA_VERSION, git_revision, host_fingerprint
 
 # --- configs ------------------------------------------------------------
@@ -451,6 +452,37 @@ class TestGate:
             _fill_store(store, "flat_open", baseline_s=1e-3, current_s=1.6e-3)
             assert not run_gate(store).ok
             assert run_gate(store, threshold_override=1.0).ok
+
+    def test_planted_10x_slowdown_at_5_reps_fails(self, tmp_path):
+        with ResultsStore(tmp_path / "store") as store:
+            _fill_store(store, "blockwise_build", baseline_s=1.0, current_s=10.0, reps=5)
+            report = run_gate(store)
+        (v,) = [v for v in report.verdicts if v.comparison is not None]
+        assert v.failed and v.comparison.p_value < 0.01
+        assert (v.comparison.baseline_n, v.comparison.current_n) == (5, 5)
+        assert not report.ok and report.summary_lines()[-1] == "gate: FAIL"
+
+    def test_3_reps_are_refused_not_passed(self, tmp_path):
+        # At 3/3 the smallest one-sided p is 0.05 > alpha: a 10x slowdown
+        # could never fail, so the comparison is refused outright.
+        with ResultsStore(tmp_path / "store") as store:
+            _fill_store(store, "blockwise_build", baseline_s=1.0, current_s=10.0, reps=3)
+            report = run_gate(store)
+        (v,) = report.refused
+        assert v.path.workload == "blockwise_build" and v.comparison is None
+        assert "blockwise-build: REFUSED (n=3/3 cannot reach alpha=0.01" in v.describe()
+        assert report.evaluated == 0 and not report.ok
+        assert report.summary_lines()[-1] == "gate: REFUSED"
+
+    def test_min_p_value_is_the_exact_rank_test_floor(self):
+        assert min_p_value(3, 3) == pytest.approx(0.05)
+        assert min_p_value(5, 5) == pytest.approx(1 / 252)
+        assert mann_whitney_u([1, 2, 3, 4, 5], [6, 7, 8, 9, 10]) == pytest.approx(1 / 252)
+
+    @pytest.mark.parametrize("suite", sorted(BUILTIN_SUITES))
+    def test_builtin_suites_can_reach_alpha(self, suite):
+        for config in BUILTIN_SUITES[suite]:
+            assert min_p_value(config.repetitions, config.repetitions) < 0.01, config.name
 
     def test_empty_store_evaluates_nothing(self, tmp_path):
         with ResultsStore(tmp_path / "store") as store:

@@ -8,6 +8,8 @@ here only determinism, provenance, and plumbing are at stake, so no
 assertion depends on how fast this machine happens to be.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -116,13 +118,16 @@ def _plant(store_root, workload, baseline_s, current_s, reps=10,
 class TestCLI:
     def test_run_then_gate_green(self, tmp_path, capsys):
         suite = tmp_path / "suite.json"
-        save_suite([TINY], suite)
+        # Five reps per side: the fewest the gate's rank test accepts.  At
+        # five the test can fail, so the bar is the nightly job's 2x: two
+        # back-to-back runs of sub-millisecond work drift past 1.25x.
+        save_suite([dataclasses.replace(TINY, repetitions=5)], suite)
         store = tmp_path / "store"
         base = ["bench", "run", "--suite", str(suite), "--store", str(store)]
         assert main(base + ["--as-baseline"]) == 0
         assert main(base) == 0
         assert main(["bench", "gate", "--store", str(store),
-                     "--require-evaluated"]) == 0
+                     "--threshold", "1.0", "--require-evaluated"]) == 0
         out = capsys.readouterr().out
         assert "gate: PASS" in out
 
@@ -132,6 +137,14 @@ class TestCLI:
         assert main(["bench", "gate", "--store", str(store)]) == 1
         out = capsys.readouterr().out
         assert "gate: FAIL" in out and "REGRESSED" in out
+
+    def test_gate_refuses_samples_too_few_to_decide(self, tmp_path, capsys):
+        store = tmp_path / "store"
+        _plant(store, "count_only_mapping", baseline_s=1e-3, current_s=1e-2, reps=3)
+        assert main(["bench", "gate", "--store", str(store)]) == 2
+        captured = capsys.readouterr()
+        assert "gate: REFUSED" in captured.out
+        assert "error: gate refused count-only-mapping: REFUSED (n=3/3" in captured.err
 
     def test_gate_threshold_flag_loosens_the_bar(self, tmp_path):
         store = tmp_path / "store"

@@ -308,6 +308,46 @@ def test_planted_batch_descent_bug_is_caught_and_shrunk(monkeypatch):
     _assert_caught_and_shrunk(monkeypatch, "wavelet", _plant_wavelet_descent, QUICK, 3, "text")
 
 
+def _plant_dropped_write_back(mp):
+    # Queries that join the step loop from the k-mer table and survive
+    # to their last column never write back: they keep the table's
+    # interval and step count.  Without a table nothing changes.
+    def change(f):
+        def advance(self, mat, lengths, ids, t, lo, hi, steps):
+            before = lo[ids], hi[ids], steps[ids]
+            executed = f(self, mat, lengths, ids, t, lo, hi, steps)
+            if t:
+                drop = (steps[ids] == lengths[ids]) & (hi[ids] > lo[ids])
+                for col, old in zip((lo, hi, steps), before):
+                    col[ids[drop]] = old[drop]
+            return executed
+
+        return advance
+
+    _wrap(mp, fm_index.FMIndex, "_advance", change)
+
+
+def test_planted_compacted_write_back_bug_is_caught_and_shrunk(monkeypatch):
+    """The batch row's k-mer-table probe catches a compacted-loop bug
+    that only table-primed queries show."""
+    _assert_caught_and_shrunk(monkeypatch, "batch", _plant_dropped_write_back, QUICK, 3, "patterns")
+
+
+def _plant_double_rank(mp):
+    from repro.core.bwt_structure import BWTStructure
+    from repro.index.occ_table import OccTable
+
+    # Every rank call runs twice: right answers, doubled rank work.
+    for owner in (BWTStructure, OccTable):
+        _wrap(mp, owner, "occ2_many", lambda f: lambda self, *a: (f(self, *a), f(self, *a))[1])
+
+
+def test_planted_rank_work_bug_is_caught_and_shrunk(monkeypatch):
+    """The batch row's count probes catch extra rank work that leaves
+    every answer right."""
+    _assert_caught_and_shrunk(monkeypatch, "batch", _plant_double_rank, QUICK, 3, "patterns")
+
+
 def _assert_caught_and_shrunk(monkeypatch, name, plant, profile, rounds, key):
     plant(monkeypatch)
     report = SelfCheck(seed=0, profile=profile, checks=[name]).run(rounds)
