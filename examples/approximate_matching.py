@@ -1,19 +1,16 @@
 #!/usr/bin/env python3
-"""Approximate matching: the paper's future work, three ways.
+"""Approximate matching: the paper's future work, two ways.
 
 BWaveR §V: "Future work involves to extend our mapping design to
 approximate string matching."  This repository implements that extension
-along the three designs the paper's context suggests, demonstrated here
-on the same mutated read set:
+along two designs the paper's context suggests, demonstrated here on the
+same mutated read set:
 
 1. **bounded backtracking** (`mapper.mismatch`) — the textbook modified
    backward search the paper's §II describes (cost exponential in k);
 2. **pigeonhole over a bidirectional index** (`index.bidirectional`) —
    the 2BWT strategy: anchor the error-free half exactly, branch only
-   across the split;
-3. **two-pass runtime reconfiguration** (`fpga.reconfig`) — Arram et
-   al.'s architecture: exact pass for everyone, reconfigure the fabric,
-   rescue only the unmapped remainder.
+   across the split.
 
 Run:  python examples/approximate_matching.py
 """
@@ -22,7 +19,6 @@ import time
 
 from repro import build_index
 from repro.core.counters import CounterScope
-from repro.fpga.reconfig import TwoPassAccelerator
 from repro.index.bidirectional import BidirectionalFMIndex
 from repro.io import E_COLI_LIKE, generate_reference, mutate_reads, simulate_reads
 from repro.mapper.mismatch import locate_with_mismatches
@@ -67,18 +63,7 @@ def main() -> None:
           f"{steps_bi / len(reads):,.0f} extension steps/read, {wall_bi:.2f}s "
           f"({steps_bt / steps_bi:.1f}x fewer steps, 2x index memory)")
 
-    # 3. Two-pass reconfiguration (modeled device time).
-    acc = TwoPassAccelerator(index.backend, k=1)
-    run = acc.map_batch(reads)
-    print(f"3. two-pass FPGA:  exact {run.exact_mapped} + rescued {run.rescued} "
-          f"= {run.total_mapped}/{run.n_reads}")
-    print(f"   modeled: pass1 {run.pass1_seconds * 1e3:.1f} ms + "
-          f"reconfig {run.reconfig_seconds * 1e3:.1f} ms + "
-          f"pass2 {run.pass2_seconds * 1e3:.2f} ms "
-          f"-> accuracy {run.exact_only_accuracy:.0%} -> {run.two_pass_accuracy:.0%}")
-
     assert found_bt == found_bi == len(reads)
-    assert run.two_pass_accuracy >= 0.98
 
 
 if __name__ == "__main__":

@@ -70,12 +70,6 @@ def main() -> None:
     print(f"\nhost wall time of the functional simulation: "
           f"{hw.host_wall_seconds:.3f}s (not comparable to modeled device time)")
 
-    # The HLS-style pre-synthesis report of the placed design.
-    from repro.fpga import generate_report
-
-    print()
-    print(generate_report(accelerator.kernel, accelerator.cost_model).render())
-
 
 if __name__ == "__main__":
     main()

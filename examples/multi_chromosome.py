@@ -1,25 +1,17 @@
 #!/usr/bin/env python3
-"""Multi-chromosome references and paired-end reads.
+"""Multi-chromosome references.
 
 Real mapping jobs run against multi-FASTA references (chromosomes,
-contigs) with paired-end read sets.  This example exercises both
-adoption-grade layers on top of the core index:
-
-* :class:`~repro.index.multiref.MultiReferenceIndex` — one index over
-  three named sequences, hits reported in per-chromosome coordinates,
-  concatenation-boundary artifacts filtered;
-* :class:`~repro.mapper.paired.PairedEndMapper` — FR-orientation insert
-  constraints, including the classic payoff: a mate landing in a
-  two-copy repeat is disambiguated by its uniquely-mapping partner.
+contigs).  :class:`~repro.index.multiref.MultiReferenceIndex` builds one
+index over three named sequences, reports hits in per-chromosome
+coordinates and filters concatenation-boundary artifacts.
 
 Run:  python examples/multi_chromosome.py
 """
 
 import numpy as np
 
-from repro import build_index
 from repro.index.multiref import MultiReferenceIndex
-from repro.mapper.paired import PairedEndMapper, simulate_read_pairs
 from repro.sequence.alphabet import reverse_complement
 
 
@@ -29,7 +21,6 @@ def make_seq(n, seed):
 
 
 def main() -> None:
-    # -- multi-chromosome mapping ------------------------------------------
     chroms = [
         ("chr1", make_seq(8000, 61)),
         ("chr2", make_seq(5000, 62)),
@@ -59,43 +50,6 @@ def main() -> None:
     spanning = chroms[0][1][-30:] + chroms[1][1][:30]
     assert not index.map_read(spanning).mapped
     print("  boundary-spanning read correctly reported unmapped")
-
-    # -- paired-end repeat disambiguation -----------------------------------
-    print("\npaired-end mapping with a duplicated repeat:")
-    unique = make_seq(6000, 65)
-    repeat = make_seq(80, 66)
-    genome = unique[:2000] + repeat + unique[2000:4000] + repeat + unique[4000:]
-    pidx, _ = build_index(genome, sf=50)
-    pmapper = PairedEndMapper(pidx, min_insert=150, max_insert=450)
-
-    # Fragment anchored by a unique mate1, with mate2 entirely inside the
-    # first repeat copy (genome[2000:2080]) — so mate2 alone is ambiguous
-    # between the two copies, and only the pairing resolves it.
-    frag_start, insert = 1850, 230
-    mate1 = genome[frag_start : frag_start + 60]
-    mate2 = reverse_complement(
-        genome[frag_start + insert - 60 : frag_start + insert]
-    )
-    single = pidx.count(mate2) + pidx.count(reverse_complement(mate2))
-    pair = pmapper.map_pair(mate1, mate2)
-    print(f"  mate2 alone has {single} placements (two repeat copies)")
-    assert single == 2
-    print(f"  paired: {len(pair.proper)} proper pair(s); "
-          f"best at {pair.best.pos1} insert {pair.best.insert_size} "
-          f"(truth {frag_start}, {insert})")
-    assert pair.best.pos1 == frag_start and pair.best.insert_size == insert
-
-    # Bulk pairing statistics on simulated FR pairs.
-    pairs, truth = simulate_read_pairs(genome, 100, 50, insert_mean=300, seed=67)
-    results = pmapper.map_pairs(pairs)
-    proper = sum(1 for r in results if r.is_proper)
-    exact = sum(
-        1
-        for r, (start, ins) in zip(results, truth)
-        if r.best and r.best.pos1 == start and r.best.insert_size == ins
-    )
-    print(f"  bulk: {proper}/100 proper pairs, {exact} at the exact truth")
-    assert proper >= 95
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ Subpackages
     backend, build pipeline, the flat on-disk index container.
 ``repro.mapper``
     Read mapping (both strands), 512-bit query packing, batching,
-    mismatch extension, seed-and-extend.
+    mismatch extension, SAM and TSV output.
 ``repro.fpga``
     Transaction-level Alveo U200 model: BRAM, kernel, OpenCL-like
     runtime, cycle/power models.

@@ -2,8 +2,8 @@
 
 The paper runs Bowtie2 with 1, 8 and 16 threads on a Xeon E5-2698 v3.
 CPython threads cannot reproduce that scaling (the GIL serializes the
-search), and multiprocessing measurement — provided in
-:func:`repro.mapper.batch.run_mapping_multiprocess` — is only meaningful
+search), and multiprocessing measurement — provided by
+:meth:`repro.serving.pool.MapperPool.run_batch` — is only meaningful
 at small read counts.  For the paper-scale table rows we therefore model
 thread scaling with Amdahl's law,
 

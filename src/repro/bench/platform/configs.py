@@ -138,6 +138,7 @@ def load_suite(path: str | Path) -> list[ExperimentConfig]:
 
 
 def save_suite(configs: list[ExperimentConfig], path: str | Path) -> None:
+    """Write ``configs`` as a suite JSON file (``{"experiments": [...]}``)."""
     doc = {"experiments": [c.to_dict() for c in configs]}
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 

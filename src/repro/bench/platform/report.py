@@ -263,6 +263,7 @@ latest run {e((context.latest_git_hash or "unknown")[:12])} ·
 
 
 def write_report(store: ResultsStore, out_path: str | Path, host: str | None = None) -> Path:
+    """Render the HTML report of ``store`` to ``out_path`` and return the path."""
     out_path = Path(out_path)
     out_path.write_text(render_html(ReportContext(store, host=host)))
     return out_path

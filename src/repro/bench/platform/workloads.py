@@ -50,6 +50,7 @@ def register(name: str):
 
 
 def create_workload(config: ExperimentConfig) -> "Workload":
+    """Instantiate the registered workload that ``config.workload`` names."""
     try:
         cls = WORKLOADS[config.workload]
     except KeyError:

@@ -43,6 +43,7 @@ def naive_rank1(bits: np.ndarray, p: int) -> int:
 
 
 def naive_rank0(bits: np.ndarray, p: int) -> int:
+    """Zeros in ``bits[0:p]``."""
     return p - naive_rank1(bits, p)
 
 

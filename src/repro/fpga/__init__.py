@@ -1,8 +1,8 @@
 """Simulated FPGA accelerator (Alveo U200 substitute).
 
-Functional layer: :class:`~repro.fpga.kernel.BackwardSearchKernel` and
-:class:`~repro.fpga.pipeline.DualPipeline` execute the exact hardware
-algorithm (results bit-identical to the software mapper).  Performance
+Functional layer: :class:`~repro.fpga.kernel.BackwardSearchKernel`
+executes the exact hardware algorithm (results bit-identical to the
+software mapper).  Performance
 layer: :class:`~repro.fpga.cost_model.FPGACostModel`,
 :class:`~repro.fpga.power.PowerModel` and
 :class:`~repro.fpga.multicore.MulticoreModel` convert measured workload
@@ -24,13 +24,10 @@ from .device import (
     check_fits,
     max_reference_bases,
 )
-from .hls_report import HLSReport, generate_report, latency_estimate
 from .kernel import BackwardSearchKernel, KernelRun, QueryOutcome
 from .multicore import MulticoreModel, scaling_curve
 from .opencl import Buffer, CLError, CommandQueue, CommandType, Context, Event
-from .pipeline import DualPipeline
 from .power import DEFAULT_POWER_MODEL, PowerModel
-from .reconfig import TwoPassAccelerator, TwoPassRun
 from .tracing import timeline_summary, to_trace_events, write_trace
 
 __all__ = [
@@ -50,14 +47,10 @@ __all__ = [
     "DeviceHealth",
     "DeviceSpec",
     "DeviceState",
-    "DualPipeline",
     "Event",
     "FPGAAccelerator",
     "FPGACostModel",
-    "HLSReport",
     "KernelRun",
-    "generate_report",
-    "latency_estimate",
     "MulticoreModel",
     "PowerModel",
     "QueryOutcome",
@@ -67,7 +60,5 @@ __all__ = [
     "scaling_curve",
     "timeline_summary",
     "to_trace_events",
-    "TwoPassAccelerator",
-    "TwoPassRun",
     "write_trace",
 ]

@@ -155,9 +155,9 @@ def mutate_reads(
 ) -> list[str]:
     """Apply exactly ``substitutions`` point mutations to each read.
 
-    Used by the mismatch-search tests and the seed-and-extend example to
-    create reads that exact matching misses but ``k``-mismatch search (or
-    extension) recovers.
+    Used by the mismatch-search tests and the approximate-matching
+    example to create reads that exact matching misses but
+    ``k``-mismatch search recovers.
     """
     if substitutions < 0:
         raise ValueError("substitutions must be >= 0")

@@ -1,13 +1,7 @@
-"""Read mapping: exact (both strands), batched, approximate, seed-extend."""
+"""Read mapping: exact (both strands), batched, approximate."""
 
-from .batch import BatchRunReport, run_mapping_batch, run_mapping_multiprocess
+from .batch import BatchRunReport, run_mapping_batch
 from .mapper import Mapper
-from .paired import (
-    PairedEndMapper,
-    PairMapping,
-    ProperPair,
-    simulate_read_pairs,
-)
 from .stream import StreamSummary, map_fastq_to_tsv, map_stream
 from .mismatch import (
     ApproxHit,
@@ -33,25 +27,16 @@ from .results import (
     MappingResult,
     StrandHit,
     mapping_ratio,
-    to_sam_lines,
     write_hits_tsv,
 )
-from .sam import paired_end_records, write_sam_multiref, write_sam_single
-from .seed_extend import SeedExtendAligner, SeedExtendConfig, SeedExtendHit
-from .smith_waterman import Alignment, ScoringScheme, smith_waterman, sw_score_only
+from .sam import write_sam_multiref, write_sam_single
 
 __all__ = [
-    "Alignment",
     "ApproxHit",
     "BatchRunReport",
-    "PairMapping",
-    "PairedEndMapper",
-    "ProperPair",
     "StreamSummary",
     "map_fastq_to_tsv",
     "map_stream",
-    "paired_end_records",
-    "simulate_read_pairs",
     "write_sam_multiref",
     "write_sam_single",
     "MAX_QUERY_BASES",
@@ -63,10 +48,6 @@ __all__ = [
     "QueryRecord",
     "QueryTooLongError",
     "RescueResult",
-    "ScoringScheme",
-    "SeedExtendAligner",
-    "SeedExtendConfig",
-    "SeedExtendHit",
     "StrandHit",
     "count_with_mismatches",
     "locate_with_mismatches",
@@ -75,11 +56,7 @@ __all__ = [
     "pack_queries",
     "pack_query",
     "run_mapping_batch",
-    "run_mapping_multiprocess",
     "search_with_mismatches",
-    "smith_waterman",
-    "sw_score_only",
-    "to_sam_lines",
     "unpack_queries",
     "unpack_query",
     "write_hits_tsv",

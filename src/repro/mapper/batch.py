@@ -3,11 +3,7 @@
 The evaluation harness needs, for every configuration, three things per
 run: wall-clock time, the operation counts accrued (to feed the analytic
 cost models), and the mapping outcomes.  :func:`run_mapping_batch`
-packages those.  :func:`run_mapping_multiprocess` additionally shards a
-read set over worker processes — the honest (GIL-free) way to *measure*
-multi-core scaling in Python, complementing the calibrated thread model
-in :mod:`repro.baseline.threading_model` that the Table I/II harness uses
-for paper-scale thread counts.
+packages those.
 """
 
 from __future__ import annotations
@@ -79,49 +75,3 @@ def run_mapping_batch(
         results=results if keep_results else [],
     )
 
-
-# --------------------------------------------------------------------------
-# Multiprocess sharding (measured multi-core scaling).
-# --------------------------------------------------------------------------
-
-
-def run_mapping_multiprocess(
-    index: FMIndex,
-    reads: Sequence[str],
-    workers: int = 2,
-    start_method: str | None = None,
-    mode: str = "auto",
-) -> BatchRunReport:
-    """Shard ``reads`` across ``workers`` processes and time the whole map.
-
-    The workers come from a :class:`~repro.serving.pool.MapperPool`: the
-    index is published once (shared memory, or a memory-mapped flat file)
-    and each worker attaches to the same physical copy — no per-worker
-    pickle of the structure, and resident memory stays ~one index total
-    regardless of ``workers``.  Each worker counts its shard in its own
-    ``CounterScope`` and the deltas are summed; per-read results are not
-    shipped back (only aggregate mapping ratio), keeping IPC cost out of
-    the measurement.
-
-    ``start_method``/``mode`` are forwarded to the pool (defaults: fork
-    when available; shared memory with mmap fallback).
-    """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    reads = list(reads)
-    if workers == 1 or len(reads) < workers:
-        return run_mapping_batch(index, reads, keep_results=False)
-    from ..serving.pool import MapperPool
-
-    with MapperPool(
-        index, workers=workers, start_method=start_method, mode=mode
-    ) as pool:
-        outcome = pool.run_batch(reads, locate=False)
-    return BatchRunReport(
-        n_reads=outcome.n_reads,
-        read_length=len(reads[0]) if reads else 0,
-        wall_seconds=outcome.wall_seconds,
-        mapping_ratio=outcome.mapping_ratio,
-        op_counts=outcome.op_counts,
-        results=[],
-    )

@@ -5,9 +5,8 @@ its reverse complement; the host then resolves intervals to positions in
 the suffix array.  :class:`MappingResult` carries exactly that for one
 read; :class:`MappedBatch` carries it for a whole batch as columns and
 builds a :class:`MappingResult` only when one is asked for.
-:func:`write_hits_tsv` / :func:`to_sam_lines` provide the downloadable
-outputs of the web workflow (a plain hits table, and a minimal SAM-like
-rendering for interoperability demos).
+:func:`write_hits_tsv` writes the plain hits table, the native download
+of the CLI and the web workflow (SAM output is :mod:`repro.mapper.sam`).
 """
 
 from __future__ import annotations
@@ -326,36 +325,3 @@ def _write_batch_rows(batch: MappedBatch, fh: IO[str]) -> int:
     fh.write("".join(rows))
     return len(rows)
 
-
-def to_sam_lines(
-    results: Iterable[MappingResult],
-    reads: Sequence[str],
-    reference_name: str = "ref",
-    reference_length: int = 0,
-) -> list[str]:
-    """Minimal SAM rendering of exact-match results.
-
-    One line per located occurrence (or one unmapped line per read with
-    no hits).  Flags used: 0 forward, 16 reverse, 4 unmapped; CIGAR is
-    always full-length ``M`` because BWaveR reports exact matches only.
-    """
-    lines = [
-        "@HD\tVN:1.6\tSO:unknown",
-        f"@SQ\tSN:{reference_name}\tLN:{reference_length}",
-        "@PG\tID:bwaver-repro\tPN:bwaver-repro",
-    ]
-    for r in results:
-        seq = reads[r.read_id]
-        emitted = False
-        for strand, hit, flag in (("+", r.forward, 0), ("-", r.reverse, 16)):
-            if hit.positions is None:
-                continue
-            for pos in hit.positions.tolist():
-                lines.append(
-                    f"{r.read_name}\t{flag}\t{reference_name}\t{pos + 1}\t255"
-                    f"\t{r.length}M\t*\t0\t0\t{seq}\t*"
-                )
-                emitted = True
-        if not emitted:
-            lines.append(f"{r.read_name}\t4\t*\t0\t0\t*\t*\t0\t0\t{seq}\t*")
-    return lines

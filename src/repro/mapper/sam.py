@@ -1,4 +1,4 @@
-"""Full SAM output: single- and multi-reference, single- and paired-end.
+"""SAM output: single- and multi-reference, single-end.
 
 The TSV hits table is BWaveR's native download; interoperating with the
 wider toolchain (samtools, IGV) needs SAM.  This writer covers the
@@ -6,14 +6,9 @@ subset exact mapping produces:
 
 * header: ``@HD``, one ``@SQ`` per reference sequence, ``@PG``;
 * single-end records with flags 0/16/4, full-length ``M`` CIGAR,
-  ``NH``-style hit counts in the ``NH:i`` tag;
-* paired-end records with the paired flag set (0x1), proper-pair (0x2),
-  mate strand/unmapped bits, ``RNEXT``/``PNEXT``/``TLEN`` filled from
-  the chosen proper pair.
+  ``NH``-style hit counts in the ``NH:i`` tag.
 
-Flags used (SAM spec bit names): 0x1 PAIRED, 0x2 PROPER_PAIR, 0x4
-UNMAPPED, 0x8 MATE_UNMAPPED, 0x10 REVERSE, 0x20 MATE_REVERSE, 0x40
-FIRST_IN_PAIR, 0x80 SECOND_IN_PAIR.
+Flags used (SAM spec bit names): 0x4 UNMAPPED, 0x10 REVERSE.
 """
 
 from __future__ import annotations
@@ -21,17 +16,10 @@ from __future__ import annotations
 from typing import IO, Sequence
 
 from ..index.multiref import MultiReferenceIndex
-from .paired import PairMapping
 from .results import MappingResult
 
-FLAG_PAIRED = 0x1
-FLAG_PROPER = 0x2
 FLAG_UNMAPPED = 0x4
-FLAG_MATE_UNMAPPED = 0x8
 FLAG_REVERSE = 0x10
-FLAG_MATE_REVERSE = 0x20
-FLAG_FIRST = 0x40
-FLAG_SECOND = 0x80
 
 
 def sam_header(reference_name: str, reference_length: int) -> list[str]:
@@ -80,69 +68,6 @@ def single_end_records(
             lines.append(
                 f"{res.read_name}\t{FLAG_UNMAPPED}\t*\t0\t0\t*\t*\t0\t0\t{seq}\t*"
             )
-    return lines
-
-
-def paired_end_records(
-    pair: PairMapping,
-    mate1: str,
-    mate2: str,
-    reference_name: str,
-    name: str | None = None,
-) -> list[str]:
-    """Two lines for one read pair (best proper placement, or unmapped)."""
-    qname = name if name is not None else f"pair{pair.pair_id}"
-    best = pair.best
-    if best is None:
-        base = FLAG_PAIRED | FLAG_UNMAPPED | FLAG_MATE_UNMAPPED
-        return [
-            f"{qname}\t{base | FLAG_FIRST}\t*\t0\t0\t*\t*\t0\t0\t{mate1}\t*",
-            f"{qname}\t{base | FLAG_SECOND}\t*\t0\t0\t*\t*\t0\t0\t{mate2}\t*",
-        ]
-    # Positions/strands per mate from the proper pair.
-    m1_rev = best.strand1 == "-"
-    m2_rev = best.strand2 == "-"
-    flag1 = FLAG_PAIRED | FLAG_PROPER | FLAG_FIRST
-    flag2 = FLAG_PAIRED | FLAG_PROPER | FLAG_SECOND
-    if m1_rev:
-        flag1 |= FLAG_REVERSE
-        flag2 |= FLAG_MATE_REVERSE
-    if m2_rev:
-        flag2 |= FLAG_REVERSE
-        flag1 |= FLAG_MATE_REVERSE
-    tlen = best.insert_size
-    lines = [
-        "\t".join(
-            [
-                qname,
-                str(flag1),
-                reference_name,
-                str(best.pos1 + 1),
-                "255",
-                f"{len(mate1)}M",
-                "=",
-                str(best.pos2 + 1),
-                str(tlen),
-                mate1,
-                "*",
-            ]
-        ),
-        "\t".join(
-            [
-                qname,
-                str(flag2),
-                reference_name,
-                str(best.pos2 + 1),
-                "255",
-                f"{len(mate2)}M",
-                "=",
-                str(best.pos1 + 1),
-                str(-tlen),
-                mate2,
-                "*",
-            ]
-        ),
-    ]
     return lines
 
 

@@ -354,7 +354,8 @@ class MapperPool:
 
         Per-read results stay in the workers (only the mapped count and
         counter deltas come back), keeping IPC out of the measurement —
-        the pooled counterpart of ``run_mapping_multiprocess``.
+        the pooled counterpart of
+        :func:`~repro.mapper.batch.run_mapping_batch`.
         """
         if self._closed:
             raise RuntimeError("pool is closed")

@@ -1,8 +1,8 @@
-"""Unit tests for batched mapping runs and multiprocess sharding."""
+"""Unit tests for batched mapping runs."""
 
 import pytest
 
-from repro.mapper.batch import run_mapping_batch, run_mapping_multiprocess
+from repro.mapper.batch import run_mapping_batch
 
 
 class TestRunMappingBatch:
@@ -45,20 +45,3 @@ class TestRunMappingBatch:
         assert a.mapping_ratio == b.mapping_ratio
         assert a.total_bs_steps == b.total_bs_steps
 
-
-class TestMultiprocess:
-    def test_single_worker_falls_back(self, small_index, small_text):
-        reads = [small_text[0:30]]
-        report = run_mapping_multiprocess(small_index, reads, workers=1)
-        assert report.n_reads == 1
-
-    def test_two_workers_same_ratio(self, small_index, small_text):
-        reads = [small_text[i : i + 30] for i in range(0, 400, 13)] + ["ACGT" * 10] * 4
-        serial = run_mapping_batch(small_index, reads, keep_results=False)
-        parallel = run_mapping_multiprocess(small_index, reads, workers=2)
-        assert parallel.n_reads == serial.n_reads
-        assert parallel.mapping_ratio == pytest.approx(serial.mapping_ratio)
-
-    def test_rejects_zero_workers(self, small_index, small_text):
-        with pytest.raises(ValueError):
-            run_mapping_multiprocess(small_index, [small_text[:10]], workers=0)

@@ -6,7 +6,8 @@ import pytest
 from repro import build_index
 from repro.baseline.naive import find_all_both_strands
 from repro.mapper.mapper import Mapper
-from repro.mapper.results import mapping_ratio, to_sam_lines, write_hits_tsv
+from repro.mapper.results import mapping_ratio, write_hits_tsv
+from repro.mapper.sam import write_sam_single
 from repro.sequence.alphabet import reverse_complement
 
 import io
@@ -122,7 +123,11 @@ class TestOutputs:
         mapper = Mapper(small_index)
         reads = [small_text[100:130], "ACGT" * 10]
         results = mapper.map_reads(reads)
-        lines = to_sam_lines(results, reads, reference_name="chr", reference_length=len(small_text))
+        buf = io.StringIO()
+        write_sam_single(
+            results, reads, buf, reference_name="chr", reference_length=len(small_text)
+        )
+        lines = buf.getvalue().splitlines()
         assert lines[0].startswith("@HD")
         assert any("\t0\tchr\t101\t" in ln for ln in lines)  # 1-based POS
         assert any("\t4\t*" in ln for ln in lines)  # unmapped record

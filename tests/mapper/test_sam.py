@@ -1,4 +1,4 @@
-"""Unit tests for the SAM writer (single, multi-reference, paired)."""
+"""Unit tests for the SAM writer (single and multi-reference)."""
 
 import io
 
@@ -8,15 +8,9 @@ import pytest
 from repro import build_index
 from repro.index.multiref import MultiReferenceIndex
 from repro.mapper.mapper import Mapper
-from repro.mapper.paired import PairedEndMapper, simulate_read_pairs
 from repro.mapper.sam import (
-    FLAG_FIRST,
-    FLAG_PAIRED,
-    FLAG_PROPER,
     FLAG_REVERSE,
-    FLAG_SECOND,
     FLAG_UNMAPPED,
-    paired_end_records,
     write_sam_multiref,
     write_sam_single,
 )
@@ -96,50 +90,6 @@ class TestMultiRef:
         write_sam_multiref(index, [refs[0][1][:40]], buf, read_names=["myread"])
         _, records = parse_sam(buf.getvalue())
         assert records[0][0] == "myread"
-
-
-class TestPairedEnd:
-    @pytest.fixture(scope="class")
-    def paired_setup(self):
-        ref = make_seq(5000, 155)
-        index, _ = build_index(ref, sf=8)
-        mapper = PairedEndMapper(index, min_insert=150, max_insert=450)
-        pairs, truth = simulate_read_pairs(ref, 5, 50, insert_mean=300, seed=156)
-        return ref, mapper, pairs, truth
-
-    def test_proper_pair_records(self, paired_setup):
-        ref, mapper, pairs, truth = paired_setup
-        m1, m2 = pairs[0]
-        start, insert = truth[0]
-        result = mapper.map_pair(m1, m2, pair_id=0)
-        lines = paired_end_records(result, m1, m2, "chr")
-        assert len(lines) == 2
-        r1, r2 = (l.split("\t") for l in lines)
-        f1, f2 = int(r1[1]), int(r2[1])
-        assert f1 & FLAG_PAIRED and f1 & FLAG_PROPER and f1 & FLAG_FIRST
-        assert f2 & FLAG_SECOND
-        assert int(r1[3]) == start + 1
-        assert int(r1[8]) == insert and int(r2[8]) == -insert
-        assert r1[6] == "=" and int(r1[7]) == int(r2[3])
-
-    def test_mate_strand_bits(self, paired_setup):
-        _, mapper, pairs, _ = paired_setup
-        m1, m2 = pairs[1]
-        result = mapper.map_pair(m1, m2, pair_id=1)
-        lines = paired_end_records(result, m1, m2, "chr")
-        f1 = int(lines[0].split("\t")[1])
-        f2 = int(lines[1].split("\t")[1])
-        # FR orientation: exactly one of the mates is reverse.
-        assert bool(f1 & FLAG_REVERSE) != bool(f2 & FLAG_REVERSE)
-
-    def test_unmapped_pair(self, paired_setup):
-        _, mapper, _, _ = paired_setup
-        foreign = "ACGT" * 13
-        result = mapper.map_pair(foreign[:50], foreign[2:52], pair_id=9)
-        if result.best is None:
-            lines = paired_end_records(result, foreign[:50], foreign[2:52], "chr")
-            for line in lines:
-                assert int(line.split("\t")[1]) & FLAG_UNMAPPED
 
 
 class TestProfiling:

@@ -184,6 +184,12 @@ class TestLifecycle:
         with pytest.raises(ValueError):
             MapperPool(pool_index, flat_path=flat)
 
+    def test_rejects_zero_workers_before_publishing(self, pool_index):
+        before = _shm_names()
+        with pytest.raises(ValueError, match="workers"):
+            MapperPool(pool_index, workers=0)
+        assert _shm_names() == before
+
     def test_mmap_mode_cleans_temp_file(self, pool_index, reads):
         pool = MapperPool(pool_index, workers=1, mode="mmap")
         path = pool.block.spec["path"]

@@ -20,6 +20,10 @@ SUBPACKAGES = [
     "repro.baseline",
     "repro.web",
     "repro.bench",
+    "repro.bench.platform",
+    "repro.serving",
+    "repro.check",
+    "repro.telemetry",
 ]
 
 
