@@ -60,7 +60,6 @@ def main() -> None:
     assert mismatches == 0
 
     # Host-side locate of the device's intervals (BWaveR's division of labor).
-    mapper = Mapper(index)
     first_hit = next(o for o in hw.kernel_run.outcomes if o.mapped)
     positions = index.locate_structure.locate_range(
         first_hit.fwd_start, first_hit.fwd_end, lf=index.backend.lf

@@ -340,7 +340,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     if index.ftab is not None:
         print(
             f"  ftab: k={index.ftab.k}, {index.ftab.size_in_bytes():,} B "
-            f"({len(index.ftab.lo):,} entries)"
+            f"({len(index.ftab):,} entries)"
         )
     if args.validate:
         try:

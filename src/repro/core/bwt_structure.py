@@ -158,29 +158,30 @@ class BWTStructure:
     def lf_many(self, rows: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`lf` over an array of rows.
 
-        One symbol gather plus one :meth:`occ_many` call over every
-        non-sentinel row — the kernel behind the shared LF walk of
-        :meth:`repro.sequence.sampled_sa.SampledSA.locate_batch`.
-        Results are identical to the scalar :meth:`lf`.
+        Each row's BWT symbol and its rank come from one top-down
+        wavelet descent (:meth:`WaveletTree.access_rank_into`), so no
+        raw copy of the BWT is read — the kernel behind the shared LF
+        walk of :meth:`repro.sequence.sampled_sa.SampledSA.locate_batch`.
+        Results are identical to the scalar :meth:`lf`, and the counters
+        are charged as the rank descent of the rows' own symbols.
         """
         rows = np.asarray(rows, dtype=np.int64)
-        if self.bwt is not None and not self.store_sentinel_in_tree:
-            # Fast path: read the BWT symbols straight from the raw codes
-            # (the placeholder at the sentinel slot is masked below).
-            syms = self.bwt.codes.take(rows).astype(np.int64)
-            sentinel = rows == self.dollar_pos
-            if not sentinel.any():  # a locate walk never steps off row $
-                out = self._tree_rank(syms, rows.copy())
-                out += self.C.take(syms)
-                return out
-            syms[sentinel] = -1
-        else:
-            syms = np.array([self.access(int(r)) for r in rows], dtype=np.int64)
+        if self.store_sentinel_in_tree:
+            # Five-symbol tree: $ is symbol 0, the first of its kind,
+            # so its rank is already its LF image, row 0.
+            sym, out = self.tree.access_rank_into(rows.copy())
+            real = sym > 0
+            out[real] += self.C.take(sym[real] - 1)
+            return out
+        real = rows != self.dollar_pos
+        if real.all():  # a locate walk never steps off row $
+            sym, out = self.tree.access_rank_into(rows - (rows > self.dollar_pos))
+            out += self.C.take(sym)
+            return out
         out = np.zeros(rows.size, dtype=np.int64)  # the sentinel maps to row 0
-        real = np.flatnonzero(syms >= 0)
-        if real.size:
-            s = syms[real]
-            out[real] = self.C[s] + self.occ_many(s, rows[real])
+        r = rows[real]
+        sym, rank = self.tree.access_rank_into(r - (r > self.dollar_pos))
+        out[real] = self.C.take(sym) + rank
         return out
 
     # -- zero-copy rehydration ----------------------------------------------
@@ -192,8 +193,7 @@ class BWTStructure:
         re-encoded on every load — this exports the finished succinct
         layout (every node's classes/partial sums/offset stream),
         so :meth:`from_arrays` re-attaches in O(1) without re-encoding.
-        The BWT itself is not included; pass it separately (the flat
-        container stores its codes and suffix array as shared segments).
+        The BWT itself is not included: the wavelet tree encodes it.
         """
         tree_meta, tree_arrays = self.tree.export_arrays()
         meta = {
@@ -209,17 +209,11 @@ class BWTStructure:
         return meta, arrays
 
     @classmethod
-    def from_arrays(
-        cls,
-        meta: dict,
-        arrays: dict[str, np.ndarray],
-        bwt: BWT | None = None,
-    ) -> "BWTStructure":
+    def from_arrays(cls, meta: dict, arrays: dict[str, np.ndarray]) -> "BWTStructure":
         """Rehydrate around externally owned buffers without re-encoding.
 
-        ``bwt`` (when available, e.g. memmapped codes + suffix array from
-        the flat container) is attached for consumers that walk the raw
-        transform (re-serialization, inspection); queries never need it.
+        The raw BWT is not part of the encoded layout, so the rehydrated
+        structure has ``bwt = None``; every query reads the wavelet tree.
         """
         self = cls.__new__(cls)
         self.b = int(meta["b"])
@@ -236,7 +230,7 @@ class BWTStructure:
             },
         )
         self.C = arrays["C"]
-        self.bwt = bwt
+        self.bwt = None
         return self
 
     # -- structure info ----------------------------------------------------------

@@ -54,7 +54,6 @@ from ..core.bwt_structure import BWTStructure
 from ..core.global_tables import get_global_tables
 from ..core.rrr import DEFAULT_BLOCK_SIZE, DEFAULT_SUPERBLOCK_FACTOR, encode_blocks
 from ..sequence.alphabet import encode
-from ..sequence.bwt import BWT
 from ..sequence.sampled_sa import MARK_B, MARK_SF, FullSA, SampledSA
 from ..telemetry import get_telemetry
 from .builder import BuildReport
@@ -78,6 +77,9 @@ _STATE_VERSION = 3
 #: comes on top.  ``block_rows = budget / 48`` keeps the *variable* part
 #: of the footprint near the requested budget.
 _BYTES_PER_ROW = 48
+
+#: Rows per slice when the finished SA is narrowed to ``uint32``.
+_SA_NARROW_ROWS = 1 << 20
 
 
 #: The arrays of one encoded RRR vector, as ``StreamingRRREncoder.finalize``
@@ -836,6 +838,20 @@ def _stage_encode(
 # --------------------------------------------------------------------------
 
 
+def _narrow_sa(work: Path, n1: int) -> np.ndarray:
+    """``sa.bin`` copied to a ``uint32`` work file (the container's SA
+    layout) in ``_SA_NARROW_ROWS`` slices, so the copy never holds a
+    full-size array in memory.  An index of ``2**32`` rows or more is
+    refused when the container is written, so no wrapped entry is
+    ever stored."""
+    sa = np.memmap(work / "sa.bin", dtype=np.int64, mode="r")
+    out = np.memmap(work / "sa_u32.bin", dtype=np.uint32, mode="w+", shape=(n1,))
+    for lo in range(0, n1, _SA_NARROW_ROWS):
+        out[lo : lo + _SA_NARROW_ROWS] = sa[lo : lo + _SA_NARROW_ROWS]
+    out.flush()
+    return out
+
+
 def _stage_finalize(
     n1: int,
     work: Path,
@@ -851,11 +867,6 @@ def _stage_finalize(
     ftab_k: int | None,
 ):
     dollar = int(state["dollar_pos"])
-    bwt = BWT(
-        codes=np.memmap(work / "bwt.bin", dtype=np.uint8, mode="r"),
-        dollar_pos=dollar,
-        sa=np.memmap(work / "sa.bin", dtype=np.int64, mode="r"),
-    )
     counts = np.asarray(state["counts"], dtype=np.int64)
     C = np.zeros(SIGMA + 1, dtype=np.int64)
     C[0] = 1
@@ -904,7 +915,7 @@ def _stage_finalize(
                 arrays[f"tree/node{i}/{name}"] = np.load(
                     work / f"node{i}_{name}.npy", mmap_mode="r"
                 )
-        struct = BWTStructure.from_arrays(backend_meta, arrays, bwt=bwt)
+        struct = BWTStructure.from_arrays(backend_meta, arrays)
     else:
         occ_meta = {
             "checkpoint_words": int(occ_checkpoint_words),
@@ -922,9 +933,9 @@ def _stage_finalize(
             "checkpoints": np.load(work / "occ_checkpoints.npy", mmap_mode="r"),
             "C": C,
         }
-        struct = OccTable.from_arrays(occ_meta, arrays, bwt=bwt)
+        struct = OccTable.from_arrays(occ_meta, arrays)
     if locate == "full":
-        loc = FullSA(bwt.sa)
+        loc = FullSA(_narrow_sa(work, n1))
     elif locate == "sampled":
         loc_arrays = {
             f"marks/{name}": np.load(work / f"marks_{name}.npy", mmap_mode="r")

@@ -43,7 +43,6 @@ from pathlib import Path
 import numpy as np
 
 from ..core.bwt_structure import BWTStructure
-from ..sequence.bwt import BWT
 from ..sequence.sampled_sa import FullSA, SampledSA
 from ..telemetry import get_telemetry
 from .fm_index import FMIndex
@@ -53,6 +52,8 @@ from .occ_table import OccTable
 MAGIC = b"BWVRFLT1"
 FLAT_VERSION = 1
 ALIGN = 64
+#: Most matrix rows a container holds: row numbers are stored as uint32.
+MAX_ROWS = 2**32 - 1
 _HEADER = struct.Struct("<8sIIQ")  # magic, version, manifest_len, data_start
 
 
@@ -73,15 +74,19 @@ def _align_up(n: int, align: int = ALIGN) -> int:
 def export_index(index: FMIndex) -> tuple[dict, dict[str, np.ndarray]]:
     """Decompose ``index`` into a JSON-able meta dict and named arrays.
 
-    Segment names: ``bwt_codes`` (the raw transform), ``sa`` (the full
-    suffix array, written only for full-SA locate, which wraps it),
-    ``backend/...`` (the encoded succinct layout), ``locate/...`` for
-    locate structures with their own storage (a sampled SA's ``samples``
-    and its RRR mark vector ``marks/{classes,partial_sums,offset_words,
-    offset_sums}``), and
-    ``ftab/...`` for the optional k-mer jump-start table (a versioned
-    optional segment group — containers written without it load fine,
-    and readers predating it ignore unknown ``meta`` keys).
+    The container holds only what the query path reads.  Segment names:
+    ``backend/...`` (the encoded succinct layout, which is also the only
+    copy of the BWT), ``sa`` (the full suffix array as ``uint32``,
+    written only for full-SA locate), ``locate/...`` for locate
+    structures with their own storage (a sampled SA's ``samples`` and
+    its RRR mark vector ``marks/{classes,partial_sums,offset_words,
+    offset_sums}``), and ``ftab/{bounds,steps,tails}`` for the optional
+    k-mer jump-start table (a versioned optional segment group —
+    containers written without it load fine).
+
+    Every row number the container stores is 32-bit (the SA, the ftab
+    bounds, the sampled SA's quotients), so an index of ``2**32`` or
+    more rows is refused here.
     """
     backend = index.backend
     if isinstance(backend, BWTStructure):
@@ -92,18 +97,16 @@ def export_index(index: FMIndex) -> tuple[dict, dict[str, np.ndarray]]:
         raise IndexFormatError(
             f"cannot export backend of type {type(backend).__name__}"
         )
-    bwt = backend.bwt
-    if bwt is None:
+    if index.n_rows > MAX_ROWS:
         raise IndexFormatError(
-            "index backend carries no BWT; cannot export the raw transform"
+            f"index of {index.n_rows:,} rows exceeds the container's "
+            f"32-bit row numbers (at most {MAX_ROWS:,} rows)"
         )
     backend_meta, backend_arrays = backend.export_arrays()
-    segments: dict[str, np.ndarray] = {
-        "bwt_codes": np.ascontiguousarray(bwt.codes, dtype=np.uint8)
-    }
+    segments: dict[str, np.ndarray] = {}
     loc = index.locate_structure
     if isinstance(loc, FullSA):
-        segments["sa"] = np.ascontiguousarray(loc.sa, dtype=np.int64)
+        segments["sa"] = np.ascontiguousarray(loc.sa, dtype=np.uint32)
     for name, arr in backend_arrays.items():
         segments[f"backend/{name}"] = arr
     if loc is None:
@@ -403,19 +406,12 @@ def _rehydrate(meta: dict, views: dict[str, np.ndarray]) -> FMIndex:
         raise IndexFormatError(f"unknown container kind {meta.get('kind')!r}")
     bm = meta["backend_meta"]
     try:
-        # Only full-SA containers carry the suffix array (older
-        # containers always did; it is ignored unless locate is full).
-        bwt = BWT(
-            codes=views["bwt_codes"],
-            dollar_pos=int(bm["dollar_pos"]),
-            sa=views.get("sa"),
-        )
         backend_views = _group(views, "backend/")
         kind = meta.get("backend")
         if kind == "rrr":
-            backend = BWTStructure.from_arrays(bm, backend_views, bwt=bwt)
+            backend = BWTStructure.from_arrays(bm, backend_views)
         elif kind == "occ":
-            backend = OccTable.from_arrays(bm, backend_views, bwt=bwt)
+            backend = OccTable.from_arrays(bm, backend_views)
         else:
             raise IndexFormatError(f"unknown backend kind {kind!r}")
         locate = meta.get("locate", "none")
@@ -432,8 +428,8 @@ def _rehydrate(meta: dict, views: dict[str, np.ndarray]) -> FMIndex:
             loc = None
         else:
             raise IndexFormatError(f"unknown locate kind {locate!r}")
-        # Optional k-mer jump-start table: absent in containers written
-        # before the segment existed — they attach with ftab=None.
+        # Optional k-mer jump-start table: containers built without one
+        # attach with ftab=None.
         ftab = None
         if meta.get("ftab"):
             try:

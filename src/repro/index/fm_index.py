@@ -282,9 +282,7 @@ class FMIndex:
             prim = np.flatnonzero(lengths >= ftab.k)
             if prim.size:
                 tidx = ftab.indices_from_reversed(mat[prim, : ftab.k])
-                lo[prim] = ftab.lo[tidx]
-                hi[prim] = ftab.hi[tidx]
-                ftab_steps = ftab.steps[tidx].astype(np.int64)
+                lo[prim], hi[prim], ftab_steps = ftab.lookup_many(tidx)
                 steps[prim] = ftab_steps
                 counters.ftab_lookups += int(prim.size)
                 # Entries emptied inside the table region, and k-long

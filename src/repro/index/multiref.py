@@ -18,13 +18,15 @@ single-sequence index remains available per record.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from ..core.counters import current_counters
 from ..sequence.alphabet import is_valid, reverse_complement
-from .builder import Backend, build_index
+
+if TYPE_CHECKING:
+    from .builder import Backend
 
 
 @dataclass(frozen=True)
@@ -93,6 +95,9 @@ class MultiReferenceIndex:
         # offsets[i] = global start of sequence i; final entry = total.
         self.offsets = np.concatenate(([0], np.cumsum(self.lengths)))
         concatenated = "".join(s for _, s in pairs)
+        # Imported here: opening a saved multi-reference index never builds.
+        from .builder import build_index
+
         self.index, self.build_report = build_index(
             concatenated, b=b, sf=sf, backend=backend, locate="full"
         )

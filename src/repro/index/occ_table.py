@@ -231,13 +231,9 @@ class OccTable:
         return meta, arrays
 
     @classmethod
-    def from_arrays(
-        cls,
-        meta: dict,
-        arrays: dict[str, np.ndarray],
-        bwt: BWT | None = None,
-    ) -> "OccTable":
-        """Rehydrate around externally owned buffers without repacking."""
+    def from_arrays(cls, meta: dict, arrays: dict[str, np.ndarray]) -> "OccTable":
+        """Rehydrate around externally owned buffers without repacking
+        (``bwt = None``: the packed words are the transform)."""
         self = cls.__new__(cls)
         self.checkpoint_words = int(meta["checkpoint_words"])
         self.d_rows = BASES_PER_WORD * self.checkpoint_words
@@ -247,7 +243,7 @@ class OccTable:
         self.words = arrays["words"]
         self.checkpoints = arrays["checkpoints"]
         self.C = arrays["C"]
-        self.bwt = bwt
+        self.bwt = None
         return self
 
     def access(self, i: int) -> int:

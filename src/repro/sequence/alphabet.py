@@ -45,10 +45,6 @@ _CHAR_TO_CODE[ord("u")] = 3
 
 _CODE_TO_CHAR = np.frombuffer(b"ACGT", dtype=np.uint8)
 
-#: code -> complement code (A<->T, C<->G); vectorized complement is
-#: ``COMPLEMENT_CODE[codes]``.
-COMPLEMENT_CODE = np.array([3, 2, 1, 0], dtype=np.uint8)
-
 _COMPLEMENT_CHAR = np.arange(256, dtype=np.uint8)
 for _a, _b in (("A", "T"), ("C", "G"), ("G", "C"), ("T", "A"), ("U", "A"),
                ("a", "t"), ("c", "g"), ("g", "c"), ("t", "a"), ("u", "a")):
@@ -104,12 +100,6 @@ def reverse_complement(seq: str) -> str:
     if np.any(bad):
         encode(seq)  # raises AlphabetError with position info if invalid
     return comp[::-1].tobytes().decode("ascii")
-
-
-def reverse_complement_codes(codes: np.ndarray) -> np.ndarray:
-    """Reverse complement on 2-bit code arrays (vectorized)."""
-    codes = np.asarray(codes, dtype=np.uint8)
-    return COMPLEMENT_CODE[codes][::-1].copy()
 
 
 @dataclass(frozen=True)

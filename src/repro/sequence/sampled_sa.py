@@ -51,10 +51,16 @@ def _interval_rows(starts, ends, n_rows: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class FullSA:
-    """Host-resident full suffix array: O(1) locate per occurrence."""
+    """Host-resident full suffix array: O(1) locate per occurrence.
+
+    The array is kept as given when it is ``uint32`` (the flat
+    container's layout, attached without a copy) and as ``int64``
+    otherwise; positions are returned as ``int64`` either way.
+    """
 
     def __init__(self, sa: np.ndarray):
-        self.sa = np.asarray(sa, dtype=np.int64)
+        sa = np.asarray(sa)
+        self.sa = sa if sa.dtype == np.uint32 else sa.astype(np.int64, copy=False)
 
     def locate(self, row: int, lf=None) -> int:
         """Text position of the suffix at matrix row ``row``."""
@@ -66,14 +72,14 @@ class FullSA:
         """Text positions for rows ``[start, end)`` (one per occurrence)."""
         if not 0 <= start <= end <= self.sa.size:
             raise IndexError("row range out of bounds")
-        return self.sa[start:end].copy()
+        return self.sa[start:end].astype(np.int64)
 
     def locate_batch(self, starts, ends, lf_many=None) -> tuple[np.ndarray, np.ndarray]:
         """Positions of every interval ``[starts[i], ends[i])`` with one
         gather; interval ``i``'s are ``positions[offsets[i]:offsets[i + 1]]``
         in row order."""
         rows, offsets = _interval_rows(starts, ends, self.sa.size)
-        return self.sa[rows], offsets
+        return self.sa.take(rows).astype(np.int64, copy=False), offsets
 
     def size_in_bytes(self) -> int:
         return self.sa.nbytes
@@ -83,7 +89,8 @@ class FullSA:
 
     @classmethod
     def from_arrays(cls, meta: dict, arrays: dict[str, np.ndarray]) -> "FullSA":
-        """Wrap an externally owned suffix array (no copy for int64 input)."""
+        """Wrap an externally owned suffix array (``uint32`` or ``int64``)
+        without a copy."""
         self = cls.__new__(cls)
         self.sa = arrays["sa"]
         return self

@@ -348,6 +348,20 @@ def test_planted_rank_work_bug_is_caught_and_shrunk(monkeypatch):
     _assert_caught_and_shrunk(monkeypatch, "batch", _plant_double_rank, QUICK, 3, "patterns")
 
 
+def _plant_dropped_tail_correction(mp):
+    from repro.index.ftab import Ftab
+
+    # A live k-mer's hi keeps the short suffix that sorts right after
+    # its rows: one row too many when the text ends just past it.
+    mp.setattr(Ftab, "_tails_at", lambda self, j: 0)
+
+
+def test_planted_tail_correction_bug_is_caught_and_shrunk(monkeypatch):
+    """The ftab row's table-entry probes catch a boundary lookup that
+    forgets the text's short suffixes."""
+    _assert_caught_and_shrunk(monkeypatch, "ftab", _plant_dropped_tail_correction, QUICK, 6, "patterns")
+
+
 def _assert_caught_and_shrunk(monkeypatch, name, plant, profile, rounds, key):
     plant(monkeypatch)
     report = SelfCheck(seed=0, profile=profile, checks=[name]).run(rounds)

@@ -145,9 +145,9 @@ class TestSuffixArraySegment:
         assert "sa" in self._names(tmp_path / "full.bwvr")
         assert "sa" not in self._names(tmp_path / "x.bwvr")
         saved = (tmp_path / "full.bwvr").stat().st_size - (tmp_path / "x.bwvr").stat().st_size
-        assert saved > full.locate_structure.sa.nbytes // 2
+        assert saved > 4 * full.locate_structure.sa.size // 2  # a uint32 per row
         loaded = load_index_flat(tmp_path / "x.bwvr", verify=True)
-        assert loaded.backend.bwt.sa is None
+        assert loaded.backend.bwt is None
         reads = [small_text[i : i + 30] for i in range(0, 1500, 97)] + ["ACGTNA"]
         want = Mapper(index, locate=locate != "none").map_reads(reads)
         got = Mapper(loaded, locate=locate != "none").map_reads(reads)
@@ -163,7 +163,6 @@ class TestSuffixArraySegment:
         meta, segments = export_index(index)
         sa = build_index(small_text, sf=8)[0].locate_structure.sa
         with FlatWriter(flat_path) as writer:
-            writer.add_segment("bwt_codes", segments.pop("bwt_codes"))
             writer.add_segment("sa", sa)
             for name, arr in segments.items():
                 writer.add_segment(name, arr)
@@ -239,7 +238,7 @@ class TestIntegrity:
         index, _ = build_index(small_text, sf=8)
         save_index_flat(index, flat_path)
         names = verify_flat_index(flat_path)
-        assert "bwt_codes" in names and "sa" in names
+        assert "sa" in names and "bwt_codes" not in names
 
     def test_corrupted_segment_rejected(self, small_text, flat_path):
         index, _ = build_index(small_text, sf=8)
@@ -373,7 +372,7 @@ class TestIntegrity:
         save_index(index, flat_path)
         mm = np.memmap(flat_path, dtype=np.uint8, mode="r")
         _, entries, _ = read_flat_manifest(mm)
-        assert {"bwt_codes", "sa"} <= {e["name"] for e in entries}
+        assert "sa" in {e["name"] for e in entries}
         assert all(isinstance(e["crc32"], int) for e in entries)
 
 
@@ -536,4 +535,4 @@ class TestManifest:
         magic, version, mlen, data_start = struct.unpack("<8sIIQ", raw[:24])
         doc = json.loads(raw[24 : 24 + mlen])
         assert doc["meta"]["backend"] == "rrr"
-        assert {e["name"] for e in doc["segments"]} >= {"bwt_codes", "sa", "backend/C"}
+        assert {e["name"] for e in doc["segments"]} >= {"sa", "backend/C"}

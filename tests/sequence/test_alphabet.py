@@ -11,7 +11,6 @@ from repro.sequence.alphabet import (
     is_valid,
     random_sequence,
     reverse_complement,
-    reverse_complement_codes,
 )
 
 
@@ -67,10 +66,6 @@ class TestReverseComplement:
     def test_invalid_raises(self):
         with pytest.raises(AlphabetError):
             reverse_complement("ACNX")
-
-    def test_codes_version_matches(self):
-        s = "ACGGTTAC"
-        assert decode(reverse_complement_codes(encode(s))) == reverse_complement(s)
 
     def test_empty(self):
         assert reverse_complement("") == ""
