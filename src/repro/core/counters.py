@@ -24,6 +24,7 @@ leaks into a run's counts.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, fields
 
@@ -109,6 +110,17 @@ _ACTIVE: ContextVar[OpCounters] = ContextVar("op_counters", default=UNCOUNTED)
 def current_counters() -> OpCounters:
     """The innermost open scope's counters, or :data:`UNCOUNTED`."""
     return _ACTIVE.get()
+
+
+@contextmanager
+def uncounted():
+    """Charge nothing inside the block: for reads a modeled operation
+    already pays for, such as the bit a rank's own block fetch holds."""
+    token = _ACTIVE.set(UNCOUNTED)
+    try:
+        yield
+    finally:
+        _ACTIVE.reset(token)
 
 
 class CounterScope:

@@ -20,7 +20,9 @@ from hypothesis import strategies as st
 from repro import build_index
 from repro.core.bwt_structure import BWTStructure
 from repro.core.counters import CounterScope
+from repro.core.interleaved import interleaved_factory
 from repro.core.rrr import RRRVector
+from repro.core.wavelet_tree import plain_bitvector_factory
 from repro.index.flat import load_index_flat, save_index_flat
 from repro.index.fm_index import FMIndex
 from repro.index.occ_table import OccTable
@@ -131,6 +133,54 @@ class TestLfMany:
         assert bwt.dollar_pos == backend.n_rows - 1 == 32
         rows = np.arange(backend.n_rows, dtype=np.int64)
         assert backend.lf_many(rows).tolist() == [backend.lf(int(r)) for r in rows]
+
+
+#: Every wavelet-tree shape ``lf_many`` descends: the uniform RRR arena,
+#: the five-symbol tree (uneven paths) and the ablation's plain and
+#: interleaved bit-vectors (no arena), which descend node by node.
+TREES = {
+    "rrr": dict(b=8, sf=4),
+    "rrr_sentinel_in_tree": dict(b=8, sf=4, store_sentinel_in_tree=True),
+    "plain": dict(bitvector_factory=plain_bitvector_factory),
+    "interleaved": dict(bitvector_factory=interleaved_factory(b=32)),
+}
+
+
+class TestLfManyTrees:
+    @pytest.mark.parametrize("tree", TREES)
+    @pytest.mark.parametrize("with_sentinel", [False, True])
+    def test_values_and_counters_equal_the_rank_descent(self, tree, with_sentinel):
+        """Symbol and rank come from one descent, charged exactly as the
+        rank descent of each row's own symbol: no access is charged."""
+        codes = np.random.default_rng(7).integers(0, 4, 300).astype(np.uint8)
+        bwt = bwt_from_codes(codes)
+        backend = BWTStructure(bwt, **TREES[tree])
+        rows = np.random.default_rng(8).integers(0, backend.n_rows, 200)
+        rows = rows[rows != bwt.dollar_pos]
+        if with_sentinel:
+            rows = np.append(rows, bwt.dollar_pos)
+        with CounterScope() as got:
+            out = backend.lf_many(rows)
+        assert out.tolist() == [backend.lf(int(r)) for r in rows]
+        with CounterScope() as want:
+            if backend.store_sentinel_in_tree:
+                sym = bwt.codes.astype(np.int64)[rows] + 1
+                sym[rows == bwt.dollar_pos] = 0
+                backend.tree.rank_many(sym, rows)
+            else:
+                real = rows[rows != bwt.dollar_pos]
+                backend.occ_many(bwt.codes.astype(np.int64)[real], real)
+        assert got.delta == want.delta and got.delta["wt_ranks"] > 0
+
+    @pytest.mark.parametrize("tree", TREES)
+    def test_sampled_locate_over_every_tree(self, tree):
+        codes = np.random.default_rng(9).integers(0, 4, 400).astype(np.uint8)
+        bwt = bwt_from_codes(codes)
+        backend = BWTStructure(bwt, **TREES[tree])
+        starts, ends = np.array([0, 17, 200]), np.array([9, 60, bwt.length])
+        pos, offsets = SampledSA(bwt.sa, k=5).locate_batch(starts, ends, backend.lf_many)
+        want, want_offsets = FullSA(bwt.sa).locate_batch(starts, ends)
+        assert pos.tolist() == want.tolist() and offsets.tolist() == want_offsets.tolist()
 
 
 def _scalar_concat(loc, lf, starts, ends):
