@@ -61,4 +61,4 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".sequence": ("bwt_from_string", "encode", "decode", "reverse_complement",
                   "suffix_array"),
 })
-__all__.append("__version__")
+__all__ = sorted([*__all__, "__version__"])

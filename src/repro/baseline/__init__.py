@@ -19,8 +19,8 @@ __all__ = [
     "HashMapperStats",
     "KmerHashMapper",
     "NaiveRank",
-    "ReadIndexedHashMapper",
     "PAPER_FITTED_SERIAL_FRACTION",
+    "ReadIndexedHashMapper",
     "assert_same_accuracy",
     "count_occurrences",
     "find_all",

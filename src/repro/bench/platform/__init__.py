@@ -38,18 +38,18 @@ from .workloads import WORKLOADS, Workload, create_workload
 
 __all__ = [
     "BUILTIN_SUITES",
-    "HOT_PATHS",
-    "WORKLOADS",
     "Comparison",
     "ConfigError",
     "ExperimentConfig",
     "GateReport",
+    "HOT_PATHS",
     "HotPath",
     "PathVerdict",
     "ReportContext",
     "ResultsStore",
     "RunReport",
     "TrialRecord",
+    "WORKLOADS",
     "Workload",
     "bootstrap_ci",
     "compare",

@@ -368,8 +368,8 @@ class ShardedMapping(Workload):
     one :meth:`~repro.serving.router.ShardRouter.map_reads` batch over
     reads drawn from every shard.  Default is all shards resident and
     in-process (the gated hot path); ``memory_budget_mb`` squeezes the
-    catalog into LRU waves and ``shard_workers`` runs each shard behind
-    its own MapperPool.
+    catalog into LRU waves and ``shard_workers`` maps the waves on the
+    catalog's one MapperPool.
     """
 
     def setup(self, scratch: Path) -> None:

@@ -24,8 +24,8 @@ from .rrr import DEFAULT_BLOCK_SIZE, DEFAULT_SUPERBLOCK_FACTOR, RRRVector
 from .wavelet_tree import WaveletTree, wavelet_tree_from_string
 
 __all__ = [
-    "BitVector",
     "BWTStructure",
+    "BitVector",
     "CounterScope",
     "DEFAULT_BLOCK_SIZE",
     "DEFAULT_SUPERBLOCK_FACTOR",

@@ -264,3 +264,4 @@ class BWTStructure:
             f"sentinel_in_tree={self.store_sentinel_in_tree}, "
             f"bytes={self.size_in_bytes()})"
         )
+

@@ -238,9 +238,9 @@ class WaveletTree:
         ``_level_live`` marks the depths a symbol's path reaches, and is
         ``None`` when every path has the full depth (a power-of-two
         alphabet).  Trees whose nodes are all RRR vectors of one ``(b,
-        sf)`` answer batches from one :class:`BlockRankCache` arena
-        spanning every node (built on first use); others descend node by
-        node.
+        sf)`` answer batches from a :class:`TreeArena` of one tree — one
+        :class:`BlockRankCache` spanning every node, built on first use;
+        others descend node by node.
         """
         self._paths: dict[int, list[tuple[WaveletNode, int]]] = {
             s: self._path_for(s) for s in range(self.sigma)
@@ -263,7 +263,7 @@ class WaveletTree:
             for v in bits
         )
         self._arena_sf: int | None = bits[0].sf if uniform else None
-        self._arena: tuple[BlockRankCache, np.ndarray] | None = None
+        self._arena: TreeArena | None = None
 
     def _path_for(self, symbol: int) -> list[tuple[WaveletNode, int]]:
         path: list[tuple[WaveletNode, int]] = []
@@ -342,126 +342,64 @@ class WaveletTree:
         the call overwrites.
 
         One top-down descent learns each position's symbol and its rank
-        together: on an RRR tree every level is one
-        :meth:`BlockRankCache.rank_bit` gather, whose bit picks the
-        child and whose rank moves the position, as in :meth:`_descend`.
-        Counters are charged as :meth:`rank_into` over the same symbols
-        and positions would charge them.  Trees without a uniform RRR
-        arena, or whose paths differ in length (the five-symbol ablation
-        tree), descend node by node (:meth:`_access_rank_nodes`).
+        together (:meth:`TreeArena.access_rank_into`).  Counters are
+        charged as :meth:`rank_into` over the same symbols and positions
+        would charge them.  Trees without a uniform RRR arena, or whose
+        paths differ in length (the five-symbol ablation tree), descend
+        node by node (:meth:`_access_rank_nodes`).
         """
+        if self._arena_sf is not None and self._level_live is None:
+            return self._batch_arena().access_rank_into(p)
         if p.size and p.view(np.uint64).max() >= self.n:
             raise IndexError("access position out of range")
-        c = current_counters()
-        c.wt_ranks += int(p.size)
+        current_counters().wt_ranks += int(p.size)
         if p.size == 0:
             return p.copy(), p
+        return self._access_rank_nodes(p)
+
+    def arena_key(self) -> tuple[int, int, int] | None:
+        """``(sigma, b, sf)`` of a tree whose batches descend a
+        :class:`TreeArena` along full-depth paths — trees of one key can
+        share one arena — else ``None`` (trees descending node by node,
+        or whose paths differ in length)."""
         if self._arena_sf is None or self._level_live is not None:
-            return self._access_rank_nodes(p)
+            return None
+        return (self.sigma, self.root.bits.b, self._arena_sf)
+
+    def _batch_arena(self) -> TreeArena:
+        """This tree's :class:`TreeArena` (RRR trees of one ``(b, sf)``
+        only), built on first use."""
         if self._arena is None:
             self.build_batch_cache()
-        arena, level_base = self._arena
-        b, sf = arena.b, self._arena_sf
-        counted = c is not UNCOUNTED
-        # Every path has the full depth D and each node splits its
-        # alphabet in halves, so the bits taken so far are the symbol's
-        # high bits: ``code`` at depth d addresses the node every symbol
-        # ``code << (D - d) + ...`` passes, and after D levels it is S[p].
-        depth = level_base.shape[0]
-        code = None
-        for d in range(depth):
-            q = p // b
-            r = q * b
-            np.subtract(p, r, out=r)
-            if counted:
-                charge_batch_ranks(c, p, q, r, sf)
-            if code is None:
-                q += level_base[0, 0]
-            else:
-                q += level_base[d, :: 1 << (depth - d)].take(code)
-            r1, bit = arena.rank_bit(q, r)
-            p -= r1
-            np.copyto(p, r1, where=bit)
-            code = bit.astype(np.int64) if code is None else code * 2 + bit
-        return code, p
+        return self._arena
 
     def build_batch_cache(self) -> None:
         """Build the batch-rank scratch: for RRR trees one
-        :class:`BlockRankCache` arena over every node (no per-node
-        caches), otherwise each node's own cache."""
+        :class:`TreeArena` over every node (no per-node caches),
+        otherwise each node's own cache."""
         if self._arena_sf is None:
             for node in self.nodes():
                 if hasattr(node.bits, "build_batch_cache"):
                     node.bits.build_batch_cache()
             return
-        cache = BlockRankCache([node.bits for node in self.nodes()])
-        self._arena = (cache, cache.bases[self._level_node])
+        self._arena = TreeArena([self])
 
     def _descend(self, sym: np.ndarray, p: np.ndarray) -> np.ndarray:
-        """Ranks of ``sym`` (0-d or one per column) at positions ``p``.
-
-        ``p`` is scratch that callers allocate for this call, of shape
-        ``(n,)`` or ``(2, n)``; ``sym`` broadcasts over the rows.  On an RRR
-        tree every level is one :meth:`BlockRankCache.rank` call over all
-        positions, each addressing its own node's span of the arena; a
-        position then moves to ``r1`` (side 1) or ``p - r1`` (side 0).
-        Counters are charged per level exactly as per-node
-        ``rank1_many`` calls over the same positions would charge them.
-        """
+        """Ranks of ``sym`` (0-d or one per column) at positions ``p``:
+        :meth:`TreeArena.rank_into` on an RRR tree, node by node
+        otherwise, with the same checks and counter charges."""
+        if self._arena_sf is not None:
+            return self._batch_arena().rank_into(sym, p)
         # Viewed as unsigned, a negative int64 compares above any bound.
         if sym.size and sym.view(np.uint64).max() >= self.sigma:
             raise ValueError(f"symbol outside alphabet [0, {self.sigma})")
-        c = current_counters()
-        c.wt_ranks += int(p.size)
+        current_counters().wt_ranks += int(p.size)
         if sym.ndim and sym.shape != p.shape[-1:]:
             raise ValueError("symbols and positions must have the same shape")
-        if self._arena_sf is None:
-            if p.ndim == 1:
-                return self._descend_nodes(sym, p)
-            both = sym if sym.ndim == 0 else np.tile(sym, p.shape[0])
-            return self._descend_nodes(both, p.reshape(-1)).reshape(p.shape)
-        if p.size == 0:
-            return p
-        if p.view(np.uint64).max() > self.n:
-            raise IndexError("rank position out of range")
-        if self._arena is None:
-            self.build_batch_cache()
-        arena, level_base = self._arena
-        b, sf = arena.b, self._arena_sf
-        counted = c is not UNCOUNTED
-        s = int(sym) if sym.ndim == 0 else None
-        for d in range(level_base.shape[0] if s is None else len(self._paths[s])):
-            sel = None
-            if s is None:
-                base = level_base[d].take(sym)
-                side = self._level_side[d].take(sym)
-                if self._level_live is not None:
-                    live = self._level_live[d].take(sym)
-                    if not live.all():  # uneven tree: some paths ended above
-                        sel = np.flatnonzero(live)
-                        base, side = base[sel], side[sel]
-            else:
-                base, side = level_base[d, s], self._level_side[d, s]
-            pd = p if sel is None else p[..., sel]
-            q = pd // b
-            r = q * b
-            np.subtract(pd, r, out=r)
-            if counted:
-                charge_batch_ranks(c, pd, q, r, sf)
-            q += base
-            r1 = arena.rank(q, r)
-            if s is None:
-                pd -= r1
-                np.copyto(pd, r1, where=side)
-            elif side:
-                pd = r1
-            else:
-                pd -= r1
-            if sel is None:
-                p = pd
-            else:
-                p[..., sel] = pd
-        return p
+        if p.ndim == 1:
+            return self._descend_nodes(sym, p)
+        both = sym if sym.ndim == 0 else np.tile(sym, p.shape[0])
+        return self._descend_nodes(both, p.reshape(-1)).reshape(p.shape)
 
     def _descend_nodes(self, sym: np.ndarray, p: np.ndarray) -> np.ndarray:
         """The descent node by node, one ``rank1_many`` per visited node
@@ -624,6 +562,168 @@ class WaveletTree:
             f"WaveletTree(n={self.n}, sigma={self.sigma}, "
             f"nodes={len(self.nodes())}, depth={self.depth()})"
         )
+
+
+class TreeArena:
+    """The batch descent of one or more wavelet trees of one shape over
+    one :class:`BlockRankCache`.
+
+    The trees' nodes (RRR vectors of one ``(b, sf)``) lie end to end in
+    the arena.  Symbol ``a`` of tree ``s`` is the *key* ``s * sigma +
+    a``: its path's nodes are tree ``s``'s, so one descent ranks the
+    keys of every tree together, one arena gather per level — how the
+    resident shards of a catalog share one backward-search step loop.
+    A single tree's keys are its symbols, and its bounds stay scalars,
+    so stacking costs the one-tree path no extra gather.
+
+    ``level_base[d, key]`` is the arena base of the node a key's path
+    visits at depth ``d``; ``level_side`` / ``level_live`` are the
+    tree's side and live tables repeated per tree.
+    """
+
+    def __init__(self, trees: Sequence[WaveletTree]):
+        first = trees[0]
+        keys = {t.arena_key() for t in trees}
+        if first._arena_sf is None or len(trees) > 1 and (None in keys or len(keys) > 1):
+            raise ValueError("stacked trees need one alphabet and full-depth RRR nodes of one (b, sf)")
+        order = [tree.nodes() for tree in trees]
+        self.cache = BlockRankCache([node.bits for nodes in order for node in nodes])
+        first_node = np.cumsum([0] + [len(nodes) for nodes in order[:-1]])
+        self.sigma = first.sigma
+        self.n_keys = len(trees) * first.sigma
+        self.level_base = np.concatenate(
+            [self.cache.bases[i + t._level_node] for t, i in zip(trees, first_node)],
+            axis=1,
+        )
+        self.level_side = np.tile(first._level_side, len(trees))
+        self.level_live = (
+            None if first._level_live is None else np.tile(first._level_live, len(trees))
+        )
+        self.path_depth = [len(first._paths[a]) for a in range(first.sigma)]
+        # Length bounds: a scalar for one tree; per tree (access) and per
+        # key (rank), unsigned so a negative position fails the check.
+        if len(trees) == 1:
+            self.n, self.key_n = first.n, None
+        else:
+            self.n = np.array([t.n for t in trees], dtype=np.uint64)
+            self.key_n = np.repeat(self.n, first.sigma)
+
+    def rank_into(self, sym: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """Ranks of keys ``sym`` (0-d or one per column) at int64
+        positions ``p``, which the call overwrites.
+
+        ``p`` is scratch of shape ``(n,)`` or ``(2, n)``; ``sym``
+        broadcasts over the rows.  Every level is one
+        :meth:`BlockRankCache.rank` call over all positions, each
+        addressing its own node's span of the arena; a position then
+        moves to ``r1`` (side 1) or ``p - r1`` (side 0).  Counters are
+        charged per level exactly as per-node ``rank1_many`` calls over
+        the same positions would charge them.
+        """
+        # Viewed as unsigned, a negative int64 compares above any bound.
+        if sym.size and sym.view(np.uint64).max() >= self.n_keys:
+            raise ValueError(f"symbol outside alphabet [0, {self.n_keys})")
+        c = current_counters()
+        c.wt_ranks += int(p.size)
+        if sym.ndim and sym.shape != p.shape[-1:]:
+            raise ValueError("symbols and positions must have the same shape")
+        if p.size == 0:
+            return p
+        if self.key_n is None:
+            out = p.view(np.uint64).max() > self.n
+        else:
+            out = (p.view(np.uint64) > self.key_n.take(sym)).any()
+        if out:
+            raise IndexError("rank position out of range")
+        arena = self.cache
+        b, sf = arena.b, arena.sf
+        counted = c is not UNCOUNTED
+        s = int(sym) if sym.ndim == 0 else None
+        for d in range(self.level_base.shape[0] if s is None else self.path_depth[s]):
+            sel = None
+            if s is None:
+                base = self.level_base[d].take(sym)
+                side = self.level_side[d].take(sym)
+                if self.level_live is not None:
+                    live = self.level_live[d].take(sym)
+                    if not live.all():  # uneven tree: some paths ended above
+                        sel = np.flatnonzero(live)
+                        base, side = base[sel], side[sel]
+            else:
+                base, side = self.level_base[d, s], self.level_side[d, s]
+            pd = p if sel is None else p[..., sel]
+            q = pd // b
+            r = q * b
+            np.subtract(pd, r, out=r)
+            if counted:
+                charge_batch_ranks(c, pd, q, r, sf)
+            q += base
+            r1 = arena.rank(q, r)
+            if s is None:
+                pd -= r1
+                np.copyto(pd, r1, where=side)
+            elif side:
+                pd = r1
+            else:
+                pd -= r1
+            if sel is None:
+                p = pd
+            else:
+                p[..., sel] = pd
+        return p
+
+    def access_rank_into(
+        self, p: np.ndarray, seg: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(S[p], rank(S[p], p))`` for int64 positions ``p``, each in
+        tree ``seg`` (one per position; ``None`` for a single tree),
+        which the call overwrites.  Trees must have full-depth paths (a
+        power-of-two alphabet).
+
+        One top-down descent learns each position's symbol and its rank
+        together: every level is one :meth:`BlockRankCache.rank_bit`
+        gather, whose bit picks the child and whose rank moves the
+        position, as in :meth:`rank_into`.  Counters are charged as
+        :meth:`rank_into` over the same symbols and positions would
+        charge them.
+        """
+        if seg is None:
+            out = p.size and p.view(np.uint64).max() >= self.n
+        else:
+            out = (p.view(np.uint64) >= self.n.take(seg)).any()
+        if out:
+            raise IndexError("access position out of range")
+        c = current_counters()
+        c.wt_ranks += int(p.size)
+        if p.size == 0:
+            return p.copy(), p
+        arena = self.cache
+        b, sf = arena.b, arena.sf
+        counted = c is not UNCOUNTED
+        # Every path has the full depth D and each node splits its
+        # alphabet in halves, so the bits taken so far are the symbol's
+        # high bits: ``code`` at depth d addresses the node every symbol
+        # ``code << (D - d) + ...`` passes, and after D levels it is S[p].
+        # Tree s's nodes at depth d are entries s * 2**d + code of that
+        # column slice.
+        depth = self.level_base.shape[0]
+        code = None
+        for d in range(depth):
+            q = p // b
+            r = q * b
+            np.subtract(p, r, out=r)
+            if counted:
+                charge_batch_ranks(c, p, q, r, sf)
+            nodes = self.level_base[d, :: 1 << (depth - d)]
+            if code is None:
+                q += nodes[0] if seg is None else nodes.take(seg)
+            else:
+                q += nodes.take(code if seg is None else (seg << d) + code)
+            r1, bit = arena.rank_bit(q, r)
+            p -= r1
+            np.copyto(p, r1, where=bit)
+            code = bit.astype(np.int64) if code is None else code * 2 + bit
+        return code, p
 
 
 def wavelet_tree_from_string(

@@ -28,6 +28,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".ftab": ("DEFAULT_FTAB_K", "Ftab", "build_ftab"),
     ".multiref": ("MultiReferenceIndex", "MultiRefMapping", "ReferenceHit"),
     ".occ_table": ("OccTable", "pack_2bit", "unpack_2bit"),
+    ".stacked": ("StackedIndex", "stack_groups", "stack_key"),
     ".partitioned": ("Chunk", "PartitionedIndex"),
     ".validate": ("IndexValidationError", "ValidationReport", "validate_index"),
 })

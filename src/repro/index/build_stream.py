@@ -1105,6 +1105,7 @@ def build_index_blockwise(
             sa_bwt_seconds=stage_seconds.get("sa", 0.0) + stage_seconds.get("bwt", 0.0),
             encode_seconds=stage_seconds.get("encode", 0.0),
             structure_bytes=struct.size_in_bytes(),
+            shared_table_bytes=struct.size_in_bytes() - struct.size_in_bytes(include_shared=False),
             uncompressed_bytes=n1,
             bwt_entropy0=float(state["bwt_entropy0"]),
             bwt_runs=dict(state["bwt_runs"]),

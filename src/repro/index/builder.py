@@ -69,6 +69,10 @@ class BuildReport:
     peak_alloc_bytes: int = 0
     #: True when a blockwise build continued from on-disk checkpoints.
     resumed: bool = False
+    #: Bytes of the shared Global Rank Table counted in
+    #: ``structure_bytes`` (one copy serves every RRR structure of a
+    #: block size; 0 for the ``occ`` backend).
+    shared_table_bytes: int = 0
 
     @property
     def compression_ratio(self) -> float:
@@ -81,6 +85,23 @@ class BuildReport:
     def space_saving_percent(self) -> float:
         """The paper's "reducing the memory requirements up to X%" metric."""
         return 100.0 * (1.0 - self.compression_ratio)
+
+    def size_summary(self) -> str:
+        """``structure_bytes`` for a log line: the index's own bytes and
+        their saving, then the shared table, which dominates below ~100
+        kbp and would turn the saving negative if it were charged to one
+        small index."""
+        own = self.structure_bytes - self.shared_table_bytes
+        if own < self.uncompressed_bytes:
+            ratio = f"{100.0 * (1.0 - own / self.uncompressed_bytes):.1f}% saved vs 1 B/char"
+        else:
+            ratio = f"{own / max(1, self.uncompressed_bytes):.2f} B/char"
+        shared = (
+            f" + {self.shared_table_bytes:,} B shared rank table"
+            if self.shared_table_bytes
+            else ""
+        )
+        return f"structure: {own:,} B ({ratio}){shared}"
 
 
 def build_index(
@@ -156,6 +177,7 @@ def build_index(
             sa_bwt_seconds=t1 - t0,
             encode_seconds=t2 - t1,
             structure_bytes=struct.size_in_bytes(),
+            shared_table_bytes=struct.size_in_bytes() - struct.size_in_bytes(include_shared=False),
             uncompressed_bytes=bwt.length,
             bwt_entropy0=entropy0(sym) if sym.size else 0.0,
             bwt_runs=run_length_stats(bwt),

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import gzip
 import io
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterator, Literal, Sequence
@@ -28,7 +29,10 @@ from ..sequence.alphabet import is_valid
 
 InvalidPolicy = Literal["error", "skip", "random"]
 
-_VALID_BASES = frozenset("ACGTUacgtu")
+_VALID_BASES = "ACGTUacgtu"
+#: ``seq.translate`` with it leaves only the invalid characters, in order.
+_DROP_VALID = str.maketrans("", "", _VALID_BASES)
+_INVALID = re.compile(f"[^{_VALID_BASES}]")
 
 
 class FastaError(ValueError):
@@ -59,24 +63,19 @@ def _open_text(path: str | Path, mode: str = "rt") -> IO[str]:
 
 
 def _sanitize(seq: str, on_invalid: InvalidPolicy, rng: np.random.Generator, name: str) -> str:
-    if all(ch in _VALID_BASES for ch in seq):
+    bad = seq.translate(_DROP_VALID)  # one pass over the whole record
+    if not bad:
         return seq.upper()
     if on_invalid == "error":
-        bad = next(ch for ch in seq if ch not in _VALID_BASES)
         raise FastaError(
-            f"record {name!r} contains invalid character {bad!r}; "
+            f"record {name!r} contains invalid character {bad[0]!r}; "
             f"pass on_invalid='skip' or 'random' to accept it"
         )
     if on_invalid == "skip":
-        return "".join(ch for ch in seq if ch in _VALID_BASES).upper()
+        return _INVALID.sub("", seq).upper()
     if on_invalid == "random":
-        out = []
-        for ch in seq:
-            if ch in _VALID_BASES:
-                out.append(ch.upper())
-            else:
-                out.append("ACGT"[rng.integers(0, 4)])
-        return "".join(out)
+        # One draw per invalid character, in sequence order.
+        return _INVALID.sub(lambda _: "ACGT"[rng.integers(0, 4)], seq).upper()
     raise ValueError(f"unknown on_invalid policy {on_invalid!r}")
 
 

@@ -6,7 +6,7 @@ from .._lazy import lazy_exports
 # search.
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".batch": ("BatchRunReport", "run_mapping_batch"),
-    ".mapper": ("Mapper",),
+    ".mapper": ("Mapper", "StackedMapper"),
     ".stream": ("StreamSummary", "map_fastq_to_tsv", "map_stream"),
     ".mismatch": ("ApproxHit", "RescueResult", "count_with_mismatches",
                   "locate_with_mismatches", "map_with_rescue", "search_with_mismatches"),

@@ -31,16 +31,16 @@ from .runtime import Telemetry, configure, get_telemetry, set_telemetry
 from .tracing import NULL_TRACER, NullTracer, Tracer
 
 __all__ = [
-    "DEFAULT_BUCKETS",
-    "NULL_LOGGER",
-    "NULL_REGISTRY",
-    "NULL_TRACER",
     "Counter",
+    "DEFAULT_BUCKETS",
     "Gauge",
     "Histogram",
     "JsonLogger",
     "MetricError",
     "MetricsRegistry",
+    "NULL_LOGGER",
+    "NULL_REGISTRY",
+    "NULL_TRACER",
     "NullLogger",
     "NullRegistry",
     "NullTracer",

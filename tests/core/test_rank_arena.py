@@ -96,7 +96,7 @@ def test_arena_spans_every_node_without_per_node_caches():
     codes = np.random.default_rng(5).integers(0, 4, 2000)
     tree = WaveletTree(codes, sigma=4, b=15, sf=8)
     tree.rank_many(np.array([0, 1, 2, 3]), np.array([10, 500, 1000, 2000]))
-    cache, _ = tree._arena
+    cache = tree._arena.cache
     nodes = tree.nodes()
     assert cache.cum.size == sum(node.bits.n_blocks + 1 for node in nodes)
     assert all(node.bits._block_cache is None for node in nodes)

@@ -74,6 +74,62 @@ class TestInvalidPolicies:
             read_fasta_str(">x\nACNN\n", on_invalid="whatever")
 
 
+def _per_char_policy(records, on_invalid, seed=0):
+    """The per-character policy the whole-string checks must match:
+    each record scanned base by base, one draw per invalid base."""
+    import numpy as np
+
+    valid = set("ACGTUacgtu")
+    rng = np.random.default_rng(seed)
+    out = []
+    for name, seq in records:
+        if all(ch in valid for ch in seq):
+            out.append(seq.upper())
+        elif on_invalid == "error":
+            bad = next(ch for ch in seq if ch not in valid)
+            return (
+                f"record {name!r} contains invalid character {bad!r}; "
+                f"pass on_invalid='skip' or 'random' to accept it"
+            )
+        elif on_invalid == "skip":
+            out.append("".join(ch for ch in seq if ch in valid).upper())
+        else:
+            out.append("".join(
+                ch.upper() if ch in valid else "ACGT"[rng.integers(0, 4)] for ch in seq
+            ))
+    return out
+
+
+class TestWholeStringPolicies:
+    """The policies answer exactly what a per-character scan answers."""
+
+    RECORDS = [
+        ("a", "acgtuNNRYacgt" * 7 + "-*"),
+        ("b", "ACGT" * 30),
+        ("c", "nACGTkmn.ACGTuU"),
+    ]
+    TEXT = "".join(f">{n}\n{seq[:40]}\n{seq[40:]}\n" for n, seq in RECORDS)
+
+    def test_error_names_the_first_bad_character(self):
+        want = _per_char_policy(self.RECORDS, "error")
+        with pytest.raises(FastaError) as exc:
+            read_fasta_str(self.TEXT)
+        assert str(exc.value) == want
+        with pytest.raises(FastaError, match="invalid character 'n'"):
+            read_fasta_str(">x\nACGTnN\n")
+
+    def test_skip_drops_every_invalid_character(self):
+        got = [r.sequence for r in read_fasta_str(self.TEXT, on_invalid="skip")]
+        assert got == _per_char_policy(self.RECORDS, "skip")
+
+    @pytest.mark.parametrize("seed", [0, 5, 123])
+    def test_random_draws_match_per_character_draws(self, seed):
+        got = [
+            r.sequence for r in read_fasta_str(self.TEXT, on_invalid="random", seed=seed)
+        ]
+        assert got == _per_char_policy(self.RECORDS, "random", seed)
+
+
 class TestFiles:
     def test_roundtrip_plain(self, tmp_path):
         recs = [FastaRecord("a", "d", "ACGT" * 40), FastaRecord("b", "", "TTTT")]

@@ -36,6 +36,28 @@ class TestIndexCommand:
         assert "3,000 bp" in captured
         assert "structure" in captured
 
+    @pytest.mark.parametrize("flags", [[], ["--blockwise"], ["--backend", "occ"]])
+    def test_small_reference_saving_is_never_negative(self, workspace, capsys, flags):
+        """At 3 kbp the shared rank table outweighs the index: it is
+        printed on its own, and the index's saving stays positive."""
+        import re
+
+        from repro.core.global_tables import get_global_tables
+
+        tmp, ref, fasta, _, _ = workspace
+        assert main(["index", str(fasta), "-o", str(tmp / "ref.bwvr"), *flags]) == 0
+        line = next(
+            l for l in capsys.readouterr().out.splitlines() if l.startswith("structure:")
+        )
+        own, saved = re.match(r"structure: ([\d,]+) B \(([\d.]+)% saved vs 1 B/char\)", line).groups()
+        assert 0 < int(own.replace(",", "")) < len(ref)
+        assert 0.0 < float(saved) < 100.0
+        if "occ" in flags:
+            assert "shared rank table" not in line
+        else:
+            table = get_global_tables(15).size_in_bytes()
+            assert f"+ {table:,} B shared rank table" in line
+
     def test_gzip_input(self, workspace, tmp_path):
         tmp, ref, fasta, _, _ = workspace
         gz = tmp_path / "ref.fa.gz"

@@ -40,6 +40,7 @@ class TestPublicSurface:
         mod = importlib.import_module(name)
         names = [n for n in mod.__all__]
         assert len(names) == len(set(names)), f"duplicates in {name}.__all__"
+        assert names == sorted(names), f"{name}.__all__ is not sorted"
 
     def test_version(self):
         import repro
