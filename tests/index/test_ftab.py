@@ -368,8 +368,9 @@ class TestPool:
             "ACGT" * 12,
         ]
         local = Mapper(primed, locate=True).map_reads(reads)
-        with MapperPool(flat_path=path, workers=2) as pool:
-            remote = sorted(pool.map_reads(reads, locate=True), key=lambda r: r.read_id)
+        with MapperPool(catalog=True, workers=2) as pool:
+            (batch,) = pool.map_reads(reads, locate=True, containers=[str(path)])
+            remote = sorted(batch, key=lambda r: r.read_id)
         assert len(remote) == len(local)
         for a, b in zip(local, remote):
             fa, fb = a.forward.interval, b.forward.interval

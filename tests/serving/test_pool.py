@@ -58,12 +58,16 @@ class TestCorrectness:
                 assert pa == pb
 
     def test_flat_path_mode(self, pool_index, reads, tmp_path):
-        """Workers can mmap a flat file instead of attaching to shm."""
+        """A catalog pool's workers mmap the flat file its tasks name
+        instead of attaching to shm."""
         flat = tmp_path / "index.bwvr"
         save_index_flat(pool_index, flat)
         solo = run_mapping_batch(pool_index, reads)
-        with MapperPool(flat_path=flat, workers=2) as pool:
-            outcome = pool.run_batch(reads)
+        with MapperPool(catalog=True, workers=2) as pool:
+            assert len(pool.attach([flat])) == 2
+            outcome = pool.run_batch(reads, containers=[flat])
+            with pytest.raises(ValueError, match="containers"):
+                pool.run_batch(reads)
         assert outcome.mapped == _mapped(solo)
         assert outcome.op_counts == solo.op_counts
 
@@ -179,10 +183,8 @@ class TestLifecycle:
     def test_requires_exactly_one_source(self, pool_index, tmp_path):
         with pytest.raises(ValueError):
             MapperPool()
-        flat = tmp_path / "index.bwvr"
-        save_index_flat(pool_index, flat)
         with pytest.raises(ValueError):
-            MapperPool(pool_index, flat_path=flat)
+            MapperPool(pool_index, catalog=True)
 
     def test_rejects_zero_workers_before_publishing(self, pool_index):
         before = _shm_names()

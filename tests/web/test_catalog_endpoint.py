@@ -105,6 +105,15 @@ class TestCatalogRouting:
                 for h in mapping.hits
             ]
 
+    def test_repeated_and_reordered_names_map_each_shard_once(self, app):
+        status, _, full = post_map(app, {"reads": READS})
+        assert status.startswith("200")
+        status, _, body = post_map(app, {"reads": READS}, query="catalog=refA,refB,refA")
+        assert status.startswith("200")
+        doc = json.loads(body)
+        assert doc["shards"] == ["refB", "refA"]
+        assert doc["results"] == json.loads(full)["results"]
+
     def test_shard_subset(self, app):
         status, _, body = post_map(app, {"reads": READS}, query="catalog=refA")
         assert status.startswith("200")
