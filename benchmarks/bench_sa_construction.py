@@ -1,14 +1,15 @@
 """Suffix-array construction micro-benchmarks.
 
-Two claims are pinned here:
+Two quantities are pinned here:
 
-* the vectorized SA-IS path (``suffix_array(..., method="sais")``, which
-  now classifies types, names LMS substrings and recurses on numpy
-  arrays) beats the legacy pure-Python list implementation it replaced;
+* the SA-IS oracle (``suffix_array``: types, LMS naming and recursion
+  vectorized in numpy, induced sorting in Python) against the index
+  builder's own suffix sort, on the same codes;
 * the out-of-core blockwise pipeline's construction throughput, on a
   scaled chr21 profile, alongside its peak-allocation ratio against the
-  monolithic builder (the quantity gated by the bench platform's
-  ``blockwise-build`` hot path).
+  monolithic oracle pipeline (:func:`repro.check.oracles.oracle_index`;
+  the quantity gated by the bench platform's ``blockwise-build`` hot
+  path).
 """
 
 import time
@@ -18,8 +19,8 @@ import numpy as np
 import pytest
 
 from repro.bench.harness import get_reference
-from repro.sequence.alphabet import encode
-from repro.sequence.suffix_array import sais, suffix_array
+from repro.index.builder import build_index
+from repro.sequence.suffix_array import suffix_array
 
 SA_N = 60_000
 
@@ -31,49 +32,40 @@ def sa_codes():
 
 
 def bench_sais_numpy(benchmark, sa_codes):
-    out = benchmark(lambda: suffix_array(sa_codes, method="sais"))
+    out = benchmark(lambda: suffix_array(sa_codes))
     assert out.size == SA_N + 1
 
 
-def bench_sais_legacy_list(benchmark, sa_codes):
-    s = [int(c) + 1 for c in sa_codes] + [0]
-
-    def run():
-        return sais(s, 5)
-
-    out = benchmark(run)
-    assert len(out) == SA_N + 1
-
-
-def bench_sa_doubling(benchmark, sa_codes):
-    out = benchmark(lambda: suffix_array(sa_codes, method="doubling"))
-    assert out.size == SA_N + 1
+def bench_builder_suffix_sort(benchmark, sa_codes):
+    """A full in-memory build, whose locate structure is the SA."""
+    index = benchmark(lambda: build_index(sa_codes, locate="full", backend="occ")[0])
+    assert index.locate_structure.sa.size == SA_N + 1
 
 
 def bench_sa_construction_report(save_report):
     """Render the SA micro table and the blockwise build comparison."""
-    from repro.core.global_tables import get_global_tables
-    from repro.index.build_stream import build_index_blockwise
-    from repro.index.builder import build_index
-    from repro.index.flat import save_index_flat
     import tempfile
     from pathlib import Path
+
+    from repro.check.oracles import oracle_index
+    from repro.core.global_tables import get_global_tables
+    from repro.index.build_stream import build_index_blockwise
+    from repro.index.flat import save_index_flat
 
     rng = np.random.default_rng(55)
     codes = rng.integers(0, 4, SA_N).astype(np.uint8)
 
     t0 = time.perf_counter()
-    numpy_sa = suffix_array(codes, method="sais")
-    t_numpy = time.perf_counter() - t0
+    oracle_sa = suffix_array(codes)
+    t_sais = time.perf_counter() - t0
 
-    s = [int(c) + 1 for c in codes] + [0]
     t0 = time.perf_counter()
-    legacy = sais(s, 5)
-    t_legacy = time.perf_counter() - t0
-    assert numpy_sa.tolist() == legacy
+    index, _ = build_index(codes, locate="full", backend="occ")
+    t_build = time.perf_counter() - t0
+    assert index.locate_structure.sa.tolist() == oracle_sa.tolist()
 
     # Blockwise build on the scaled chr21 profile: wall time and the
-    # peak-allocation ratio against the monolithic builder.
+    # peak-allocation ratio against the monolithic oracle pipeline.
     scale = 0.01
     ref = get_reference("chr21", scale=scale)
     get_global_tables(15)  # shared tables: keep out of both peaks
@@ -81,7 +73,7 @@ def bench_sa_construction_report(save_report):
         tmp = Path(tmp)
         tracemalloc.start()
         t0 = time.perf_counter()
-        index, _ = build_index(ref)
+        index = oracle_index(ref)
         save_index_flat(index, tmp / "mono.bwvr")
         t_mono = time.perf_counter() - t0
         mono_peak = tracemalloc.get_traced_memory()[1]
@@ -94,26 +86,31 @@ def bench_sa_construction_report(save_report):
         t_blk = time.perf_counter() - t0
         identical = (tmp / "mono.bwvr").read_bytes() == (tmp / "blk.bwvr").read_bytes()
     ratio = mono_peak / report.peak_alloc_bytes if report.peak_alloc_bytes else 0.0
+    # The builder's own bound: its int64 rank array (8 B per text row)
+    # plus twice the block budget.
+    budget = 8 * (len(ref) + 1) + 2 * 64.0 * scale * (1 << 20)
 
     lines = [
         "SA construction / out-of-core build micro-bench",
         "=" * 60,
         f"n = {SA_N:,} codes (uniform ACGT, seed 55)",
-        f"{'sais (numpy)':24s} {t_numpy * 1e3:10.1f} ms",
-        f"{'sais (legacy list)':24s} {t_legacy * 1e3:10.1f} ms"
-        f"   ({t_legacy / t_numpy:.2f}x slower)",
+        f"{'sais (numpy oracle)':24s} {t_sais * 1e3:10.1f} ms",
+        f"{'build_index (occ, full)':24s} {t_build * 1e3:10.1f} ms"
+        "   (SA + BWT + encode)",
         "",
         f"chr21 profile @ {scale} = {len(ref):,} bp",
-        f"{'monolithic build+save':24s} {t_mono:10.2f} s"
+        f"{'oracle build+save':24s} {t_mono:10.2f} s"
         f"   peak {mono_peak / 1e6:8.1f} MB",
         f"{'blockwise build':24s} {t_blk:10.2f} s"
         f"   peak {report.peak_alloc_bytes / 1e6:8.1f} MB",
         f"peak ratio {ratio:.2f}x   byte-identical: {identical}",
+        f"blockwise peak bound {budget / 1e6:.1f} MB"
+        " (8 B per text row + 2 x block budget)",
     ]
     save_report("sa_construction", "\n".join(lines))
-    # Acceptance: the numpy SA-IS path beats the list implementation,
-    # the blockwise peak sits >=3x under the monolithic one, and the
-    # containers match byte for byte.
-    assert t_numpy < t_legacy
+    # Acceptance: the blockwise peak sits >=3x under the monolithic
+    # oracle pipeline's and within its own bound, and the containers
+    # match byte for byte.
     assert ratio >= 3.0
+    assert report.peak_alloc_bytes <= budget
     assert identical

@@ -20,13 +20,13 @@ from repro.core.bwt_structure import BWTStructure
 from repro.core.counters import CounterScope
 from repro.fpga.cost_model import DEFAULT_COST_MODEL
 from repro.fpga.power import DEFAULT_POWER_MODEL
+from repro.index.builder import build_index
 from repro.index.fm_index import FMIndex
 from repro.io.readsim import simulate_reads
 from repro.io.refgen import CHR21_LIKE, E_COLI_LIKE, generate_reference
 from repro.sequence.alphabet import encode
 from repro.sequence.bwt import bwt_from_codes
 from repro.sequence.sampled_sa import FullSA
-from repro.sequence.suffix_array import suffix_array
 
 
 def build(profile, name):
@@ -35,10 +35,11 @@ def build(profile, name):
     print(f"{name}: generated {len(ref):,} bp in {time.time() - t0:.1f}s")
     t0 = time.time()
     codes = encode(ref)
-    sa = suffix_array(codes)
+    # The builder's bounded-memory suffix sort (a full-locate index keeps it).
+    sa = build_index(codes)[0].locate_structure.sa
     bwt = bwt_from_codes(codes, sa=sa)
     print(f"{name}: SA + BWT in {time.time() - t0:.1f}s")
-    return ref, bwt, sa
+    return ref, bwt, bwt.sa
 
 
 def main() -> None:

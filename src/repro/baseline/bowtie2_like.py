@@ -36,7 +36,6 @@ from ..mapper.results import MappingResult
 from ..sequence.bwt import bwt_from_codes
 from ..sequence.alphabet import encode
 from ..sequence.sampled_sa import SampledSA
-from ..sequence.suffix_array import suffix_array
 from .threading_model import DEFAULT_THREAD_MODEL, AmdahlModel
 
 import time
@@ -82,13 +81,12 @@ class Bowtie2Like:
         ftab_k: int | None = None,
     ):
         codes = encode(reference) if isinstance(reference, str) else np.asarray(reference, dtype=np.uint8)
-        sa = suffix_array(codes, method="doubling")
-        bwt = bwt_from_codes(codes, sa=sa)
+        bwt = bwt_from_codes(codes)
         self.backend = OccTable(bwt, checkpoint_words=checkpoint_words)
         ftab = Ftab.build(self.backend, k=ftab_k) if ftab_k is not None else None
         self.index = FMIndex(
             self.backend,
-            locate_structure=SampledSA(sa, k=sa_sample_rate),
+            locate_structure=SampledSA(bwt.sa, k=sa_sample_rate),
             ftab=ftab,
         )
         self.mapper = Mapper(self.index, locate=False)

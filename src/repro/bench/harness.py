@@ -33,7 +33,6 @@ from ..io.refgen import CHR21_LIKE, DEFAULT_SCALE, E_COLI_LIKE, generate_referen
 from ..mapper.batch import run_mapping_batch
 from ..sequence.alphabet import encode
 from ..sequence.bwt import bwt_from_codes
-from ..sequence.suffix_array import suffix_array
 from .calibration import (
     DEFAULT_BOWTIE2_MODEL,
     DEFAULT_CPU_MODEL,
@@ -58,9 +57,7 @@ def get_reference(profile: str, scale: float = DEFAULT_SCALE, seed: int = 7) -> 
 
 @lru_cache(maxsize=4)
 def _reference_bwt(profile: str, scale: float, seed: int):
-    codes = encode(get_reference(profile, scale, seed))
-    sa = suffix_array(codes, method="doubling")
-    return bwt_from_codes(codes, sa=sa)
+    return bwt_from_codes(encode(get_reference(profile, scale, seed)))
 
 
 @lru_cache(maxsize=16)

@@ -467,9 +467,10 @@ _BUILD_SCALES = {"tiny": 0.00025, "small": 0.0025, "medium": 0.01}
 class BlockwiseBuild(Workload):
     """Out-of-core blockwise index build over a chr21-profile reference.
 
-    The untimed setup builds the index once monolithically and once
-    blockwise with ``tracemalloc`` armed, recording the peak-allocation
-    ratio and verifying the two flat containers are byte-identical; every
+    The untimed setup builds the index once through the monolithic oracle
+    pipeline (:func:`repro.check.oracles.oracle_index`) and once blockwise
+    with ``tracemalloc`` armed, recording the peak-allocation ratio and
+    verifying the two flat containers are byte-identical; every
     timed trial is then one cold blockwise build into scratch.  The
     ratio/identity facts ride along in the per-trial metrics, so the
     store and the report keep them next to every timed build.
@@ -478,9 +479,9 @@ class BlockwiseBuild(Workload):
     def setup(self, scratch: Path) -> None:
         import tracemalloc
 
+        from ...check.oracles import oracle_index
         from ...core.global_tables import get_global_tables
         from ...index.build_stream import build_index_blockwise
-        from ...index.builder import build_index
         from ...index.flat import save_index_flat
         from ..harness import get_reference
 
@@ -497,7 +498,7 @@ class BlockwiseBuild(Workload):
             tracemalloc.reset_peak()
         else:
             tracemalloc.start()
-        index, _ = build_index(self.ref, backend=self.config.backend)
+        index = oracle_index(self.ref, backend=self.config.backend)
         save_index_flat(index, mono_path)
         self.mono_peak = int(tracemalloc.get_traced_memory()[1])
         if not was_tracing:

@@ -109,3 +109,51 @@ def oracle_mapping(
     rc = oracle_occurrences(text, reverse_complement(normalize(read)))
     assert fwd is not None and rc is not None
     return fwd, rc
+
+
+def oracle_index(
+    text,
+    *,
+    b: int = 15,
+    sf: int = 50,
+    backend: str = "rrr",
+    locate: str = "full",
+    sa_sample_rate: int = 32,
+    occ_checkpoint_words: int = 4,
+    ftab_k: int | None = None,
+    store_sentinel_in_tree: bool = False,
+):
+    """The index the builder must produce, made without its stages.
+
+    The textbook pipeline, one whole array per step: the SA-IS suffix
+    array, :func:`~repro.sequence.bwt.bwt_from_codes`, then
+    :class:`~repro.core.bwt_structure.BWTStructure` (or
+    :class:`~repro.index.occ_table.OccTable`), :class:`FullSA` or
+    :class:`SampledSA`, and :meth:`Ftab.build`.  ``save_index_flat`` of
+    it is the reference container for the builder's, byte for byte.  Its
+    backend keeps the :class:`~repro.sequence.bwt.BWT` (``backend.bwt``,
+    with the SA), and ``store_sentinel_in_tree`` builds the five-symbol
+    tree, which the builder does not.
+    """
+    from ..core.bwt_structure import BWTStructure
+    from ..index.fm_index import FMIndex
+    from ..index.ftab import Ftab
+    from ..index.occ_table import OccTable
+    from ..sequence.alphabet import encode
+    from ..sequence.bwt import bwt_from_codes
+    from ..sequence.sampled_sa import FullSA, SampledSA
+
+    codes = encode(text) if isinstance(text, str) else np.asarray(text, dtype=np.uint8)
+    bwt = bwt_from_codes(codes)
+    if backend == "rrr":
+        struct = BWTStructure(bwt, b=b, sf=sf, store_sentinel_in_tree=store_sentinel_in_tree)
+    else:
+        struct = OccTable(bwt, checkpoint_words=occ_checkpoint_words)
+    if locate == "full":
+        loc = FullSA(bwt.sa)
+    elif locate == "sampled":
+        loc = SampledSA(bwt.sa, k=sa_sample_rate)
+    else:
+        loc = None
+    ftab = Ftab.build(struct, k=ftab_k) if ftab_k is not None else None
+    return FMIndex(struct, locate_structure=loc, ftab=ftab)

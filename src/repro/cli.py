@@ -43,8 +43,10 @@ from pathlib import Path
 
 
 def _cmd_index(args: argparse.Namespace) -> int:
-    from .index.builder import build_index
-    from .index.flat import save_index_flat, save_multiref_index_flat
+    # The module, not its function: tracing wraps
+    # ``build_stream.build_index_blockwise`` by name at run time.
+    from .index import build_stream
+    from .index.flat import save_multiref_index_flat
     from .io.fasta import read_fasta
 
     records = read_fasta(args.fasta, on_invalid=args.on_invalid)
@@ -54,9 +56,10 @@ def _cmd_index(args: argparse.Namespace) -> int:
     if len(records) > 1:
         from .index.multiref import MultiReferenceIndex
 
-        if args.blockwise:
+        if args.resume:
             print(
-                "error: --blockwise supports single-reference FASTA only",
+                "error: --resume needs a single-reference FASTA: a "
+                "multi-reference index is built in memory",
                 file=sys.stderr,
             )
             return 2
@@ -66,65 +69,45 @@ def _cmd_index(args: argparse.Namespace) -> int:
         )
         multi = MultiReferenceIndex(
             records, b=args.block_size, sf=args.superblock_factor,
-            backend=args.backend,
+            backend=args.backend, block_mb=args.block_mb,
         )
         save_multiref_index_flat(multi, args.output)
-        report = multi.build_report
-        print(
-            f"built in {report.sa_bwt_seconds + report.encode_seconds:.2f}s; "
-            f"{report.size_summary()} -> {args.output}"
-        )
+        _print_build(multi.build_report, args.output)
         return 0
     rec = records[0]
     if not rec.sequence:
         print(f"error: reference {rec.name!r} has an empty sequence", file=sys.stderr)
         return 2
     print(f"reference {rec.name}: {rec.length:,} bp")
-    if args.blockwise:
-        from .index.build_stream import BuildResumeError, build_index_blockwise
-
-        try:
-            report = build_index_blockwise(
-                rec.sequence,
-                args.output,
-                b=args.block_size,
-                sf=args.superblock_factor,
-                backend=args.backend,
-                locate=args.locate,
-                ftab_k=args.ftab_k or None,
-                block_mb=args.block_mb,
-                resume=args.resume,
-            )
-        except BuildResumeError as exc:
-            print(f"error: cannot resume: {exc}", file=sys.stderr)
-            return 2
-        resumed = " (resumed)" if report.resumed else ""
-        stages = ", ".join(
-            f"{name} {secs:.2f}s" for name, secs in report.stage_seconds.items()
+    try:
+        report = build_stream.build_index_blockwise(
+            rec.sequence,
+            args.output,
+            b=args.block_size,
+            sf=args.superblock_factor,
+            backend=args.backend,
+            locate=args.locate,
+            ftab_k=args.ftab_k or None,
+            block_mb=args.block_mb,
+            resume=args.resume,
         )
-        print(f"blockwise build{resumed}: {stages}")
-        print(f"{report.size_summary()} -> {args.output}")
-        return 0
-    index, report = build_index(
-        rec.sequence,
-        b=args.block_size,
-        sf=args.superblock_factor,
-        backend=args.backend,
-        locate=args.locate,
-        ftab_k=args.ftab_k or None,
-    )
-    save_index_flat(index, args.output)
-    print(
-        f"built in {report.sa_bwt_seconds + report.encode_seconds:.2f}s "
-        f"(SA+BWT {report.sa_bwt_seconds:.2f}s, encode {report.encode_seconds:.3f}s)"
-    )
-    if index.ftab is not None:
-        print(
-            f"ftab: k={index.ftab.k}, {report.ftab_bytes:,} B "
-            f"built in {report.ftab_seconds:.3f}s"
-        )
-    print(f"{report.size_summary()} -> {args.output}")
+    except build_stream.BuildResumeError as exc:
+        print(f"error: cannot resume: {exc}", file=sys.stderr)
+        return 2
+    except FileExistsError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    _print_build(report, args.output)
     return 0
+
+
+def _print_build(report, output: Path) -> None:
+    resumed = " (resumed)" if report.resumed else ""
+    stages = ", ".join(f"{name} {secs:.2f}s" for name, secs in report.stage_seconds.items())
+    print(f"built{resumed} in {sum(report.stage_seconds.values()):.2f}s: {stages}")
+    if report.ftab_bytes:
+        print(f"ftab: {report.ftab_bytes:,} B built in {report.ftab_seconds:.3f}s")
+    print(f"{report.size_summary()} -> {output}")
 
 
 def _open_index(path: Path, verify: bool):
@@ -574,19 +557,16 @@ def build_parser() -> argparse.ArgumentParser:
         "is the only format",
     )
     p.add_argument("--on-invalid", choices=["error", "skip", "random"], default="error")
-    p.add_argument(
-        "--blockwise", action="store_true",
-        help="out-of-core build with bounded memory (single-reference; "
-        "resumable via --resume)",
-    )
+    # Every build is blockwise now; the flag stays accepted for old scripts.
+    p.add_argument("--blockwise", action="store_true", help=argparse.SUPPRESS)
     p.add_argument(
         "--block-mb", type=float, default=64.0, metavar="MB",
-        help="memory budget of the blockwise suffix-array rounds",
+        help="memory budget of the suffix-array rounds",
     )
     p.add_argument(
         "--resume", action="store_true",
-        help="continue an interrupted --blockwise build from its "
-        "checkpointed work directory",
+        help="continue an interrupted single-reference build from its "
+        "checkpointed work directory (<output>.build)",
     )
     _add_telemetry_args(p)
     p.set_defaults(func=_cmd_index)

@@ -207,6 +207,10 @@ class GlobalRankTables:
         ``value`` (present only when the permutation table is present;
         this is the table the FPGA kernel reads to finish a rank inside a
         block in one cycle).
+    offsets:
+        ``offsets[value]`` — the block's offset within its class, the
+        inverse of :attr:`permutations` (present with it): the encoder's
+        one-gather replacement for :func:`encode_offsets`.
     """
 
     b: int
@@ -215,6 +219,7 @@ class GlobalRankTables:
     class_offsets: np.ndarray
     permutations: np.ndarray | None
     block_rank: np.ndarray | None
+    offsets: np.ndarray | None
 
     def decode_block(self, c: int, offset: int) -> int:
         """Block value for ``(class, offset)`` via table or combinadics."""
@@ -249,12 +254,17 @@ def _build_tables(b: int) -> GlobalRankTables:
     class_offsets = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
     permutations: np.ndarray | None = None
     block_rank: np.ndarray | None = None
+    offsets: np.ndarray | None = None
     if b <= MAX_TABLE_B:
         values = np.arange(1 << b, dtype=np.int64)
         classes = popcount_block(values, b)
         # Stable sort by class keeps ascending numeric order within class.
         order = np.argsort(classes, kind="stable")
         permutations = order.astype(np.uint16)
+        # Ascending order within a class is the combinadic order, so a
+        # value's offset is its index in P minus its class's first index.
+        offsets = np.empty(1 << b, dtype=np.uint16)
+        offsets[order] = values - class_offsets[classes[order]]
         # block_rank[value, p] = popcount(value & ((1 << p) - 1))
         bits = ((values[:, None] >> np.arange(b)[None, :]) & 1).astype(np.int64)
         block_rank = np.concatenate(
@@ -268,6 +278,7 @@ def _build_tables(b: int) -> GlobalRankTables:
         class_offsets=class_offsets,
         permutations=permutations,
         block_rank=block_rank,
+        offsets=offsets,
     )
 
 

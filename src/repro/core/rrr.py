@@ -97,7 +97,10 @@ def encode_blocks(
     values >>= start & 7
     values &= (1 << b) - 1
     classes = popcount_block(values, b)
-    offsets = encode_offsets(values, b, tables.binomials)
+    if tables.offsets is not None:
+        offsets = tables.offsets[values].astype(np.int64)
+    else:
+        offsets = encode_offsets(values, b, tables.binomials)
     return classes, offsets, tables.widths[classes]
 
 

@@ -1,38 +1,39 @@
-"""Out-of-core (blockwise) index construction with a bounded memory budget.
+"""Index construction: the host-side steps of BWaveR as four stages.
 
-:func:`repro.index.builder.build_index` materializes the suffix array,
-the BWT and every encoder intermediate in RAM at once — fine for the
-paper's bacterial references, hopeless for chromosome-scale ones.  This
-module rebuilds the same pipeline as a streaming, resumable sequence of
-on-disk stages so that peak resident memory stays
-``O(block + rank array)`` instead of ``O(many full-size temporaries)``:
+The paper's workflow (§III-D, Fig. 4) builds the index on the host in two
+steps, SA+BWT and then encoding.  Every index here is built by the same
+four stages, whose working set is bounded by a row budget (``block_mb``):
 
-1. **Blockwise suffix array** — a seed round sorts every suffix by its
-   packed 21-symbol prefix; refinement rounds (Larsson–Sadakane) then
-   double the sorted prefix of only the suffixes still tied.  Every
-   round sorts fixed-size blocks independently (numpy ``argsort`` per
-   block, sorted runs spilled to disk) and k-way merges the runs with a
-   bounded number of in-flight rows, assigning group-start ranks
-   *during* the merge, so no full-size sort key ever exists in memory.
-   When no suffix is tied, the rank array is the inverse SA and one
-   bounded pass writes the SA.  The monolithic
-   ``suffix_array(..., method="doubling")`` remains the differential
-   oracle.
-2. **Streaming BWT emission** — one chunked pass over the on-disk SA
-   producing ``bwt.bin`` plus symbol counts, run statistics and entropy.
+1. **Suffix array** — a seed round sorts every suffix by its packed
+   21-symbol prefix; refinement rounds (Larsson–Sadakane) then double the
+   sorted prefix of only the suffixes still tied.  Every round sorts
+   fixed-size blocks independently (numpy ``argsort`` per block, each a
+   sorted run) and k-way merges the runs with a bounded number of
+   in-flight rows, assigning group-start ranks *during* the merge, so no
+   full-size sort key ever exists.  When no suffix is tied, the rank
+   array is the inverse SA and one bounded pass writes the SA.
+2. **Streaming BWT** — one chunked pass over the SA producing the BWT
+   plus symbol counts, run statistics, entropy and (sampled locate) the
+   SA marks and samples.
 3. **Incremental encoding** — a streaming RRR encoder (bit-identical to
    :class:`repro.core.rrr.RRRVector`'s batch ``_build``) feeds the three
-   wavelet-tree nodes in one pass over the on-disk BWT; the ``occ``
-   backend variant packs 2-bit words and checkpoint rows the same way.
-4. **Finalize** — the encoded segments are rehydrated as memory-mapped
-   arrays through the canonical ``from_arrays`` constructors and written
-   with :func:`repro.index.flat.save_index_flat` (whose
-   :class:`~repro.index.flat.FlatWriter` streams segments to disk), so
-   the container is *byte-identical* to a monolithic build's.
+   wavelet-tree nodes in one pass over the BWT; the ``occ`` backend
+   packs 2-bit words and checkpoint rows the same way.
+4. **Finalize** — the encoded arrays are rehydrated through the
+   canonical ``from_arrays`` constructors, plus the locate structure and
+   the optional k-mer table.
 
-Every stage ends with an atomic ``state.json`` checkpoint (CRC-verified
-payload files), so a killed build resumes with ``resume=True`` and the
-finished container is bit-identical to a cold build.
+The two entry points differ only in where the stages keep their arrays:
+
+* :func:`build_index` keeps them in memory and returns the index.  No
+  file is written, so there is nothing to resume.
+* :func:`build_index_blockwise` keeps them in a work directory: sorted
+  runs spill to disk, and every stage (and suffix-sort round) ends with
+  an atomic ``state.json`` checkpoint with CRC-verified payload files, so
+  a killed build resumes with ``resume=True``.  Finalize writes the flat
+  container with :func:`repro.index.flat.save_index_flat`.
+
+Both produce the same index, so their containers are byte-identical.
 """
 
 from __future__ import annotations
@@ -43,9 +44,10 @@ import shutil
 import time
 import tracemalloc
 import zlib
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Literal
 
 import numpy as np
 
@@ -56,11 +58,13 @@ from ..core.rrr import DEFAULT_BLOCK_SIZE, DEFAULT_SUPERBLOCK_FACTOR, encode_blo
 from ..sequence.alphabet import encode
 from ..sequence.sampled_sa import MARK_B, MARK_SF, FullSA, SampledSA
 from ..telemetry import get_telemetry
-from .builder import BuildReport
 from .flat import save_index_flat
 from .fm_index import FMIndex
 from .ftab import Ftab
 from .occ_table import BASES_PER_WORD, OccTable, pack_2bit
+
+Backend = Literal["rrr", "occ"]
+Locate = Literal["full", "sampled", "none"]
 
 SIGMA = 4
 
@@ -78,9 +82,11 @@ _STATE_VERSION = 3
 #: of the footprint near the requested budget.
 _BYTES_PER_ROW = 48
 
+#: Fewest rows of a suffix-sort block, however small the budget.
+_MIN_BLOCK_ROWS = 1024
+
 #: Rows per slice when the finished SA is narrowed to ``uint32``.
 _SA_NARROW_ROWS = 1 << 20
-
 
 #: The arrays of one encoded RRR vector, as ``StreamingRRREncoder.finalize``
 #: returns them and the work directory stores them.
@@ -89,6 +95,79 @@ _RRR_ARRAYS = ("classes", "partial_sums", "offset_words", "offset_sums")
 #: Rows per chunk of the streaming passes (the CRC below, the run spill):
 #: bounds their transient copies.
 _CHUNK_ROWS = 1 << 16
+
+#: Fewest rows a run contributes to one merge window.  A merge of more
+#: runs than ``merge_rows // _MIN_RUN_ROWS`` first merges them in groups
+#: of that many, pass after pass, so no window shrinks to a row per run.
+_MIN_RUN_ROWS = 16
+
+#: Bits a :class:`StreamingRRREncoder` buffers before it encodes them.
+_FEED_BITS = 1 << 16
+
+
+@dataclass
+class BuildReport:
+    """Timing and size breakdown of one index build.
+
+    ``sa_bwt_seconds`` and ``encode_seconds`` correspond one-to-one to the
+    paper's workflow steps 1 and 2; ``encode_seconds`` is the quantity of
+    Fig. 6.
+    """
+
+    text_length: int
+    b: int
+    sf: int
+    backend: str
+    sa_bwt_seconds: float
+    encode_seconds: float
+    structure_bytes: int
+    uncompressed_bytes: int
+    bwt_entropy0: float
+    bwt_runs: dict = field(default_factory=dict)
+    #: K-mer jump-start table build time and footprint (0 when disabled).
+    ftab_seconds: float = 0.0
+    ftab_bytes: int = 0
+    #: Wall seconds per stage (``sa``, ``bwt``, ``encode``, ``finalize``)
+    #: run by this call; a resumed build omits the stages it skipped.
+    stage_seconds: dict = field(default_factory=dict)
+    #: tracemalloc peak of traced allocations during the build, when the
+    #: builder was asked to measure it (0 otherwise).
+    peak_alloc_bytes: int = 0
+    #: True when a blockwise build continued from on-disk checkpoints.
+    resumed: bool = False
+    #: Bytes of the shared Global Rank Table counted in
+    #: ``structure_bytes`` (one copy serves every RRR structure of a
+    #: block size; 0 for the ``occ`` backend).
+    shared_table_bytes: int = 0
+
+    @property
+    def compression_ratio(self) -> float:
+        """Structure size relative to the 1 byte/char representation."""
+        if self.uncompressed_bytes == 0:
+            return 0.0
+        return self.structure_bytes / self.uncompressed_bytes
+
+    @property
+    def space_saving_percent(self) -> float:
+        """The paper's "reducing the memory requirements up to X%" metric."""
+        return 100.0 * (1.0 - self.compression_ratio)
+
+    def size_summary(self) -> str:
+        """``structure_bytes`` for a log line: the index's own bytes and
+        their saving, then the shared table, which dominates below ~100
+        kbp and would turn the saving negative if it were charged to one
+        small index."""
+        own = self.structure_bytes - self.shared_table_bytes
+        if own < self.uncompressed_bytes:
+            ratio = f"{100.0 * (1.0 - own / self.uncompressed_bytes):.1f}% saved vs 1 B/char"
+        else:
+            ratio = f"{own / max(1, self.uncompressed_bytes):.2f} B/char"
+        shared = (
+            f" + {self.shared_table_bytes:,} B shared rank table"
+            if self.shared_table_bytes
+            else ""
+        )
+        return f"structure: {own:,} B ({ratio}){shared}"
 
 
 def _crc_stream(arr: np.ndarray) -> int:
@@ -125,8 +204,9 @@ class StreamingRRREncoder:
 
     Produces exactly the arrays of :meth:`repro.core.rrr.RRRVector._build`
     — same classes, same packed offsets, same superblock partial sums —
-    without ever holding the whole bit-vector: only a sub-block tail and
-    the growing (already succinct) output live in memory.
+    without ever holding the whole bit-vector: only up to
+    ``_FEED_BITS`` buffered bits and the growing (already succinct)
+    output live in memory.
     """
 
     def __init__(
@@ -141,7 +221,8 @@ class StreamingRRREncoder:
         self.b = int(b)
         self.sf = int(sf)
         self.tables = get_global_tables(self.b)
-        self._pending = np.zeros(0, dtype=np.uint8)
+        self._pending: list[np.ndarray] = []
+        self._n_pending = 0
         self._packer = IncrementalBitPacker()
         self._classes: list[np.ndarray] = []
         self.n = 0
@@ -155,14 +236,18 @@ class StreamingRRREncoder:
 
     def feed(self, bits: np.ndarray) -> None:
         """Append a chunk of 0/1 values to the logical bit-vector."""
-        bits = np.asarray(bits, dtype=np.uint8)
+        bits = np.array(bits, dtype=np.uint8)
         self.n += int(bits.size)
-        if self._pending.size:
-            bits = np.concatenate([self._pending, bits])
-        n_full = bits.size // self.b
-        if n_full:
-            self._encode_blocks(bits[: n_full * self.b])
-        self._pending = bits[n_full * self.b :].copy()
+        self._pending.append(bits)
+        self._n_pending += int(bits.size)
+        if self._n_pending >= _FEED_BITS:
+            # Whole blocks are encoded in batches of at least _FEED_BITS
+            # bits, so a small vector costs one encoder call in total.
+            bits = np.concatenate(self._pending)
+            cut = bits.size - bits.size % self.b
+            self._encode_blocks(bits[:cut])
+            self._pending = [bits[cut:].copy()]
+            self._n_pending = bits.size - cut
 
     def _encode_blocks(self, bits: np.ndarray) -> None:
         sf = self.sf
@@ -187,14 +272,14 @@ class StreamingRRREncoder:
 
     def finalize(self) -> tuple[dict, dict[str, np.ndarray]]:
         """Close the stream; return RRR ``(meta, arrays)`` per the flat schema."""
-        if self._pending.size:
-            # Zero-pad the trailing partial block, exactly like the batch
-            # builder's whole-superblock padding (padding blocks beyond
-            # n_blocks are dropped there, so none are emitted here).
-            block = np.zeros(self.b, dtype=np.uint8)
-            block[: self._pending.size] = self._pending
-            self._pending = np.zeros(0, dtype=np.uint8)
-            self._encode_blocks(block)
+        if self._n_pending:
+            # encode_blocks zero-pads the trailing partial block, exactly
+            # like the batch builder's whole-superblock padding (padding
+            # blocks beyond n_blocks are dropped there, so none are
+            # emitted here).
+            self._encode_blocks(np.concatenate(self._pending))
+            self._pending = []
+            self._n_pending = 0
         n_blocks = self._blocks_done
         n_super = (n_blocks + self.sf - 1) // self.sf
         psums = [0] + self._cross_psums
@@ -228,13 +313,14 @@ class StreamingRRREncoder:
 
 
 class _StreamingOccEncoder:
-    """Streaming variant of :meth:`OccTable.build`: 2-bit words to disk,
-    checkpoint rows accumulated per ``32 * checkpoint_words`` symbols."""
+    """Streaming variant of :meth:`OccTable.build`: 2-bit words appended
+    to ``words`` (a work sink), checkpoint rows accumulated per
+    ``32 * checkpoint_words`` symbols."""
 
-    def __init__(self, checkpoint_words: int, words_path: Path) -> None:
+    def __init__(self, checkpoint_words: int, words) -> None:
         self.cw = int(checkpoint_words)
         self.d_rows = BASES_PER_WORD * self.cw
-        self._fh = open(words_path, "wb")
+        self._words = words
         self._pending = np.zeros(0, dtype=np.uint8)
         self._group_rows: list[np.ndarray] = []
         self._n_words = 0
@@ -254,7 +340,7 @@ class _StreamingOccEncoder:
         # Chunks are whole d_rows groups except the finalize() tail, so
         # pack_2bit's final-word zero padding only ever happens once.
         words = pack_2bit(chunk)
-        words.tofile(self._fh)
+        self._words.append(words)
         self._n_words += int(words.size)
         n_full = chunk.size // self.d_rows
         if n_full:
@@ -269,11 +355,10 @@ class _StreamingOccEncoder:
             self._group_rows.append(counts.astype(np.int64)[None, :])
 
     def finalize(self) -> tuple[int, np.ndarray]:
-        """Close the word file; return ``(n_words, checkpoints)``."""
+        """Flush the tail; return ``(n_words, checkpoints)``."""
         if self._pending.size:
             self._emit(self._pending)
             self._pending = np.zeros(0, dtype=np.uint8)
-        self._fh.close()
         groups = (
             np.concatenate(self._group_rows)
             if self._group_rows
@@ -294,8 +379,134 @@ class _StreamingOccEncoder:
 
 
 # --------------------------------------------------------------------------
-# Checkpoint plumbing.
+# Where the stages keep their arrays: memory, or a resumable work directory.
 # --------------------------------------------------------------------------
+
+
+class _MemoryWork:
+    """Stage arrays held in memory.  Nothing is written, so checkpoints
+    and CRCs are no-ops and nothing can resume."""
+
+    def __init__(self) -> None:
+        self._arrays: dict[str, np.ndarray | list[np.ndarray]] = {}
+
+    def checkpoint(self, state: dict, label: str) -> None:
+        pass
+
+    def crc(self, arr: np.ndarray) -> None:
+        return None
+
+    def verify(self, arr: np.ndarray, want, what: str) -> None:
+        pass
+
+    def save(self, name: str, arr: np.ndarray) -> None:
+        self._arrays[name] = arr
+
+    def load(self, name: str) -> np.ndarray:
+        return self._arrays[name]
+
+    def create(self, name: str, dtype, n: int) -> np.ndarray:
+        arr = self._arrays[name] = np.empty(n, dtype=dtype)
+        return arr
+
+    def flush(self, arr: np.ndarray) -> None:
+        pass
+
+    @contextmanager
+    def sink(self, name: str):
+        """A list whose ``append``-ed chunks :meth:`array` joins."""
+        parts: list[np.ndarray] = []
+        self._arrays[name] = parts
+        yield parts
+
+    def array(self, name: str, dtype) -> np.ndarray:
+        arr = self._arrays[name]
+        if isinstance(arr, list):
+            arr = np.concatenate(arr) if arr else np.zeros(0, dtype=dtype)
+            self._arrays[name] = arr
+        return arr
+
+    def delete(self, *names: str) -> None:
+        for name in names:
+            self._arrays.pop(name, None)
+
+    def prune(self, state: dict) -> None:
+        keep = {state.get("rank_file"), state.get("tied_file")}
+        self.delete(*[n for n in self._arrays if n.startswith(("rank_", "tied_")) and n not in keep])
+
+
+class _FileSink:
+    def __init__(self, fh) -> None:
+        self._fh = fh
+
+    def append(self, arr: np.ndarray) -> None:
+        # Through the file's buffer: ``tofile`` flushes on every call,
+        # which costs more than the small chunks of a tight budget.
+        self._fh.write(np.ascontiguousarray(arr).data)
+
+
+class _DiskWork:
+    """Stage arrays as files in a work directory, with an atomic
+    ``state.json`` checkpoint after every stage and suffix-sort round."""
+
+    def __init__(self, path: Path, callback: Callable[[str], None] | None) -> None:
+        self.path = path
+        self._callback = callback
+
+    def checkpoint(self, state: dict, label: str) -> None:
+        _atomic_write_json(self.path / _STATE_NAME, state)
+        if self._callback is not None:
+            self._callback(label)
+
+    def crc(self, arr: np.ndarray) -> int:
+        return _crc_stream(arr)
+
+    def verify(self, arr: np.ndarray, want, what: str) -> None:
+        if _crc_stream(arr) != want:
+            raise BuildResumeError(f"{what} failed CRC; rebuild without resume")
+
+    def _existing(self, name: str) -> Path:
+        path = self.path / name
+        if not path.exists():
+            raise BuildResumeError(f"missing work file {name}; rebuild without resume")
+        return path
+
+    def save(self, name: str, arr: np.ndarray) -> None:
+        _atomic_save_npy(self.path / name, arr)
+
+    def load(self, name: str) -> np.ndarray:
+        return np.load(self._existing(name), mmap_mode="r")
+
+    def create(self, name: str, dtype, n: int) -> np.ndarray:
+        return np.memmap(self.path / name, dtype=dtype, mode="w+", shape=(n,))
+
+    def flush(self, arr: np.memmap) -> None:
+        arr.flush()
+
+    @contextmanager
+    def sink(self, name: str):
+        """A file whose ``append``-ed chunks :meth:`array` maps."""
+        with open(self.path / name, "wb") as fh:
+            yield _FileSink(fh)
+
+    def array(self, name: str, dtype) -> np.ndarray:
+        path = self._existing(name)
+        if not os.path.getsize(path):
+            return np.zeros(0, dtype=dtype)  # a zero-length file cannot be mapped
+        return np.memmap(path, dtype=dtype, mode="r")
+
+    def delete(self, *names: str) -> None:
+        for name in names:
+            (self.path / name).unlink(missing_ok=True)
+
+    def prune(self, state: dict) -> None:
+        # Older round files are deleted only once the state referencing
+        # the new ones is durable, so a crash in between always leaves the
+        # files the state points at intact.
+        keep = {state.get("rank_file"), state.get("tied_file")}
+        for p in [*self.path.glob("rank_*.npy"), *self.path.glob("tied_*.bin")]:
+            if p.name not in keep:
+                p.unlink(missing_ok=True)
 
 
 def _atomic_write_json(path: Path, doc: dict) -> None:
@@ -311,35 +522,51 @@ def _atomic_save_npy(path: Path, arr: np.ndarray) -> None:
     os.replace(tmp, path)
 
 
-def _fingerprint(
-    codes: np.ndarray,
-    *,
-    b: int,
-    sf: int,
-    backend: str,
-    locate: str,
-    sa_sample_rate: int,
-    occ_checkpoint_words: int,
-    ftab_k: int | None,
-    block_rows: int,
-) -> dict:
+def _fresh_state(fingerprint: dict | None) -> dict:
+    return {
+        "version": _STATE_VERSION,
+        "fingerprint": fingerprint,
+        "stage": "sa",
+        "sa_round": 0,
+        "sa_k": 0,
+        "n_tied": 0,
+        "rank_file": None,
+        "rank_crc": None,
+        "tied_file": None,
+        "tied_crc": None,
+    }
+
+
+def _fingerprint(codes: np.ndarray, block_rows: int, cfg: dict) -> dict:
     return {
         "n": int(codes.size),
         "codes_crc": _crc_stream(codes),
-        "b": int(b),
-        "sf": int(sf),
-        "backend": backend,
-        "locate": locate,
-        "sa_sample_rate": int(sa_sample_rate),
-        "occ_checkpoint_words": int(occ_checkpoint_words),
-        "ftab_k": None if ftab_k is None else int(ftab_k),
+        "b": int(cfg["b"]),
+        "sf": int(cfg["sf"]),
+        "backend": cfg["backend"],
+        "locate": cfg["locate"],
+        "sa_sample_rate": int(cfg["sa_sample_rate"]),
+        "occ_checkpoint_words": int(cfg["occ_checkpoint_words"]),
+        "ftab_k": None if cfg["ftab_k"] is None else int(cfg["ftab_k"]),
         "block_rows": int(block_rows),
     }
 
 
 def _open_state(work: Path, fp: dict, resume: bool) -> tuple[dict, bool]:
+    """The build state in ``work``: a fresh one, or (``resume``) the one
+    a killed build left there.
+
+    A stale work directory is replaced, but only one this builder made
+    (it holds ``state.json``); any other non-empty path is left alone.
+    """
     state_path = work / _STATE_NAME
-    if not resume and work.exists():
+    ours = state_path.is_file()
+    if work.exists() and not ours and (not work.is_dir() or any(work.iterdir())):
+        raise FileExistsError(
+            f"{work} exists and is not a build work directory (no {_STATE_NAME}); "
+            "move it away or choose another work directory"
+        )
+    if not resume and ours:
         shutil.rmtree(work)
     if state_path.exists():
         try:
@@ -355,46 +582,7 @@ def _open_state(work: Path, fp: dict, resume: bool) -> tuple[dict, bool]:
             )
         return state, True
     work.mkdir(parents=True, exist_ok=True)
-    state = {
-        "version": _STATE_VERSION,
-        "fingerprint": fp,
-        "stage": "sa",
-        "sa_round": 0,
-        "sa_k": 0,
-        "n_tied": 0,
-        "rank_file": None,
-        "rank_crc": None,
-        "tied_file": None,
-        "tied_crc": None,
-    }
-    return state, False
-
-
-def _save_rank(work: Path, state: dict, rank: np.ndarray, round_no: int) -> None:
-    name = f"rank_{round_no}.npy"
-    _atomic_save_npy(work / name, rank)
-    state["rank_file"] = name
-    state["rank_crc"] = _crc_stream(rank)
-
-
-def _load_rank(work: Path, state: dict) -> np.ndarray:
-    name = state.get("rank_file")
-    if not name or not (work / name).exists():
-        raise BuildResumeError("missing rank checkpoint; rebuild without resume")
-    rank = np.load(work / name)
-    if _crc_stream(rank) != state.get("rank_crc"):
-        raise BuildResumeError("rank checkpoint failed CRC; rebuild without resume")
-    return rank
-
-
-def _prune_work_files(work: Path, state: dict) -> None:
-    # Older round files are deleted only once the state referencing the
-    # new ones is durable, so a crash in between always leaves the files
-    # the state points at intact.
-    keep = {state.get("rank_file"), state.get("tied_file")}
-    for p in [*work.glob("rank_*.npy"), *work.glob("tied_*.bin")]:
-        if p.name not in keep:
-            p.unlink(missing_ok=True)
+    return _fresh_state(fp), False
 
 
 # --------------------------------------------------------------------------
@@ -436,19 +624,19 @@ def _refine_blocks(rank: np.ndarray, tied: np.ndarray, k: int, block_rows: int):
         yield rank[rows] * mult + rank[rows + k], rows
 
 
-def _spill_runs(blocks, work: Path) -> list[tuple[int, int]]:
-    """Sort every ``(key, row)`` block and append it to the run files as
+def _spill_runs(blocks, work) -> list[tuple[int, int]]:
+    """Sort every ``(key, row)`` block and append it to the run arrays as
     one sorted run; return each run's ``(start, end)`` in them."""
     bounds: list[tuple[int, int]] = []
     pos = 0
-    with open(work / "runs_key.bin", "wb") as kf, open(work / "runs_idx.bin", "wb") as xf:
+    with work.sink("runs_key.bin") as keys, work.sink("runs_idx.bin") as idxs:
         for key, rows in blocks:
             order = np.argsort(key)
             # Gathered in slices so no full-block sorted copy is resident.
             for lo in range(0, order.size, _CHUNK_ROWS):
                 part = order[lo : lo + _CHUNK_ROWS]
-                key[part].tofile(kf)
-                rows[part].tofile(xf)
+                keys.append(key[part])
+                idxs.append(rows[part])
             bounds.append((pos, pos + key.size))
             pos += key.size
             del key, rows, order, part  # before the next block is made
@@ -458,20 +646,83 @@ def _spill_runs(blocks, work: Path) -> list[tuple[int, int]]:
 def _merge_runs(
     bounds: list[tuple[int, int]],
     merge_rows: int,
-    work: Path,
+    work,
     emit: Callable[[np.ndarray, np.ndarray], None],
 ) -> None:
-    """K-way merge of the spilled runs with ``~merge_rows`` rows in flight.
+    """Merge the spilled runs into one sorted stream, ``~merge_rows`` rows
+    in flight.
 
     ``emit(keys, rows)`` receives consecutive chunks of the globally
-    sorted stream; rows with equal keys may arrive in any order.
+    sorted stream; rows with equal keys may arrive in any order.  Runs
+    split into parts whose key ranges follow one another (see
+    :func:`_parts`), and each part is merged on its own, in order.  While
+    a part has more runs than the fan-in (``merge_rows // _MIN_RUN_ROWS``),
+    a pass first merges consecutive groups of that many runs into one, so
+    every merge window takes at least ``_MIN_RUN_ROWS`` rows of each run.
     """
-    key_path = work / "runs_key.bin"
-    idx_path = work / "runs_idx.bin"
-    # Plain ndarray views of the maps: slicing a memmap subclass costs
-    # more than the small windows of a many-run merge.
-    keys = np.asarray(np.memmap(key_path, dtype=np.int64, mode="r"))
-    idxs = np.asarray(np.memmap(idx_path, dtype=np.int64, mode="r"))
+    fan_in = max(2, merge_rows // _MIN_RUN_ROWS)
+    names = ("runs_key.bin", "runs_idx.bin")
+    level = 0
+    while True:
+        keys, idxs = (np.asarray(work.array(name, np.int64)) for name in names)
+        parts = _parts(keys, bounds)
+        if max(len(part) for part in parts) <= fan_in:
+            break
+        level += 1
+        merged = (f"runs_key.{level}.bin", f"runs_idx.{level}.bin")
+        with work.sink(merged[0]) as key_out, work.sink(merged[1]) as idx_out:
+
+            def write(k: np.ndarray, r: np.ndarray) -> None:
+                key_out.append(k)
+                idx_out.append(r)
+
+            groups = [
+                part[g : g + fan_in] for part in parts for g in range(0, len(part), fan_in)
+            ]
+            for group in groups:
+                _merge_group(keys, idxs, group, merge_rows, write)
+        del keys, idxs
+        work.delete(*names)
+        names = merged
+        # Each group's rows fill the same span of the next level's arrays.
+        bounds = [(group[0][0], group[-1][1]) for group in groups]
+    for part in parts:
+        _merge_group(keys, idxs, part, merge_rows, emit)
+    del keys, idxs
+    work.delete(*names)
+
+
+def _parts(keys: np.ndarray, bounds: list[tuple[int, int]]) -> list[list[tuple[int, int]]]:
+    """Cut the run list wherever no key of an earlier run exceeds any key
+    of a later one.
+
+    A refinement round's runs are blocks of the tied rows in rank order,
+    so they overlap only where a tied group spans two blocks: most parts
+    are one run, which is already merged.
+    """
+    starts = np.array([s for s, _ in bounds], dtype=np.int64)
+    ends = np.array([e for _, e in bounds], dtype=np.int64)
+    highest = np.maximum.accumulate(keys[ends - 1])
+    lowest = np.minimum.accumulate(keys[starts][::-1])[::-1]
+    cuts = (np.flatnonzero(highest[:-1] <= lowest[1:]) + 1).tolist()
+    return [bounds[a:b] for a, b in zip([0, *cuts], [*cuts, len(bounds)])]
+
+
+def _merge_group(
+    keys: np.ndarray,
+    idxs: np.ndarray,
+    bounds: list[tuple[int, int]],
+    merge_rows: int,
+    emit: Callable[[np.ndarray, np.ndarray], None],
+) -> None:
+    """K-way merge of the sorted runs ``keys[s:e]`` (rows ``idxs[s:e]``)
+    named by ``bounds``, ``~merge_rows`` rows in flight."""
+    if len(bounds) == 1:
+        lo, hi = bounds[0]
+        for s in range(lo, hi, merge_rows):
+            e = min(s + merge_rows, hi)
+            emit(keys[s:e], idxs[s:e])
+        return
     cur = np.array([s for s, _ in bounds], dtype=np.int64)
     ends = np.array([e for _, e in bounds], dtype=np.int64)
     while True:
@@ -517,13 +768,10 @@ def _merge_runs(
                 n_eq = int(np.searchsorted(run, piv, side="right"))
                 if n_eq == 0:
                     break
-                emit(np.asarray(run[:n_eq]), np.asarray(idxs[lo_j : lo_j + n_eq]))
+                emit(run[:n_eq], idxs[lo_j : lo_j + n_eq])
                 cur[j] += n_eq
                 if n_eq < run.size:
                     break
-    del keys, idxs
-    key_path.unlink(missing_ok=True)
-    idx_path.unlink(missing_ok=True)
 
 
 def _run_starts(vals: np.ndarray, prev: int, carry: int, pos: np.ndarray):
@@ -547,16 +795,15 @@ class _GroupRanker:
     arrive together, and a row's new rank is its old rank plus the offset,
     inside that old group, of the first row with an equal key.  A row
     whose key no other row shares is resolved — its rank is its final SA
-    position.  The others are appended to ``tied_f`` in stream order, so
-    the file lists each tied group contiguously, in rank order.
+    position.  The others are appended to the ``tied`` sink in stream
+    order, so it lists each tied group contiguously, in rank order.
     """
 
-    def __init__(self, rank: np.ndarray, tied_f, mult: int) -> None:
+    def __init__(self, rank: np.ndarray, tied, mult: int) -> None:
         self.rank = rank
-        self.tied_f = tied_f
+        self.tied = tied
         self.mult = np.int64(mult)
         self.n_tied = 0
-        self.crc = 0
         self._seen = 0
         self._prev_key = self._prev_old = -1  # keys are non-negative
         self._key_start = self._old_start = 0
@@ -588,9 +835,7 @@ class _GroupRanker:
 
     def _write(self, rows: np.ndarray) -> None:
         if rows.size:
-            data = rows.tobytes()
-            self.tied_f.write(data)
-            self.crc = zlib.crc32(data, self.crc)
+            self.tied.append(rows)
             self.n_tied += int(rows.size)
 
     def close(self) -> None:
@@ -599,46 +844,35 @@ class _GroupRanker:
         self._pending = None
 
 
-def _load_tied(work: Path, state: dict) -> np.ndarray:
-    path = work / str(state.get("tied_file"))
-    n_tied = int(state["n_tied"])
-    if not path.exists() or path.stat().st_size != 8 * n_tied:
+def _load_tied(work, state: dict) -> np.ndarray:
+    tied = work.array(str(state.get("tied_file")), np.int64)
+    if tied.size != int(state["n_tied"]):
         raise BuildResumeError("missing tied-row checkpoint; rebuild without resume")
-    tied = np.memmap(path, dtype=np.int64, mode="r")
-    if _crc_stream(tied) != state.get("tied_crc"):
-        raise BuildResumeError("tied-row checkpoint failed CRC; rebuild without resume")
+    work.verify(tied, state.get("tied_crc"), "tied-row checkpoint")
     return tied
 
 
-def _write_sa(rank: np.ndarray, n1: int, block_rows: int, work: Path) -> None:
-    """Invert the final ranks into ``sa.bin`` (``sa[rank[i]] = i``), one
+def _write_sa(rank: np.ndarray, n1: int, block_rows: int, work) -> None:
+    """Invert the final ranks into the SA (``sa[rank[i]] = i``), one
     block of rows at a time."""
-    sa = np.memmap(work / "sa.bin", dtype=np.int64, mode="w+", shape=(n1,))
+    sa = work.create("sa.bin", np.int64, n1)
     for lo in range(0, n1, block_rows):
         hi = min(lo + block_rows, n1)
         sa[rank[lo:hi]] = np.arange(lo, hi, dtype=np.int64)
-    sa.flush()
-    del sa
+    work.flush(sa)
 
 
-def _stage_sa(
-    codes: np.ndarray,
-    n1: int,
-    block_rows: int,
-    work: Path,
-    state: dict,
-    save_state: Callable[[str], None],
-) -> None:
+def _stage_sa(codes: np.ndarray, n1: int, block_rows: int, work, state: dict) -> None:
     """Round 1 sorts every row by its packed seed key; each later round
     doubles the sorted prefix of the rows still tied.  Every round ends
     with a rank (and tied-row) checkpoint."""
     if int(state["sa_round"]) == 0:
         rank = np.empty(n1, dtype=np.int64)
     else:
-        rank = _load_rank(work, state)
+        rank = np.array(work.load(str(state["rank_file"])))  # a writable copy
+        work.verify(rank, state.get("rank_crc"), "rank checkpoint")
     while int(state["sa_round"]) == 0 or int(state["n_tied"]):
         round_no = int(state["sa_round"]) + 1
-        tied_name = f"tied_{round_no}.bin"
         if round_no == 1:
             h, mult = _SEED_SYMBOLS, 0
             blocks = _seed_blocks(codes, n1, block_rows)
@@ -647,27 +881,28 @@ def _stage_sa(
             h, mult = 2 * k, n1
             blocks = _refine_blocks(rank, _load_tied(work, state), k, block_rows)
         bounds = _spill_runs(blocks, work)
-        del blocks  # releases the previous round's tied-row memmap
-        with open(work / tied_name, "wb") as tied_f:
-            ranker = _GroupRanker(rank, tied_f, mult)
+        del blocks  # releases the previous round's tied rows
+        tied_name, rank_name = f"tied_{round_no}.bin", f"rank_{round_no}.npy"
+        with work.sink(tied_name) as tied:
+            ranker = _GroupRanker(rank, tied, mult)
             _merge_runs(bounds, block_rows, work, ranker)
             ranker.close()
-        _save_rank(work, state, rank, round_no)
+        work.save(rank_name, rank)
         # ``sa_k``: the prefix length every rank now sorts by.
         state.update(
             sa_round=round_no, sa_k=h, n_tied=ranker.n_tied,
-            tied_file=tied_name, tied_crc=ranker.crc,
+            rank_file=rank_name, rank_crc=work.crc(rank),
+            tied_file=tied_name, tied_crc=work.crc(work.array(tied_name, np.int64)),
         )
-        save_state("sa:seed" if round_no == 1 else f"sa:round{round_no}")
-        _prune_work_files(work, state)
+        work.checkpoint(state, "sa:seed" if round_no == 1 else f"sa:round{round_no}")
+        work.prune(state)
     # No tied group is left: ``rank`` is the inverse suffix array.
     _write_sa(rank, n1, block_rows, work)
     del rank
-    sa_mm = np.memmap(work / "sa.bin", dtype=np.int64, mode="r")
-    state["sa_crc"] = _crc_stream(sa_mm)
-    del sa_mm
+    state["sa_crc"] = work.crc(work.array("sa.bin", np.int64))
     state["stage"] = "bwt"
-    save_state("sa")
+    work.checkpoint(state, "sa")
+    work.delete(str(state["rank_file"]))  # the next stages read only the SA
 
 
 # --------------------------------------------------------------------------
@@ -679,19 +914,17 @@ def _stage_bwt(
     codes: np.ndarray,
     n1: int,
     block_rows: int,
-    work: Path,
+    work,
     state: dict,
-    save_state: Callable[[str], None],
     sample_rate: int | None,
 ) -> None:
-    """Emit the BWT from ``sa.bin``; with a ``sample_rate`` k, also the
+    """Emit the BWT from the SA; with a ``sample_rate`` k, also the
     sampled-SA marks (``sa % k == 0``, streamed into an RRR encoder) and
     the ``uint32`` quotients ``sa // k`` of the marked rows."""
-    sa_mm = np.memmap(work / "sa.bin", dtype=np.int64, mode="r")
-    if sa_mm.size != n1 or _crc_stream(sa_mm) != state.get("sa_crc"):
-        raise BuildResumeError(
-            "suffix-array checkpoint failed CRC; rebuild without resume"
-        )
+    sa = work.array("sa.bin", np.int64)
+    if sa.size != n1:
+        raise BuildResumeError("missing suffix-array checkpoint; rebuild without resume")
+    work.verify(sa, state.get("sa_crc"), "suffix-array checkpoint")
     counts = np.zeros(SIGMA, dtype=np.int64)
     dollar_pos = -1
     runs = 0
@@ -699,16 +932,16 @@ def _stage_bwt(
     cur_len = 0
     prev_sym = -1
     marks = StreamingRRREncoder(MARK_B, MARK_SF) if sample_rate else None
-    with open(work / "bwt.bin", "wb") as f, (
-        open(work / "samples.bin", "wb") if marks is not None else nullcontext()
-    ) as fs:
+    with work.sink("bwt.bin") as bwt, (
+        work.sink("samples.bin") if marks is not None else nullcontext()
+    ) as samples:
         for lo in range(0, n1, block_rows):
             hi = min(lo + block_rows, n1)
-            sa_c = np.asarray(sa_mm[lo:hi])
+            sa_c = np.asarray(sa[lo:hi])
             if marks is not None:
                 marked = sa_c % sample_rate == 0
                 marks.feed(marked.view(np.uint8))
-                (sa_c[marked] // sample_rate).astype(np.uint32).tofile(fs)
+                samples.append((sa_c[marked] // sample_rate).astype(np.uint32))
             if codes.size:
                 out = codes[np.where(sa_c > 0, sa_c - 1, 0)].astype(np.uint8)
             else:
@@ -717,7 +950,7 @@ def _stage_bwt(
             if z.size:
                 dollar_pos = lo + int(z[0])
                 out[z[0]] = 0  # placeholder, same as bwt_from_codes
-            out.tofile(f)
+            bwt.append(out)
             syms = np.delete(out, z[0]) if z.size else out
             if syms.size == 0:
                 continue
@@ -740,11 +973,11 @@ def _stage_bwt(
     if prev_sym >= 0:
         runs += 1
         max_run = max(max_run, cur_len)
-    del sa_mm
+    del sa
     if marks is not None:
         marks_meta, marks_arrays = marks.finalize()
         for name, arr in marks_arrays.items():
-            _atomic_save_npy(work / f"marks_{name}.npy", arr)
+            work.save(f"marks_{name}.npy", arr)
         state["marks_meta"] = marks_meta
     n_sym = int(counts.sum())
     if n_sym:
@@ -758,15 +991,13 @@ def _stage_bwt(
     else:
         entropy = 0.0
         run_stats = {"runs": 0, "mean_run": 0.0, "max_run": 0}
-    bwt_mm = np.memmap(work / "bwt.bin", dtype=np.uint8, mode="r")
-    state["bwt_crc"] = _crc_stream(bwt_mm)
-    del bwt_mm
+    state["bwt_crc"] = work.crc(work.array("bwt.bin", np.uint8))
     state["dollar_pos"] = int(dollar_pos)
     state["counts"] = [int(c) for c in counts]
     state["bwt_entropy0"] = entropy
     state["bwt_runs"] = run_stats
     state["stage"] = "encode"
-    save_state("bwt")
+    work.checkpoint(state, "bwt")
 
 
 # --------------------------------------------------------------------------
@@ -774,17 +1005,10 @@ def _stage_bwt(
 # --------------------------------------------------------------------------
 
 
-def _open_bwt(work: Path, n1: int, state: dict) -> np.memmap:
-    bwt_mm = np.memmap(work / "bwt.bin", dtype=np.uint8, mode="r")
-    if bwt_mm.size != n1 or _crc_stream(bwt_mm) != state.get("bwt_crc"):
-        raise BuildResumeError("BWT checkpoint failed CRC; rebuild without resume")
-    return bwt_mm
-
-
-def _sentinel_free_chunks(bwt_mm: np.memmap, n1: int, dollar: int, chunk_rows: int):
+def _sentinel_free_chunks(bwt: np.ndarray, n1: int, dollar: int, chunk_rows: int):
     for lo in range(0, n1, chunk_rows):
         hi = min(lo + chunk_rows, n1)
-        chunk = np.asarray(bwt_mm[lo:hi])
+        chunk = np.asarray(bwt[lo:hi])
         if lo <= dollar < hi:
             chunk = np.delete(chunk, dollar - lo)
         yield chunk
@@ -793,22 +1017,24 @@ def _sentinel_free_chunks(bwt_mm: np.memmap, n1: int, dollar: int, chunk_rows: i
 def _stage_encode(
     n1: int,
     block_rows: int,
-    work: Path,
+    work,
     state: dict,
-    save_state: Callable[[str], None],
     *,
     b: int,
     sf: int,
     backend: str,
     occ_checkpoint_words: int,
 ) -> None:
-    bwt_mm = _open_bwt(work, n1, state)
-    dollar = int(state["dollar_pos"])
+    bwt = work.array("bwt.bin", np.uint8)
+    if bwt.size != n1:
+        raise BuildResumeError("missing BWT checkpoint; rebuild without resume")
+    work.verify(bwt, state.get("bwt_crc"), "BWT checkpoint")
+    chunks = _sentinel_free_chunks(bwt, n1, int(state["dollar_pos"]), block_rows)
     if backend == "rrr":
         # One pass feeds all three wavelet-tree nodes (sigma=4, balanced
         # tree: root splits {A,C}|{G,T}, leaves split within each pair).
         encs = [StreamingRRREncoder(b, sf) for _ in range(3)]
-        for chunk in _sentinel_free_chunks(bwt_mm, n1, dollar, block_rows):
+        for chunk in chunks:
             right = chunk >= 2
             encs[0].feed(right.astype(np.uint8))
             encs[1].feed((chunk[~right] == 1).astype(np.uint8))
@@ -817,46 +1043,45 @@ def _stage_encode(
         for i, enc in enumerate(encs):
             meta_i, arrays_i = enc.finalize()
             for name, arr in arrays_i.items():
-                _atomic_save_npy(work / f"node{i}_{name}.npy", arr)
+                work.save(f"node{i}_{name}.npy", arr)
             node_metas.append(meta_i)
         state["node_metas"] = node_metas
     else:
-        occ = _StreamingOccEncoder(occ_checkpoint_words, work / "occ_words.bin")
-        for chunk in _sentinel_free_chunks(bwt_mm, n1, dollar, block_rows):
-            occ.feed(chunk)
-        n_words, checkpoints = occ.finalize()
-        _atomic_save_npy(work / "occ_checkpoints.npy", checkpoints)
+        with work.sink("occ_words.bin") as words:
+            occ = _StreamingOccEncoder(occ_checkpoint_words, words)
+            for chunk in chunks:
+                occ.feed(chunk)
+            n_words, checkpoints = occ.finalize()
+        work.save("occ_checkpoints.npy", checkpoints)
         state["occ_n_words"] = int(n_words)
         state["occ_n_sym"] = int(occ.n_sym)
-    del bwt_mm
+    del bwt, chunks
     state["stage"] = "finalize"
-    save_state("encode")
+    work.checkpoint(state, "encode")
 
 
 # --------------------------------------------------------------------------
-# Stage 4: finalize through the canonical constructors + flat writer.
+# Stage 4: finalize through the canonical constructors.
 # --------------------------------------------------------------------------
 
 
-def _narrow_sa(work: Path, n1: int) -> np.ndarray:
-    """``sa.bin`` copied to a ``uint32`` work file (the container's SA
-    layout) in ``_SA_NARROW_ROWS`` slices, so the copy never holds a
-    full-size array in memory.  An index of ``2**32`` rows or more is
-    refused when the container is written, so no wrapped entry is
-    ever stored."""
-    sa = np.memmap(work / "sa.bin", dtype=np.int64, mode="r")
-    out = np.memmap(work / "sa_u32.bin", dtype=np.uint32, mode="w+", shape=(n1,))
+def _narrow_sa(work, n1: int) -> np.ndarray:
+    """The SA copied to ``uint32`` (the container's SA layout) in
+    ``_SA_NARROW_ROWS`` slices, so the copy never holds a second
+    full-size int64 array.  An index of ``2**32`` rows or more is refused
+    when the container is written, so no wrapped entry is ever stored."""
+    sa = work.array("sa.bin", np.int64)
+    out = work.create("sa_u32.bin", np.uint32, n1)
     for lo in range(0, n1, _SA_NARROW_ROWS):
         out[lo : lo + _SA_NARROW_ROWS] = sa[lo : lo + _SA_NARROW_ROWS]
-    out.flush()
+    work.flush(out)
     return out
 
 
 def _stage_finalize(
     n1: int,
-    work: Path,
+    work,
     state: dict,
-    out_path: Path,
     *,
     b: int,
     sf: int,
@@ -865,7 +1090,7 @@ def _stage_finalize(
     sa_sample_rate: int,
     occ_checkpoint_words: int,
     ftab_k: int | None,
-):
+) -> tuple[FMIndex, float]:
     dollar = int(state["dollar_pos"])
     counts = np.asarray(state["counts"], dtype=np.int64)
     C = np.zeros(SIGMA + 1, dtype=np.int64)
@@ -873,32 +1098,15 @@ def _stage_finalize(
     C[1:] = 1 + np.cumsum(counts)
     if backend == "rrr":
         node_metas = state["node_metas"]
-        n_sym = int(counts.sum())
+        leaf = {"child0": -1, "child1": -1}
         tree_meta = {
-            "n": n_sym,
+            "n": int(counts.sum()),
             "sigma": SIGMA,
             "nodes": [
-                {
-                    "alphabet0": [0, 1],
-                    "alphabet1": [2, 3],
-                    "child0": 1,
-                    "child1": 2,
-                    "bits": node_metas[0],
-                },
-                {
-                    "alphabet0": [0],
-                    "alphabet1": [1],
-                    "child0": -1,
-                    "child1": -1,
-                    "bits": node_metas[1],
-                },
-                {
-                    "alphabet0": [2],
-                    "alphabet1": [3],
-                    "child0": -1,
-                    "child1": -1,
-                    "bits": node_metas[2],
-                },
+                {"alphabet0": [0, 1], "alphabet1": [2, 3], "child0": 1, "child1": 2,
+                 "bits": node_metas[0]},
+                {"alphabet0": [0], "alphabet1": [1], **leaf, "bits": node_metas[1]},
+                {"alphabet0": [2], "alphabet1": [3], **leaf, "bits": node_metas[2]},
             ],
         }
         backend_meta = {
@@ -912,9 +1120,7 @@ def _stage_finalize(
         arrays: dict[str, np.ndarray] = {"C": C}
         for i in range(3):
             for name in _RRR_ARRAYS:
-                arrays[f"tree/node{i}/{name}"] = np.load(
-                    work / f"node{i}_{name}.npy", mmap_mode="r"
-                )
+                arrays[f"tree/node{i}/{name}"] = work.load(f"node{i}_{name}.npy")
         struct = BWTStructure.from_arrays(backend_meta, arrays)
     else:
         occ_meta = {
@@ -923,25 +1129,17 @@ def _stage_finalize(
             "n_rows": n1,
             "n_sym": int(state["occ_n_sym"]),
         }
-        words_path = work / "occ_words.bin"
-        if os.path.getsize(words_path):
-            words = np.memmap(words_path, dtype=np.uint64, mode="r")
-        else:
-            words = np.zeros(0, dtype=np.uint64)
         arrays = {
-            "words": words,
-            "checkpoints": np.load(work / "occ_checkpoints.npy", mmap_mode="r"),
+            "words": work.array("occ_words.bin", np.uint64),
+            "checkpoints": work.load("occ_checkpoints.npy"),
             "C": C,
         }
         struct = OccTable.from_arrays(occ_meta, arrays)
     if locate == "full":
         loc = FullSA(_narrow_sa(work, n1))
     elif locate == "sampled":
-        loc_arrays = {
-            f"marks/{name}": np.load(work / f"marks_{name}.npy", mmap_mode="r")
-            for name in _RRR_ARRAYS
-        }
-        loc_arrays["samples"] = np.memmap(work / "samples.bin", dtype=np.uint32, mode="r")
+        loc_arrays = {f"marks/{name}": work.load(f"marks_{name}.npy") for name in _RRR_ARRAYS}
+        loc_arrays["samples"] = work.array("samples.bin", np.uint32)
         loc = SampledSA.from_arrays(
             {"k": sa_sample_rate, "n_rows": n1, "marks": state["marks_meta"]}, loc_arrays
         )
@@ -953,14 +1151,148 @@ def _stage_finalize(
         t0 = time.perf_counter()
         ftab = Ftab.build(struct, k=ftab_k)
         ftab_seconds = time.perf_counter() - t0
-    index = FMIndex(struct, locate_structure=loc, ftab=ftab)
-    save_index_flat(index, out_path)
-    return struct, ftab, ftab_seconds
+    return FMIndex(struct, locate_structure=loc, ftab=ftab), ftab_seconds
 
 
 # --------------------------------------------------------------------------
-# Driver.
+# Drivers.
 # --------------------------------------------------------------------------
+
+
+def _prepare(text, backend: str, locate: str) -> np.ndarray:
+    """The text's codes, after checking the configuration."""
+    if backend not in ("rrr", "occ"):
+        raise ValueError(f"unknown backend {backend!r}")
+    if locate not in ("full", "sampled", "none"):
+        raise ValueError(f"unknown locate mode {locate!r}")
+    return encode(text) if isinstance(text, str) else np.asarray(text, dtype=np.uint8)
+
+
+def _budget_rows(block_mb: float) -> int:
+    """Suffix-sort block size of a ``block_mb`` working-set budget."""
+    return max(_MIN_BLOCK_ROWS, int(block_mb * (1 << 20)) // _BYTES_PER_ROW)
+
+
+def _run_stages(
+    codes: np.ndarray,
+    work,
+    state: dict,
+    block_rows: int,
+    out_path: Path | None,
+    cfg: dict,
+) -> tuple[FMIndex, BuildReport]:
+    """Run the stages ``state`` has not finished; with an ``out_path``,
+    finalize also writes the container there."""
+    n = int(codes.size)
+    n1 = n + 1
+    b, sf, backend = cfg["b"], cfg["sf"], cfg["backend"]
+    tel = get_telemetry()
+    stage_seconds: dict[str, float] = {}
+
+    @contextmanager
+    def stage(name: str):
+        t0 = time.perf_counter()
+        with tel.span(f"index.{name}", cat="index"):
+            yield
+        stage_seconds[name] = time.perf_counter() - t0
+
+    with tel.span("index.build", text_length=n, b=b, sf=sf, backend=backend,
+                  block_rows=block_rows):
+        if state["stage"] == "sa":
+            with stage("sa"):
+                _stage_sa(codes, n1, block_rows, work, state)
+        if state["stage"] == "bwt":
+            with stage("bwt"):
+                _stage_bwt(
+                    codes, n1, block_rows, work, state,
+                    cfg["sa_sample_rate"] if cfg["locate"] == "sampled" else None,
+                )
+        if state["stage"] == "encode":
+            with stage("encode"):
+                _stage_encode(
+                    n1, block_rows, work, state, b=b, sf=sf, backend=backend,
+                    occ_checkpoint_words=cfg["occ_checkpoint_words"],
+                )
+        # "finalize" re-runs even from a "done" state: the container
+        # write is idempotent and bit-identical.
+        with stage("finalize"):
+            index, ftab_seconds = _stage_finalize(n1, work, state, **cfg)
+            if out_path is not None:
+                save_index_flat(index, out_path)
+        state["stage"] = "done"
+        work.checkpoint(state, "finalize")
+    struct = index.backend
+    report = BuildReport(
+        text_length=n,
+        b=b,
+        sf=sf,
+        backend=backend,
+        sa_bwt_seconds=stage_seconds.get("sa", 0.0) + stage_seconds.get("bwt", 0.0),
+        encode_seconds=stage_seconds.get("encode", 0.0),
+        structure_bytes=struct.size_in_bytes(),
+        shared_table_bytes=struct.size_in_bytes() - struct.size_in_bytes(include_shared=False),
+        uncompressed_bytes=n1,
+        bwt_entropy0=float(state["bwt_entropy0"]),
+        bwt_runs=dict(state["bwt_runs"]),
+        ftab_seconds=ftab_seconds,
+        ftab_bytes=index.ftab.size_in_bytes() if index.ftab is not None else 0,
+        stage_seconds=stage_seconds,
+    )
+    if tel.enabled:
+        m = tel.metrics
+        m.counter("index_builds_total", "Index builds completed").inc()
+        hist = m.histogram(
+            "index_build_stage_seconds",
+            "Wall seconds per index build stage",
+            labelnames=("stage",),
+        )
+        for name, secs in stage_seconds.items():
+            hist.observe(secs, stage=name)
+        m.gauge(
+            "index_structure_bytes", "Succinct structure size of the last build"
+        ).set(report.structure_bytes)
+        tel.log.info(
+            "index.build.done",
+            text_length=n,
+            b=b,
+            sf=sf,
+            backend=backend,
+            stage_seconds=stage_seconds,
+            structure_bytes=report.structure_bytes,
+        )
+    return index, report
+
+
+def build_index(
+    text,
+    b: int = DEFAULT_BLOCK_SIZE,
+    sf: int = DEFAULT_SUPERBLOCK_FACTOR,
+    backend: Backend = "rrr",
+    locate: Locate = "full",
+    *,
+    sa_sample_rate: int = 32,
+    occ_checkpoint_words: int = 4,
+    ftab_k: int | None = None,
+    block_mb: float = 64.0,
+) -> tuple[FMIndex, BuildReport]:
+    """Build a queryable index from a DNA string or code array, in memory.
+
+    Parameters mirror the paper's tunables: ``b``/``sf`` control the RRR
+    encoding (Figs. 5-7), ``backend`` selects succinct vs. checkpointed
+    Occ (structure ablation), ``locate`` picks the host-side position
+    store.  ``ftab_k`` additionally precomputes the k-mer jump-start
+    table (:mod:`repro.index.ftab`, 4^k entries; Bowtie2's default order
+    is 10) — queries then skip their first ``k`` backward-search steps
+    with one table read, bit-identically.  ``block_mb`` bounds the
+    suffix sort's working set, as in :func:`build_index_blockwise`; the
+    stage arrays stay in memory and no file is written.
+    """
+    codes = _prepare(text, backend, locate)
+    cfg = dict(b=b, sf=sf, backend=backend, locate=locate, sa_sample_rate=sa_sample_rate,
+               occ_checkpoint_words=occ_checkpoint_words, ftab_k=ftab_k)
+    return _run_stages(
+        codes, _MemoryWork(), _fresh_state(None), _budget_rows(block_mb), None, cfg
+    )
 
 
 def build_index_blockwise(
@@ -969,8 +1301,8 @@ def build_index_blockwise(
     *,
     b: int = DEFAULT_BLOCK_SIZE,
     sf: int = DEFAULT_SUPERBLOCK_FACTOR,
-    backend: str = "rrr",
-    locate: str = "full",
+    backend: Backend = "rrr",
+    locate: Locate = "full",
     sa_sample_rate: int = 32,
     occ_checkpoint_words: int = 4,
     ftab_k: int | None = None,
@@ -984,41 +1316,27 @@ def build_index_blockwise(
 ) -> BuildReport:
     """Build a flat-container index out of core; return its build report.
 
-    The finished container at ``out_path`` is byte-identical to
-    ``save_index_flat`` applied to the equivalent monolithic
-    :func:`~repro.index.builder.build_index` result.  ``block_mb`` sets
-    the working-set budget of the suffix-array rounds (``block_rows``
-    overrides it directly, mainly for tests).  With ``resume=True`` a
-    build interrupted at any checkpoint continues from its work
-    directory (``<out_path>.build`` unless ``work_dir`` is given);
-    resuming a different input/configuration raises
-    :class:`BuildResumeError`.  ``checkpoint_callback(label)`` is
-    invoked after every durable state write — the fault-injection hook
-    the kill/resume tests use.
+    The stages of :func:`build_index` run with their arrays in a work
+    directory (``<out_path>.build`` unless ``work_dir`` is given), and
+    the container at ``out_path`` is byte-identical to ``save_index_flat``
+    of the in-memory build.  ``block_mb`` sets the working-set budget of
+    the suffix-array rounds (``block_rows`` overrides it directly, mainly
+    for tests).  With ``resume=True`` a build interrupted at any
+    checkpoint continues from its work directory; resuming a different
+    input/configuration raises :class:`BuildResumeError`.  The work
+    directory must be absent, empty or a previous build's (it holds
+    ``state.json``); any other path raises :class:`FileExistsError` and
+    is left untouched.
+    ``checkpoint_callback(label)`` is invoked after every durable state
+    write — the fault-injection hook the kill/resume tests use.
     """
-    if backend not in ("rrr", "occ"):
-        raise ValueError(f"unknown backend {backend!r}")
-    if locate not in ("full", "sampled", "none"):
-        raise ValueError(f"unknown locate mode {locate!r}")
-    codes = encode(text) if isinstance(text, str) else np.asarray(text, dtype=np.uint8)
-    n = int(codes.size)
-    n1 = n + 1
-    if block_rows is None:
-        block_rows = max(1024, int(block_mb * (1 << 20)) // _BYTES_PER_ROW)
-    block_rows = int(block_rows)
+    codes = _prepare(text, backend, locate)
+    block_rows = _budget_rows(block_mb) if block_rows is None else int(block_rows)
+    cfg = dict(b=b, sf=sf, backend=backend, locate=locate, sa_sample_rate=sa_sample_rate,
+               occ_checkpoint_words=occ_checkpoint_words, ftab_k=ftab_k)
     out_path = Path(out_path)
-    work = Path(work_dir) if work_dir is not None else Path(str(out_path) + ".build")
-    fp = _fingerprint(
-        codes,
-        b=b,
-        sf=sf,
-        backend=backend,
-        locate=locate,
-        sa_sample_rate=sa_sample_rate,
-        occ_checkpoint_words=occ_checkpoint_words,
-        ftab_k=ftab_k,
-        block_rows=block_rows,
-    )
+    work_path = Path(work_dir) if work_dir is not None else Path(str(out_path) + ".build")
+    fp = _fingerprint(codes, block_rows, cfg)
     started_trace = False
     if measure_peak:
         if tracemalloc.is_tracing():
@@ -1027,117 +1345,25 @@ def build_index_blockwise(
             tracemalloc.start()
             started_trace = True
     try:
-        state, resumed = _open_state(work, fp, resume)
-
-        def save_state(label: str) -> None:
-            _atomic_write_json(work / _STATE_NAME, state)
-            if checkpoint_callback is not None:
-                checkpoint_callback(label)
-
+        state, resumed = _open_state(work_path, fp, resume)
+        work = _DiskWork(work_path, checkpoint_callback)
         if not resumed:
-            save_state("init")
-        stage_seconds: dict[str, float] = {}
-        tel = get_telemetry()
-        with tel.span(
-            "index.build_blockwise",
-            text_length=n,
-            b=b,
-            sf=sf,
-            backend=backend,
-            block_rows=block_rows,
-        ):
-            if state["stage"] == "sa":
-                t0 = time.perf_counter()
-                with tel.span("index.sa_blockwise", cat="index"):
-                    _stage_sa(codes, n1, block_rows, work, state, save_state)
-                stage_seconds["sa"] = time.perf_counter() - t0
-            if state["stage"] == "bwt":
-                t0 = time.perf_counter()
-                with tel.span("index.bwt_stream", cat="index"):
-                    _stage_bwt(
-                        codes, n1, block_rows, work, state, save_state,
-                        sa_sample_rate if locate == "sampled" else None,
-                    )
-                stage_seconds["bwt"] = time.perf_counter() - t0
-            if state["stage"] == "encode":
-                t0 = time.perf_counter()
-                with tel.span("index.encode_stream", cat="index"):
-                    _stage_encode(
-                        n1,
-                        block_rows,
-                        work,
-                        state,
-                        save_state,
-                        b=b,
-                        sf=sf,
-                        backend=backend,
-                        occ_checkpoint_words=occ_checkpoint_words,
-                    )
-                stage_seconds["encode"] = time.perf_counter() - t0
-            # "finalize" re-runs even from a "done" state: the container
-            # write is idempotent and bit-identical.
-            t0 = time.perf_counter()
-            with tel.span("index.finalize_stream", cat="index"):
-                struct, ftab, ftab_seconds = _stage_finalize(
-                    n1,
-                    work,
-                    state,
-                    out_path,
-                    b=b,
-                    sf=sf,
-                    backend=backend,
-                    locate=locate,
-                    sa_sample_rate=sa_sample_rate,
-                    occ_checkpoint_words=occ_checkpoint_words,
-                    ftab_k=ftab_k,
-                )
-            stage_seconds["finalize"] = time.perf_counter() - t0
-            state["stage"] = "done"
-            save_state("finalize")
-        peak = 0
+            work.checkpoint(state, "init")
+        index, report = _run_stages(codes, work, state, block_rows, out_path, cfg)
         if measure_peak:
-            peak = int(tracemalloc.get_traced_memory()[1])
-        report = BuildReport(
-            text_length=n,
-            b=b,
-            sf=sf,
-            backend=backend,
-            sa_bwt_seconds=stage_seconds.get("sa", 0.0) + stage_seconds.get("bwt", 0.0),
-            encode_seconds=stage_seconds.get("encode", 0.0),
-            structure_bytes=struct.size_in_bytes(),
-            shared_table_bytes=struct.size_in_bytes() - struct.size_in_bytes(include_shared=False),
-            uncompressed_bytes=n1,
-            bwt_entropy0=float(state["bwt_entropy0"]),
-            bwt_runs=dict(state["bwt_runs"]),
-            ftab_seconds=ftab_seconds,
-            ftab_bytes=ftab.size_in_bytes() if ftab is not None else 0,
-            build_mode="blockwise",
-            stage_seconds=stage_seconds,
-            peak_alloc_bytes=peak,
-            resumed=resumed,
-        )
-        if tel.enabled:
-            m = tel.metrics
-            m.counter("index_builds_total", "Index builds completed").inc()
-            hist = m.histogram(
-                "index_build_stage_seconds",
-                "Wall seconds per index build stage",
-                labelnames=("stage",),
-            )
-            for stage, secs in stage_seconds.items():
-                hist.observe(secs, stage=stage)
-            m.gauge(
-                "index_structure_bytes", "Succinct structure size of the last build"
-            ).set(report.structure_bytes)
-            if resumed:
-                m.counter(
+            report.peak_alloc_bytes = int(tracemalloc.get_traced_memory()[1])
+        report.resumed = resumed
+        if resumed:
+            tel = get_telemetry()
+            if tel.enabled:
+                tel.metrics.counter(
                     "index_blockwise_resumes_total", "Blockwise builds resumed"
                 ).inc()
-        # Release the memmaps the finalized structure holds before
-        # deleting their backing files.
-        del struct, ftab
+        # Release the memmaps the finalized index holds before deleting
+        # their backing files.
+        del index
         if not keep_work_dir:
-            shutil.rmtree(work, ignore_errors=True)
+            shutil.rmtree(work_path, ignore_errors=True)
         return report
     finally:
         if started_trace:

@@ -58,7 +58,7 @@ class MultiReferenceIndex:
     records:
         ``(name, sequence)`` pairs (or objects with ``.name`` and
         ``.sequence``, e.g. :class:`~repro.io.fasta.FastaRecord`).
-    b, sf, backend:
+    b, sf, backend, block_mb:
         Forwarded to :func:`~repro.index.builder.build_index`.
     """
 
@@ -68,6 +68,7 @@ class MultiReferenceIndex:
         b: int = 15,
         sf: int = 50,
         backend: Backend = "rrr",
+        block_mb: float = 64.0,
     ):
         pairs = []
         for rec in records:
@@ -99,7 +100,7 @@ class MultiReferenceIndex:
         from .builder import build_index
 
         self.index, self.build_report = build_index(
-            concatenated, b=b, sf=sf, backend=backend, locate="full"
+            concatenated, b=b, sf=sf, backend=backend, locate="full", block_mb=block_mb
         )
 
     # -- coordinate translation ---------------------------------------------------

@@ -11,6 +11,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".bwt": ("BWT", "bwt_from_codes", "bwt_from_string", "count_array", "entropy0",
              "inverse_bwt", "run_length_stats"),
     ".sampled_sa": ("FullSA", "SampledSA"),
-    ".suffix_array": ("lcp_array", "rank_array", "sais", "suffix_array",
+    ".suffix_array": ("lcp_array", "naive_suffix_array", "rank_array", "suffix_array",
                       "verify_suffix_array"),
 })

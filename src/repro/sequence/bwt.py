@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .suffix_array import Method, suffix_array
+from .suffix_array import suffix_array
 
 
 @dataclass(frozen=True)
@@ -76,22 +76,21 @@ class BWT:
         return "".join(chars)
 
 
-def bwt_from_codes(codes: np.ndarray, method: Method = "doubling",
-                   sa: np.ndarray | None = None) -> BWT:
+def bwt_from_codes(codes: np.ndarray, sa: np.ndarray | None = None) -> BWT:
     """Compute the BWT of ``codes + '$'``.
 
     Parameters
     ----------
     codes:
         2-bit DNA codes of the reference text.
-    method:
-        Suffix-array construction method (ignored when ``sa`` is given).
     sa:
-        Optional precomputed suffix array of ``codes + '$'``.
+        Optional precomputed suffix array of ``codes + '$'`` (by default
+        the SA-IS oracle :func:`~repro.sequence.suffix_array.suffix_array`
+        computes it).
     """
     codes = np.asarray(codes, dtype=np.uint8)
     if sa is None:
-        sa = suffix_array(codes, method=method)
+        sa = suffix_array(codes)
     sa = np.asarray(sa, dtype=np.int64)
     n1 = codes.size + 1
     if sa.size != n1:
@@ -108,11 +107,11 @@ def bwt_from_codes(codes: np.ndarray, method: Method = "doubling",
     return BWT(codes=out, dollar_pos=dollar_pos, sa=sa)
 
 
-def bwt_from_string(text: str, method: Method = "doubling") -> BWT:
+def bwt_from_string(text: str) -> BWT:
     """Convenience wrapper accepting a DNA string."""
     from .alphabet import encode
 
-    return bwt_from_codes(encode(text), method=method)
+    return bwt_from_codes(encode(text))
 
 
 def inverse_bwt(bwt: BWT) -> np.ndarray:

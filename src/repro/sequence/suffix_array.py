@@ -1,95 +1,56 @@
-"""Suffix-array construction (paper §III-A, Eq. 1-3).
+"""Suffix-array oracles (paper §III-A, Eq. 1-3).
 
-Three independent builders are provided and cross-checked by the tests:
+The index builder sorts suffixes in its own bounded-memory stages
+(:mod:`repro.index.build_stream`).  This module is the independent
+reference they are checked against:
 
-``naive``
+:func:`suffix_array`
+    The linear-time SA-IS algorithm (induced sorting), with type
+    classification, LMS detection and naming vectorized in numpy — the
+    asymptotically optimal construction production indexers use.  The
+    baselines, the bench harness and :func:`repro.sequence.bwt.bwt_from_codes`
+    use it.
+:func:`naive_suffix_array`
     Direct sort of the suffixes — O(n² log n).  Trivially correct; the
-    oracle for everything else on small inputs.
-``doubling``
-    Manber-Myers prefix doubling, vectorized with numpy argsort —
-    O(n log² n) with tiny constants; the default for every pipeline in
-    this repository (it comfortably handles the multi-Mbp synthetic
-    references of the benchmarks).
-``sais``
-    The linear-time SA-IS algorithm (induced sorting) in pure Python —
-    the asymptotically optimal reference, matching what production
-    indexers (and the paper's host-side step 1) use.
+    oracle SA-IS itself is tested against on small inputs.
 
-All builders operate on the 2-bit code arrays of
-:mod:`repro.sequence.alphabet` and return the suffix array of
-``text + '$'`` where the sentinel is lexicographically smallest, exactly
-the convention of the paper's BWT construction (its step 1).  The result
-has length ``n + 1`` and always starts with ``SA[0] == n`` (the sentinel
-suffix).
+Both operate on the 2-bit code arrays of :mod:`repro.sequence.alphabet`
+and return the suffix array of ``text + '$'`` where the sentinel is
+lexicographically smallest, exactly the convention of the paper's BWT
+construction (its step 1).  The result has length ``n + 1`` and always
+starts with ``SA[0] == n`` (the sentinel suffix).
 """
 
 from __future__ import annotations
 
-from typing import Literal
-
 import numpy as np
 
-Method = Literal["naive", "doubling", "sais"]
 
-
-def suffix_array(codes: np.ndarray, method: Method = "doubling") -> np.ndarray:
-    """Suffix array of ``codes + [$]`` with ``$`` smallest.
-
-    Parameters
-    ----------
-    codes:
-        Integer symbol codes, each ``>= 0`` (DNA codes are ``0..3``).
-    method:
-        One of ``"naive"``, ``"doubling"``, ``"sais"``.
-    """
+def _with_sentinel(codes: np.ndarray) -> np.ndarray:
+    """``codes + 1`` followed by the sentinel 0, after checking them."""
     codes = np.asarray(codes, dtype=np.int64)
     if codes.ndim != 1:
         raise ValueError("codes must be one-dimensional")
     if codes.size and codes.min() < 0:
         raise ValueError("symbol codes must be non-negative")
-    # Shift by +1 so 0 is free for the sentinel, then append it.
-    s = np.concatenate([codes + 1, [0]])
-    if method == "naive":
-        return _sa_naive(s)
-    if method == "doubling":
-        return _sa_doubling(s)
-    if method == "sais":
-        return _sais_numpy(s)
-    raise ValueError(f"unknown suffix-array method {method!r}")
+    return np.concatenate([codes + 1, [0]])
 
 
-def _sa_naive(s: np.ndarray) -> np.ndarray:
-    seq = s.tolist()
+def suffix_array(codes: np.ndarray) -> np.ndarray:
+    """Suffix array of ``codes + [$]`` with ``$`` smallest, by SA-IS.
+
+    ``codes`` are integer symbol codes, each ``>= 0`` (DNA codes are
+    ``0..3``).
+    """
+    s = _with_sentinel(codes)
+    return _sais_numpy(s, list(range(-1, s.size + 1)))
+
+
+def naive_suffix_array(codes: np.ndarray) -> np.ndarray:
+    """:func:`suffix_array` by sorting the suffixes themselves."""
+    seq = _with_sentinel(codes).tolist()
     order = sorted(range(len(seq)), key=lambda i: seq[i:])
     return np.asarray(order, dtype=np.int64)
-
-
-def _sa_doubling(s: np.ndarray) -> np.ndarray:
-    n = s.size
-    if n == 1:
-        return np.zeros(1, dtype=np.int64)
-    # Initial ranks: dense symbol ranks.
-    uniq = np.unique(s)
-    rank = np.searchsorted(uniq, s).astype(np.int64)
-    idx = np.arange(n, dtype=np.int64)
-    k = 1
-    while True:
-        # Secondary key: rank of the suffix k positions later, +1 so that
-        # "past the end" (key 0) sorts first — shorter suffixes are smaller
-        # when they are prefixes of longer ones.
-        second = np.zeros(n, dtype=np.int64)
-        has = idx + k < n
-        second[has] = rank[idx[has] + k] + 1
-        key = rank * np.int64(n + 1) + second
-        sa = np.argsort(key, kind="stable")
-        sorted_key = key[sa]
-        new_rank = np.zeros(n, dtype=np.int64)
-        if n > 1:
-            new_rank[sa[1:]] = np.cumsum(sorted_key[1:] != sorted_key[:-1])
-        rank = new_rank
-        if rank[sa[-1]] == n - 1:
-            return sa.astype(np.int64)
-        k *= 2
 
 
 # --------------------------------------------------------------------------
@@ -97,17 +58,16 @@ def _sa_doubling(s: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-def _sais_numpy(s: np.ndarray) -> np.ndarray:
-    """SA-IS operating on numpy arrays end to end.
+def _sais_numpy(s: np.ndarray, ints: list[int]) -> np.ndarray:
+    """SA-IS of ``s`` (which ends with a unique, smallest sentinel 0).
 
-    This replaces the old ``np.asarray(sais(s.tolist(), ...))`` round
-    trip: type classification, LMS detection, and LMS-substring naming
-    are fully vectorized; only the three induced-sorting sweeps remain
+    Type classification, LMS detection, and LMS-substring naming are
+    fully vectorized; only the three induced-sorting sweeps remain
     scalar Python loops (they are inherently sequential — each placement
     depends on entries placed earlier in the same sweep — and run
     fastest over plain lists, so the arrays are converted once per
-    recursion level for exactly that part).  The pure-Python
-    :func:`sais` below is kept unchanged as the differential oracle.
+    recursion level for exactly that part).  ``ints[i + 1] == i`` for
+    every row ``-1 <= i <= len(s)``: the sweeps' ints, made once.
     """
     s = np.asarray(s, dtype=np.int64)
     n = s.size
@@ -137,12 +97,12 @@ def _sais_numpy(s: np.ndarray) -> np.ndarray:
     s_list = s.tolist()
     # 3. First induction from the (unsorted) LMS positions.
     sa = np.array(
-        _induce(s_list, t_list, counts, sigma, lms_positions.tolist()),
+        _induce(s_list, t_list, counts, sigma, lms_positions.tolist(), ints),
         dtype=np.int64,
     )
     # 4. Name LMS substrings in their induced order — vectorized ragged
-    # comparison of adjacent pairs (both symbols and types, like the
-    # scalar oracle; substrings span up to and including the next LMS).
+    # comparison of adjacent pairs (both symbols and types; substrings
+    # span up to and including the next LMS).
     lms_sorted = sa[lms[sa]]
     lms_rank = np.empty(n, dtype=np.int64)
     lms_rank[lms_positions] = np.arange(lms_positions.size, dtype=np.int64)
@@ -172,164 +132,70 @@ def _sais_numpy(s: np.ndarray) -> np.ndarray:
         lms_order = np.empty(lms_positions.size, dtype=np.int64)
         lms_order[reduced] = lms_positions
     else:
-        lms_order = lms_positions[_sais_numpy(reduced)]
+        lms_order = lms_positions[_sais_numpy(reduced, ints)]
     # 6. Final induction from the fully sorted LMS suffixes.
     return np.array(
-        _induce(s_list, t_list, counts, sigma, lms_order.tolist()),
+        _induce(s_list, t_list, counts, sigma, lms_order.tolist(), ints),
         dtype=np.int64,
     )
 
 
 def _induce(
-    s: list[int], t: list[bool], counts: list[int], sigma: int, lms_order: list[int]
+    s: list[int],
+    t: list[bool],
+    counts: list[int],
+    sigma: int,
+    lms_order: list[int],
+    ints: list[int],
 ) -> list[int]:
-    """The three induced-sorting sweeps shared by both SA-IS variants."""
+    """The three induced-sorting sweeps of SA-IS."""
     n = len(s)
     sa = [-1] * n
+    # ``i - 1`` and ``h + 1`` are looked up in ``ints`` instead of being
+    # computed, so the sweeps create no int objects: traced allocations
+    # (the peak-memory measurements) would otherwise slow them ~20x.
+    minus1 = ints
+    plus1 = ints[2:]
     # Place LMS suffixes at their buckets' tails, reversed so earlier
     # entries end up closer to the tail.
-    tails = [0] * sigma
-    total = 0
-    for ch in range(sigma):
-        total += counts[ch]
-        tails[ch] = total - 1
+    tails = _bucket_tails(counts, sigma)
     for i in reversed(lms_order):
         ch = s[i]
         sa[tails[ch]] = i
-        tails[ch] -= 1
-    # Induce L-type from left to right.
+        tails[ch] = minus1[tails[ch]]
+    # Induce L-type from left to right.  A list iterator reads live, so
+    # it visits the entries placed ahead of it.
     heads = [0] * sigma
     total = 0
     for ch in range(sigma):
         heads[ch] = total
         total += counts[ch]
-    for j in range(n):
-        i = sa[j]
-        if i > 0 and not t[i - 1]:
-            ch = s[i - 1]
-            sa[heads[ch]] = i - 1
-            heads[ch] += 1
+    for i in sa:
+        if i > 0:
+            p = minus1[i]
+            if not t[p]:
+                ch = s[p]
+                sa[heads[ch]] = p
+                heads[ch] = plus1[heads[ch]]
     # Induce S-type from right to left.
+    tails = _bucket_tails(counts, sigma)
+    for i in reversed(sa):
+        if i > 0:
+            p = minus1[i]
+            if t[p]:
+                ch = s[p]
+                sa[tails[ch]] = p
+                tails[ch] = minus1[tails[ch]]
+    return sa
+
+
+def _bucket_tails(counts: list[int], sigma: int) -> list[int]:
     tails = [0] * sigma
     total = 0
     for ch in range(sigma):
         total += counts[ch]
         tails[ch] = total - 1
-    for j in range(n - 1, -1, -1):
-        i = sa[j]
-        if i > 0 and t[i - 1]:
-            ch = s[i - 1]
-            sa[tails[ch]] = i - 1
-            tails[ch] -= 1
-    return sa
-
-
-def sais(s: list[int], sigma: int) -> list[int]:
-    """Linear-time suffix array of ``s`` via induced sorting.
-
-    ``s`` must end with a unique, smallest sentinel (our callers append 0
-    after shifting real symbols to ``>= 1``).  ``sigma`` is the number of
-    distinct symbol values (max symbol + 1).
-    """
-    n = len(s)
-    if n == 0:
-        return []
-    if n == 1:
-        return [0]
-    # 1. Classify each position S-type (True) or L-type (False).
-    t = [False] * n
-    t[n - 1] = True
-    for i in range(n - 2, -1, -1):
-        t[i] = s[i] < s[i + 1] or (s[i] == s[i + 1] and t[i + 1])
-
-    def is_lms(i: int) -> bool:
-        return i > 0 and t[i] and not t[i - 1]
-
-    # Bucket boundaries per symbol.
-    counts = [0] * sigma
-    for ch in s:
-        counts[ch] += 1
-
-    def bucket_heads() -> list[int]:
-        heads = [0] * sigma
-        total = 0
-        for ch in range(sigma):
-            heads[ch] = total
-            total += counts[ch]
-        return heads
-
-    def bucket_tails() -> list[int]:
-        tails = [0] * sigma
-        total = 0
-        for ch in range(sigma):
-            total += counts[ch]
-            tails[ch] = total - 1
-        return tails
-
-    def induce(lms_order: list[int]) -> list[int]:
-        sa = [-1] * n
-        # Place LMS suffixes at their buckets' tails, in the given order
-        # (reversed so earlier entries end up closer to the tail).
-        tails = bucket_tails()
-        for i in reversed(lms_order):
-            ch = s[i]
-            sa[tails[ch]] = i
-            tails[ch] -= 1
-        # Induce L-type from left to right.
-        heads = bucket_heads()
-        for j in range(n):
-            i = sa[j]
-            if i > 0 and not t[i - 1]:
-                ch = s[i - 1]
-                sa[heads[ch]] = i - 1
-                heads[ch] += 1
-        # Induce S-type from right to left.
-        tails = bucket_tails()
-        for j in range(n - 1, -1, -1):
-            i = sa[j]
-            if i > 0 and t[i - 1]:
-                ch = s[i - 1]
-                sa[tails[ch]] = i - 1
-                tails[ch] -= 1
-        return sa
-
-    lms_positions = [i for i in range(n) if is_lms(i)]
-    # 2. First induction from unsorted LMS positions.
-    sa = induce(lms_positions)
-    # 3. Name LMS substrings by their order of appearance in sa.
-    lms_sorted = [i for i in sa if is_lms(i)]
-    names = [-1] * n
-    current = 0
-    names[lms_sorted[0]] = 0
-    for prev, cur in zip(lms_sorted, lms_sorted[1:]):
-        # Compare LMS substrings prev and cur for equality.
-        equal = False
-        for d in range(n):
-            pi, ci = prev + d, cur + d
-            if pi >= n or ci >= n:
-                break
-            p_lms = d > 0 and is_lms(pi)
-            c_lms = d > 0 and is_lms(ci)
-            if p_lms and c_lms:
-                equal = True
-                break
-            if p_lms != c_lms or s[pi] != s[ci] or t[pi] != t[ci]:
-                break
-        if not equal:
-            current += 1
-        names[cur] = current
-    # 4. Recurse if names are not yet unique.
-    reduced = [names[i] for i in lms_positions]
-    if current + 1 == len(lms_positions):
-        order = [0] * len(lms_positions)
-        for rank_i, name in enumerate(reduced):
-            order[name] = lms_positions[rank_i]
-        lms_order = order
-    else:
-        sub_sa = sais(reduced, current + 1)
-        lms_order = [lms_positions[i] for i in sub_sa]
-    # 5. Final induction from the fully sorted LMS suffixes.
-    return induce(lms_order)
+    return tails
 
 
 # --------------------------------------------------------------------------

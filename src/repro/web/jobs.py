@@ -38,7 +38,6 @@ from enum import Enum
 from typing import TYPE_CHECKING, Literal
 
 from ..faults import FaultError, FaultPlan, RetryPolicy
-from ..index.builder import build_index
 from ..io.fasta import read_fasta_str
 from ..io.fastq import read_fastq_str
 from ..mapper.mapper import Mapper
@@ -355,7 +354,10 @@ class JobManager:
         job.qc_warnings = qc.warnings()
         self._check_deadline(job, "parse_inputs", time.perf_counter() - t_parse)
 
-        # Step 1 + 2: build (the builder reports both stage times).
+        # Step 1 + 2: build (the builder reports both stage times).  Imported
+        # here: a server that only maps never loads the builder.
+        from ..index.builder import build_index
+
         job._current_stage = "bwt_sa_computation"
         with tel.span("web.stage.build_index", cat="web", b=job.b, sf=job.sf):
             index, report = build_index(ref.sequence, b=job.b, sf=job.sf)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import build_index
+from repro.check.oracles import oracle_index
 from repro.core.bwt_structure import BWTStructure
 from repro.core.counters import CounterScope
 from repro.core.interleaved import interleaved_factory
@@ -273,8 +273,9 @@ class TestMapperLocateStructure:
 
     @pytest.fixture(scope="class")
     def sampled_index(self, repetitive_text):
-        index, _ = build_index(repetitive_text, locate="sampled", sa_sample_rate=16)
-        return index
+        # The oracle pipeline's index keeps its SA (``backend.bwt.sa``),
+        # the walk-length reference below.
+        return oracle_index(repetitive_text, locate="sampled", sa_sample_rate=16)
 
     def _count_calls(self, index, reads):
         backend = index.backend

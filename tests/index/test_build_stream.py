@@ -1,20 +1,26 @@
-"""Out-of-core (blockwise) construction: bit-identity, resume, budget.
+"""Index construction: bit-identity, resume, budget.
 
-The contract under test: :func:`repro.index.build_stream.build_index_blockwise`
-writes a flat container *byte-identical* to ``save_index_flat`` over the
-equivalent monolithic :func:`repro.index.builder.build_index` result —
-for every backend/locate/ftab combination, any block size, and any kill
-point followed by ``resume=True``.
+The contract under test: both entry points of the build stages —
+in-memory :func:`repro.index.builder.build_index` and out-of-core
+:func:`repro.index.build_stream.build_index_blockwise` — give a flat
+container *byte-identical* to ``save_index_flat`` over the monolithic
+oracle pipeline (:func:`repro.check.oracles.oracle_index`: SA-IS suffix
+array, whole-array BWT and encoders) — for every backend/locate/ftab
+combination, any block size, and any kill point followed by
+``resume=True``.
 """
 
 from __future__ import annotations
 
 import json
+import time
 
 import numpy as np
 import pytest
 
+from repro.check.oracles import oracle_index
 from repro.core.global_tables import get_global_tables
+from repro.index import build_stream
 from repro.index.build_stream import (
     BuildResumeError,
     StreamingRRREncoder,
@@ -26,8 +32,26 @@ from repro.sequence.alphabet import random_sequence
 
 
 def _mono_bytes(tmp_path, text, **kw):
+    """The oracle pipeline's container for ``text``."""
     path = tmp_path / "mono.bwvr"
-    index, _ = build_index(text, **kw)
+    save_index_flat(oracle_index(text, **kw), path)
+    return path.read_bytes()
+
+
+def _build_in_memory(text, block_rows=None, **kw):
+    """``build_index``; a ``block_rows`` below the budget's row floor is
+    reached by lowering the floor and passing the matching ``block_mb``."""
+    if block_rows is None:
+        return build_index(text, **kw)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(build_stream, "_MIN_BLOCK_ROWS", 1)
+        block_mb = block_rows * build_stream._BYTES_PER_ROW / (1 << 20)
+        return build_index(text, block_mb=block_mb, **kw)
+
+
+def _in_memory_bytes(tmp_path, text, **kw):
+    path = tmp_path / "mem.bwvr"
+    index, _ = _build_in_memory(text, **kw)
     save_index_flat(index, path)
     return path.read_bytes()
 
@@ -52,7 +76,8 @@ def test_blockwise_matches_monolithic_bytes(tmp_path, seed, n, block_rows):
     out = tmp_path / "blk.bwvr"
     report = build_index_blockwise(text, out, block_rows=block_rows)
     assert out.read_bytes() == mono
-    assert report.build_mode == "blockwise"
+    assert _in_memory_bytes(tmp_path, text, block_rows=block_rows) == mono
+    assert not report.resumed
     assert report.text_length == n
     assert set(report.stage_seconds) == {"sa", "bwt", "encode", "finalize"}
 
@@ -81,6 +106,7 @@ def test_blockwise_matches_monolithic_on_repeats(tmp_path, kind, block_rows):
     labels: list[str] = []
     build_index_blockwise(text, out, block_rows=block_rows, checkpoint_callback=labels.append)
     assert out.read_bytes() == mono
+    assert _in_memory_bytes(tmp_path, text, block_rows=block_rows) == mono
     # The seed round resolves 21 symbols; these repeats need refinement.
     assert labels[1] == "sa:seed" and "sa:round2" in labels
 
@@ -99,6 +125,84 @@ def test_blockwise_matches_across_configs(tmp_path, backend, locate, ftab_k):
     out = tmp_path / "blk.bwvr"
     build_index_blockwise(text, out, block_rows=256, **kw)
     assert out.read_bytes() == mono
+    assert _in_memory_bytes(tmp_path, text, block_rows=256, **kw) == mono
+    assert _in_memory_bytes(tmp_path, text, **kw) == mono
+
+
+def test_many_runs_merge_in_bounded_passes(tmp_path):
+    """At 64 rows per block a 9 kbp text spills 141 seed runs: far more
+    than one merge window can hold a row of each.  The fan-in-limited
+    passes keep the build fast, and the bytes are the oracle's."""
+    text = _repeat_text("segment_x3")
+    mono = _mono_bytes(tmp_path, text)
+    get_global_tables(15)  # process-wide, built once outside the timing
+    out = tmp_path / "blk.bwvr"
+    t0 = time.perf_counter()
+    build_index_blockwise(text, out, block_rows=64)
+    assert time.perf_counter() - t0 <= 0.5
+    assert out.read_bytes() == mono
+    t0 = time.perf_counter()
+    index, _ = _build_in_memory(text, block_rows=64)
+    assert time.perf_counter() - t0 <= 0.5
+    save_index_flat(index, tmp_path / "mem.bwvr")
+    assert (tmp_path / "mem.bwvr").read_bytes() == mono
+
+
+@pytest.mark.parametrize("locate", ["sampled", "none"])
+def test_in_memory_build_keeps_no_suffix_array(tmp_path, locate):
+    """A sampled or locate-free index holds neither the SA nor the raw
+    BWT codes, only what its container stores."""
+    text = random_sequence(3_000, np.random.default_rng(71))
+    index, _ = build_index(text, locate=locate, sa_sample_rate=8)
+    assert index.backend.bwt is None
+    save_index_flat(index, tmp_path / "x.bwvr")
+    assert (tmp_path / "x.bwvr").read_bytes() == _mono_bytes(
+        tmp_path, text, locate=locate, sa_sample_rate=8
+    )
+
+
+def test_in_memory_build_writes_no_file(tmp_path, monkeypatch):
+    """Without a work directory nothing touches the file system: no
+    state, checkpoint or spill file."""
+    import builtins
+
+    text = _repeat_text("period37")
+    mono = _mono_bytes(tmp_path, text, locate="sampled", ftab_k=3)
+
+    def no_files(*args, **kwargs):
+        raise AssertionError(f"file opened: {args[:2]}")
+
+    monkeypatch.setattr(builtins, "open", no_files)
+    monkeypatch.setattr(np, "memmap", no_files)
+    index, report = _build_in_memory(text, block_rows=256, locate="sampled", ftab_k=3)
+    monkeypatch.undo()
+    assert set(report.stage_seconds) == {"sa", "bwt", "encode", "finalize"}
+    save_index_flat(index, tmp_path / "mem.bwvr")
+    assert (tmp_path / "mem.bwvr").read_bytes() == mono
+
+
+@pytest.mark.parametrize("blockwise", [False, True])
+def test_one_build_telemetry(tmp_path, blockwise):
+    """Both entry points open ``index.build`` with one child span per
+    stage, count one build and time every stage under one label set."""
+    import io
+
+    from repro.telemetry import Telemetry, set_telemetry
+
+    tel = set_telemetry(Telemetry(enabled=True, log_stream=io.StringIO()))
+    text = random_sequence(2_000, np.random.default_rng(5))
+    if blockwise:
+        build_index_blockwise(text, tmp_path / "x.bwvr", locate="sampled", ftab_k=2)
+    else:
+        build_index(text, locate="sampled", ftab_k=2)
+    names = {e["name"] for e in tel.tracer.chrome_events() if e.get("ph") == "X"}
+    stages = ("sa", "bwt", "encode", "finalize")
+    assert names == {"index.build", *(f"index.{stage}" for stage in stages)}
+    text = tel.metrics.prometheus_text()
+    assert "index_builds_total 1" in text
+    for stage in stages:
+        assert f'index_build_stage_seconds_count{{stage="{stage}"}} 1' in text
+    assert text.count("index_build_stage_seconds_count{") == len(stages)
 
 
 @pytest.mark.parametrize("k", [1, 7, 32])
@@ -128,8 +232,7 @@ def test_blockwise_segment_crcs_match(tmp_path):
     rng = np.random.default_rng(21)
     text = random_sequence(5_000, rng)
     mono_path = tmp_path / "mono.bwvr"
-    index, _ = build_index(text, locate="sampled", ftab_k=2)
-    save_index_flat(index, mono_path)
+    save_index_flat(oracle_index(text, locate="sampled", ftab_k=2), mono_path)
     blk_path = tmp_path / "blk.bwvr"
     build_index_blockwise(
         text, blk_path, locate="sampled", ftab_k=2, block_rows=512
@@ -147,7 +250,7 @@ def test_blockwise_segment_crcs_match(tmp_path):
 def test_blockwise_search_intervals_match(tmp_path):
     rng = np.random.default_rng(31)
     text = random_sequence(3_000, rng)
-    index, _ = build_index(text, ftab_k=3)
+    index = oracle_index(text, ftab_k=3)
     out = tmp_path / "blk.bwvr"
     build_index_blockwise(text, out, ftab_k=3, block_rows=128)
     loaded = load_index_flat(out)
@@ -176,6 +279,7 @@ def test_blockwise_rejects_bad_options(tmp_path):
         build_index_blockwise(text, tmp_path / "x.bwvr", backend="nope")
     with pytest.raises(ValueError):
         build_index_blockwise(text, tmp_path / "x.bwvr", locate="nope")
+    assert not (tmp_path / "x.bwvr.build").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +452,7 @@ def test_blockwise_peak_alloc_at_least_3x_below_monolithic(tmp_path):
     get_global_tables(15)  # shared process-wide tables, outside both peaks
     mono_path = tmp_path / "mono.bwvr"
     tracemalloc.start()
-    index, _ = build_index(text)
+    index = oracle_index(text)
     save_index_flat(index, mono_path)
     mono_peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
@@ -360,6 +464,12 @@ def test_blockwise_peak_alloc_at_least_3x_below_monolithic(tmp_path):
     assert out.read_bytes() == mono_path.read_bytes()
     assert report.peak_alloc_bytes > 0
     assert mono_peak / report.peak_alloc_bytes >= 3.0
+    # An absolute bound as well, so the builder cannot grow behind the
+    # oracle's larger peak: its int64 rank array (8 B per text row) plus
+    # twice the block budget (``_BYTES_PER_ROW`` per block row).  2.56 MB
+    # here against a 3.57 MB bound.
+    budget = 8 * (len(text) + 1) + 2 * build_stream._BYTES_PER_ROW * 16_384
+    assert report.peak_alloc_bytes <= budget
 
 
 def test_block_mb_budget_derives_block_rows(tmp_path):
@@ -422,5 +532,5 @@ def test_report_round_trips_through_json(tmp_path):
     report = build_index_blockwise(text, out, block_rows=128)
     doc = json.dumps(report.__dict__)
     back = json.loads(doc)
-    assert back["build_mode"] == "blockwise"
+    assert back["resumed"] is False
     assert back["stage_seconds"]["sa"] >= 0.0

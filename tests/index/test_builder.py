@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.check.oracles import oracle_index
 from repro.core.bwt_structure import BWTStructure
 from repro.index.builder import build_index, encode_existing_bwt
 from repro.index.occ_table import OccTable
+from repro.sequence.alphabet import encode
 from repro.sequence.bwt import bwt_from_string
 from repro.sequence.sampled_sa import FullSA, SampledSA
+from repro.sequence.suffix_array import suffix_array
 
 
 class TestBuildIndex:
@@ -39,18 +42,20 @@ class TestBuildIndex:
             build_index(small_text, locate="hologram")
 
     def test_accepts_code_array(self, small_text):
-        from repro.sequence.alphabet import encode
-
         a, _ = build_index(small_text, sf=8)
         b, _ = build_index(encode(small_text), sf=8)
         assert a.count("ACG") == b.count("ACG")
 
-    def test_sa_method_sais(self, small_text):
-        index, _ = build_index(small_text[:300], sa_method="sais", sf=8)
+    def test_suffix_array_matches_oracle(self, small_text):
+        index, _ = build_index(small_text[:300], sf=8)
+        sa = suffix_array(encode(small_text[:300]))
+        assert index.locate_structure.sa.tolist() == sa.tolist()
         assert index.count(small_text[10:20]) >= 1
 
     def test_sentinel_in_tree_variant(self, small_text):
-        index, _ = build_index(small_text, store_sentinel_in_tree=True, sf=8)
+        """The five-symbol tree (built only by the oracle pipeline) and
+        the builder's four-symbol tree count alike."""
+        index = oracle_index(small_text, store_sentinel_in_tree=True, sf=8)
         ref, _ = build_index(small_text, sf=8)
         for pat in ["ACG", small_text[40:70]]:
             assert index.count(pat) == ref.count(pat)

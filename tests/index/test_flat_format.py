@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro import load_index, save_index
+from repro.check.oracles import oracle_index
 from repro.index.builder import build_index
 from repro.index.fm_index import FMIndex
 from repro.index.flat import (
@@ -86,7 +87,7 @@ class TestRoundTrip:
         assert loaded.backend.sf == 12
 
     def test_sentinel_variant_preserved(self, small_text, flat_path):
-        index, _ = build_index(small_text, store_sentinel_in_tree=True, sf=8)
+        index = oracle_index(small_text, store_sentinel_in_tree=True, sf=8)
         save_index_flat(index, flat_path)
         loaded = load_index_flat(flat_path)
         assert loaded.backend.store_sentinel_in_tree is True
@@ -107,7 +108,12 @@ class TestRoundTrip:
         ids=["rrr", "occ", "sampled", "no_locate", "parameters", "sentinel_variant"],
     )
     def test_public_names_round_trip(self, small_text, flat_path, build, expect):
-        index, _ = build_index(small_text, **build)
+        # The builder makes only the four-symbol tree; the oracle pipeline
+        # makes the five-symbol one.
+        if build.get("store_sentinel_in_tree"):
+            index = oracle_index(small_text, **build)
+        else:
+            index, _ = build_index(small_text, **build)
         save_index(index, flat_path)
         assert flat_path.read_bytes()[: len(MAGIC)] == MAGIC
         loaded = load_index(flat_path)
@@ -174,7 +180,7 @@ class TestSuffixArraySegment:
     def test_row_sampled_container_rejected(self, small_text, flat_path):
         """The row-sampled layout (``locate/samples`` = every k-th row's
         int64 SA entry, no mark vector) is refused with a rebuild hint."""
-        index, _ = build_index(small_text, sf=8, locate="sampled", sa_sample_rate=8)
+        index = oracle_index(small_text, sf=8, locate="sampled", sa_sample_rate=8)
         meta, segments = export_index(index)
         sa = index.backend.bwt.sa
         meta["locate_meta"] = {"k": 8, "n_rows": int(sa.size)}

@@ -4,6 +4,7 @@ locate walk, bit-identical to mapping each alone."""
 import numpy as np
 import pytest
 
+from repro.check.oracles import oracle_index
 from repro.core.counters import CounterScope
 from repro.index.builder import build_index
 from repro.index.flat import load_index_flat, save_index_flat
@@ -30,9 +31,12 @@ def reads():
     return out
 
 
-def build(seq, ftab_k=0, **opts):
+def build(seq, ftab_k=0, store_sentinel_in_tree=False, **opts):
     opts.setdefault("sf", 8)
-    index, _ = build_index(seq, b=15, **opts)
+    if store_sentinel_in_tree:  # the five-symbol tree: oracle pipeline only
+        index = oracle_index(seq, b=15, store_sentinel_in_tree=True, **opts)
+    else:
+        index, _ = build_index(seq, b=15, **opts)
     if ftab_k:
         index.ftab = build_ftab(index.backend, ftab_k)
     return index

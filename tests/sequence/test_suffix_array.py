@@ -1,15 +1,17 @@
-"""Unit and cross-validation tests for the three suffix-array builders."""
+"""Unit and cross-validation tests for the suffix-array oracles (SA-IS
+and the naive sort) and the index builder's suffix sort."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.index.builder import build_index
 from repro.sequence.alphabet import encode
 from repro.sequence.suffix_array import (
     lcp_array,
+    naive_suffix_array,
     rank_array,
-    sais,
     suffix_array,
     verify_suffix_array,
 )
@@ -33,8 +35,8 @@ class TestBasics:
         assert sa.tolist() == suffixes
 
     def test_sentinel_first(self):
-        for method in ["naive", "doubling", "sais"]:
-            sa = suffix_array(encode("GATTACA"), method=method)
+        for build in [naive_suffix_array, suffix_array]:
+            sa = build(encode("GATTACA"))
             assert sa[0] == 7  # the sentinel suffix is smallest
 
     def test_rejects_negative_codes(self):
@@ -45,9 +47,11 @@ class TestBasics:
         with pytest.raises(ValueError, match="one-dimensional"):
             suffix_array(np.zeros((2, 2), dtype=np.int64))
 
-    def test_unknown_method(self):
-        with pytest.raises(ValueError, match="unknown"):
-            suffix_array(encode("ACGT"), method="quantum")
+
+def builder_suffix_array(codes: np.ndarray) -> np.ndarray:
+    """The SA the index builder's stages sort (a full-locate index keeps it)."""
+    index, _ = build_index(codes, locate="full")
+    return index.locate_structure.sa.astype(np.int64)
 
 
 class TestCrossValidation:
@@ -55,41 +59,35 @@ class TestCrossValidation:
     def test_three_builders_agree_random(self, seed):
         rng = np.random.default_rng(seed)
         codes = rng.integers(0, 4, 150)
-        a = suffix_array(codes, "naive")
-        b = suffix_array(codes, "doubling")
-        c = suffix_array(codes, "sais")
+        a = naive_suffix_array(codes)
+        b = suffix_array(codes)
+        c = builder_suffix_array(codes)
         assert np.array_equal(a, b)
         assert np.array_equal(b, c)
 
     def test_agree_on_repetitive(self):
         codes = encode("ACGT" * 50 + "AAAA" * 25)
-        assert np.array_equal(
-            suffix_array(codes, "doubling"), suffix_array(codes, "sais")
-        )
+        assert np.array_equal(builder_suffix_array(codes), suffix_array(codes))
 
     def test_agree_on_constant(self):
         codes = encode("A" * 100)
-        a = suffix_array(codes, "doubling")
-        b = suffix_array(codes, "sais")
+        a = builder_suffix_array(codes)
+        b = suffix_array(codes)
         assert np.array_equal(a, b)
         # For A^n$, suffixes sort by decreasing start: $, A$, AA$, ...
         assert a.tolist() == list(range(100, -1, -1))
 
     @given(text=dna)
     @settings(max_examples=50, deadline=None)
-    def test_property_doubling_equals_naive(self, text):
+    def test_property_builder_equals_naive(self, text):
         codes = encode(text)
-        assert np.array_equal(
-            suffix_array(codes, "doubling"), suffix_array(codes, "naive")
-        )
+        assert np.array_equal(builder_suffix_array(codes), naive_suffix_array(codes))
 
     @given(text=dna)
     @settings(max_examples=50, deadline=None)
     def test_property_sais_equals_naive(self, text):
         codes = encode(text)
-        assert np.array_equal(
-            suffix_array(codes, "sais"), suffix_array(codes, "naive")
-        )
+        assert np.array_equal(suffix_array(codes), naive_suffix_array(codes))
 
 
 class TestVerify:
@@ -148,30 +146,28 @@ class TestDerivedArrays:
 
 class TestSAISInternals:
     def test_sais_direct_call(self):
-        # "mississippi"-like over ints, with sentinel 0.
-        s = [2, 1, 3, 3, 1, 3, 3, 1, 2, 2, 1, 0]
-        got = sais(s, 4)
+        # "mississippi"-like over ints (the sentinel is appended).
+        codes = np.array([1, 0, 2, 2, 0, 2, 2, 0, 1, 1, 0])
+        s = [*(codes + 1).tolist(), 0]
         expected = sorted(range(len(s)), key=lambda i: s[i:])
-        assert got == expected
+        assert suffix_array(codes).tolist() == expected
 
     def test_sais_two_chars(self):
-        assert sais([1, 0], 2) == [1, 0]
+        assert suffix_array(np.array([0])).tolist() == [1, 0]
 
     def test_sais_single(self):
-        assert sais([0], 1) == [0]
+        assert suffix_array(np.zeros(0, dtype=np.int64)).tolist() == [0]
 
 
 class TestNumpySAISEquivalence:
-    """The vectorized SA-IS path vs the legacy pure-Python oracle."""
+    """The vectorized SA-IS path against the naive sort."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_matches_legacy(self, seed):
         rng = np.random.default_rng(seed)
         codes = rng.integers(0, 4, int(rng.integers(1, 800))).astype(np.uint8)
-        got = suffix_array(codes, method="sais")
-        s = [int(c) + 1 for c in codes] + [0]
-        legacy = sais(s, 5)
-        assert got.tolist() == legacy
+        got = suffix_array(codes)
+        assert got.tolist() == naive_suffix_array(codes).tolist()
 
     @pytest.mark.parametrize("text", [
         "A",
@@ -184,20 +180,16 @@ class TestNumpySAISEquivalence:
     ])
     def test_periodic_matches_legacy(self, text):
         codes = encode(text)
-        got = suffix_array(codes, method="sais")
-        s = [int(c) + 1 for c in codes] + [0]
-        legacy = sais(s, 5)
-        assert got.tolist() == legacy
+        got = suffix_array(codes)
+        assert got.tolist() == naive_suffix_array(codes).tolist()
         assert verify_suffix_array(codes, got)
 
     def test_deep_recursion_case(self):
         # Thue-Morse-like string: forces LMS-name collisions and deep
-        # recursion in both implementations.
+        # recursion.
         t = [0]
         for _ in range(9):
             t = t + [1 - x for x in t]
         codes = np.array([c + 1 for c in t], dtype=np.uint8)  # values 1,2
-        got = suffix_array(codes, method="sais")
-        s = [int(c) + 1 for c in codes] + [0]
-        legacy = sais(s, 4)
-        assert got.tolist() == legacy
+        got = suffix_array(codes)
+        assert got.tolist() == naive_suffix_array(codes).tolist()

@@ -50,6 +50,8 @@ class TestFullRun:
         _run_pipeline(tel)
         text = tel.metrics.prometheus_text()
         assert "index_builds_total 1" in text
+        for stage in ("sa", "bwt", "encode", "finalize"):
+            assert f'index_build_stage_seconds_count{{stage="{stage}"}} 1' in text
         assert "fpga_runs_total 1" in text
         for line in text.splitlines():
             assert line.startswith("#") or " " in line
@@ -65,7 +67,8 @@ class TestFullRun:
         device_cats = {e["cat"] for e in slices if e["pid"] == 1}
         assert {"write_buffer", "kernel", "read_buffer"} <= device_cats
         app_names = {e["name"] for e in slices if e["pid"] == 0}
-        assert "index.build" in app_names
+        assert {"index.build", "index.sa", "index.bwt", "index.encode",
+                "index.finalize"} <= app_names
         assert "fpga.map_batch" in app_names
         # Shared clock: device slices fall inside the run's span window.
         run_span = next(e for e in slices if e["name"] == "fpga.map_batch")

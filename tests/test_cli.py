@@ -80,6 +80,38 @@ class TestIndexCommand:
         loaded = load_multiref_index_flat(out)
         assert loaded.names == ("a", "b")
 
+    def test_multirecord_with_blockwise_flag(self, tmp_path):
+        """``--blockwise`` is implied: a two-record FASTA builds with it,
+        to the same bytes as without it, with a small ``--block-mb``, and
+        as the multi-reference index built in memory."""
+        from repro.index.flat import save_multiref_index_flat
+        from repro.index.multiref import MultiReferenceIndex
+
+        records = [FastaRecord("a", "", "ACGTACGT" * 10), FastaRecord("b", "", "GGTTCCAA" * 10)]
+        fasta = tmp_path / "multi.fa"
+        write_fasta(records, fasta)
+        outs = []
+        for i, flags in enumerate([[], ["--blockwise"], ["--blockwise", "--block-mb", "0.01"]]):
+            out = tmp_path / f"x{i}.bwvr"
+            assert main(["index", str(fasta), "-o", str(out), "-s", "4", *flags]) == 0
+            outs.append(out.read_bytes())
+        save_multiref_index_flat(MultiReferenceIndex(records, sf=4), tmp_path / "ref.bwvr")
+        assert outs == [(tmp_path / "ref.bwvr").read_bytes()] * 3
+
+    def test_multirecord_resume_refused(self, tmp_path, capsys):
+        fasta = tmp_path / "multi.fa"
+        write_fasta(
+            [FastaRecord("a", "", "ACGTACGT" * 10), FastaRecord("b", "", "GGTTCCAA" * 10)],
+            fasta,
+        )
+        out = tmp_path / "x.bwvr"
+        rc = main(["index", str(fasta), "-o", str(out), "--blockwise", "--resume"])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --resume")
+        assert "single-reference" in err[0]
+        assert not out.exists()
+
     def test_empty_fasta_rejected(self, tmp_path, capsys):
         fasta = tmp_path / "empty.fa"
         fasta.write_text(">only_header\n")
@@ -107,6 +139,33 @@ class TestIndexCommand:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert "builder version" in err[0] and "without resume" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("resume", [False, True])
+    @pytest.mark.parametrize("kind", ["dir", "file"])
+    def test_foreign_work_dir_survives(self, workspace, capsys, kind, resume):
+        """A ``<output>.build`` the builder did not make (a directory with
+        no ``state.json``, or a file) is neither deleted nor written to:
+        one ``error:`` line, exit 2."""
+        tmp, _, fasta, _, _ = workspace
+        out = tmp / "mine.bwvr"
+        work = tmp / "mine.bwvr.build"
+        if kind == "dir":
+            work.mkdir()
+            (work / "notes.txt").write_text("keep me")
+        else:
+            work.write_text("keep me")
+        flags = ["--resume"] if resume else []
+        rc = main(["index", str(fasta), "-o", str(out), *flags])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "not a build work directory" in err[0]
+        if kind == "dir":
+            assert [p.name for p in work.iterdir()] == ["notes.txt"]
+            assert (work / "notes.txt").read_text() == "keep me"
+        else:
+            assert work.read_text() == "keep me"
         assert not out.exists()
 
 

@@ -16,19 +16,20 @@ import pytest
 
 from repro.core.bwt_structure import BWTStructure
 from repro.fpga.device import ALVEO_U200, check_fits
+from repro.index.builder import build_index
 from repro.io.refgen import E_COLI_LIKE, generate_reference
 from repro.sequence.alphabet import encode
 from repro.sequence.bwt import bwt_from_codes
-from repro.sequence.suffix_array import suffix_array
 
 
 @pytest.fixture(scope="module")
 def full_ecoli():
     ref = generate_reference(E_COLI_LIKE, scale=1.0, seed=7)
     codes = encode(ref)
-    sa = suffix_array(codes)
+    # The builder's bounded-memory suffix sort (a full-locate index keeps it).
+    sa = build_index(codes)[0].locate_structure.sa
     bwt = bwt_from_codes(codes, sa=sa)
-    return ref, bwt, sa
+    return ref, bwt, bwt.sa
 
 
 class TestFullScaleEcoli:
